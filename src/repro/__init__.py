@@ -15,8 +15,8 @@ Quick start (the :mod:`repro.api` facade is the documented entry point)::
         result = simulate("babelstream", protocol)
         print(protocol, result.wall_cycles)
 
-    # Or the whole suite at once, parallel and cached:
-    res = sweep(jobs=4)
+    # Or the whole suite at once, on 4 worker processes and cached:
+    res = sweep(workers=4)
     print(res.report.summary())
 """
 

@@ -18,9 +18,8 @@ Subcommands:
   (``BENCH_trace.json``), the memoized path vs the run path on the
   iterative sweep (``BENCH_memo.json``), and the tracing overhead of
   the disabled/recording observability hooks (``--sweep obs``,
-  ``BENCH_obs.json``). Reports land in ``benchmarks/perf/`` with a
-  copy at the repo root for perf-trajectory tooling that scans
-  root-level ``BENCH_*.json``.
+  ``BENCH_obs.json``), or distributed sweep scaling (``--sweep dist``,
+  ``BENCH_dist.json``). Reports land at the repo root by default.
 
 ``run`` and ``occupancy`` also accept ``--trace-out FILE`` to attach an
 observability tracer to the sweep and export it (format inferred from
@@ -30,11 +29,11 @@ the extension: ``.json`` → Chrome trace, ``.csv`` → CSV, else JSONL).
   machine state, and report the first divergent kernel otherwise
   (``--sanitize`` additionally asserts coherence invariants at every
   kernel boundary; see ``repro.check``).
-* ``dist`` — run a sweep through the distributed engine: cells shard
-  into content-keyed work units over a shared, file-locked result cache
-  with in-flight dedupe. ``--mode run`` executes locally with
-  ``--workers`` processes; ``--mode scatter/work/gather`` splits the
-  sweep across any hosts that share ``--work-dir``.
+* ``dist`` — run a sweep over the shared, file-locked result cache with
+  in-flight dedupe: cells shard into content-keyed work units.
+  ``--mode run`` executes locally with ``--workers`` processes;
+  ``--mode scatter/work/gather`` splits the sweep across any hosts that
+  share ``--work-dir``.
 * ``explore`` — successive-halving Pareto search over chiplet count x
   coherence-table capacity x L2 size, scored on (cpelide cycles,
   hardware-cost proxy); prints the frontier of the final rung.
@@ -44,9 +43,10 @@ the extension: ``.json`` → Chrome trace, ``.csv`` → CSV, else JSONL).
   dedupe through the shared result cache; admission control sheds
   overload with ``429`` + ``Retry-After``. See ``docs/server.md``.
 
-``run`` and ``occupancy`` execute through the sweep engine: ``--jobs N``
-fans simulations out over worker processes, and completed cells are
-served from the on-disk result cache (disable with ``--no-cache``).
+``run`` and ``occupancy`` execute through the sweep engine's one runner:
+``--jobs N`` fans simulations out over N worker processes, and completed
+cells are served from the on-disk result cache (``--no-cache`` reads and
+writes nothing).
 Protocol choices come from the coherence registry, so a newly registered
 protocol is immediately runnable here.
 
@@ -240,13 +240,11 @@ def _warn_environment(report, reference, label: str) -> None:
 
 
 def _write_bench_report(report, path: str) -> None:
-    """Write a bench report to ``path`` plus a repo-root copy.
+    """Write a bench report to ``path``.
 
-    Perf-trajectory tooling scans root-level ``BENCH_*.json``, while the
-    canonical reports live under ``benchmarks/perf/`` — emit both (the
-    copy is skipped when ``path`` already is the root file). If ``path``
-    already holds a report from a *different* environment, warn before
-    overwriting: the trajectory across the two files mixes machines.
+    If ``path`` already holds a report from a *different* environment,
+    warn before overwriting: the trajectory across the two files mixes
+    machines.
     """
     import json
     import os
@@ -265,10 +263,6 @@ def _write_bench_report(report, path: str) -> None:
                               f"environment")
     bench.write_report(report, path)
     _progress(f"wrote {path}")
-    root_copy = os.path.basename(path)
-    if os.path.abspath(root_copy) != os.path.abspath(path):
-        bench.write_report(report, root_copy)
-        _progress(f"wrote {root_copy}")
 
 
 def _check_speedup(report, label: str, floor: float,
@@ -395,7 +389,7 @@ def _dist_spec(args):
 
 
 def cmd_dist(args) -> int:
-    from repro.engine import DistSweepRunner, dist
+    from repro.engine import SharedResultCache, SweepRunner, dist
 
     tracer = None
     if args.trace_out:
@@ -421,10 +415,10 @@ def cmd_dist(args) -> int:
         report = result.report
         print(report.summary())
     else:
-        runner = DistSweepRunner(workers=args.workers,
-                                 cache=args.cache_dir,
-                                 batch_size=args.batch_size,
-                                 progress=_progress, tracer=tracer)
+        runner = SweepRunner(workers=args.workers,
+                             cache=SharedResultCache(root=args.cache_dir),
+                             batch_size=args.batch_size,
+                             progress=_progress, tracer=tracer)
         result = runner.run(_dist_spec(args))
         report = result.report
         print(report.summary())
@@ -640,26 +634,23 @@ def main(argv=None) -> int:
                          help="timing repetitions per cell, best kept "
                               "(default 3, or 2 with --quick; the memo "
                               "sweep needs >= 2 to measure warm replays)")
-    bench_p.add_argument("--out", default="benchmarks/perf/BENCH_trace.json",
+    bench_p.add_argument("--out", default="BENCH_trace.json",
                          help="line-vs-run report path "
-                              "(default benchmarks/perf/BENCH_trace.json)")
-    bench_p.add_argument("--memo-out",
-                         default="benchmarks/perf/BENCH_memo.json",
+                              "(default BENCH_trace.json)")
+    bench_p.add_argument("--memo-out", default="BENCH_memo.json",
                          help="memo-vs-run report path "
-                              "(default benchmarks/perf/BENCH_memo.json)")
-    bench_p.add_argument("--obs-out",
-                         default="benchmarks/perf/BENCH_obs.json",
+                              "(default BENCH_memo.json)")
+    bench_p.add_argument("--obs-out", default="BENCH_obs.json",
                          help="tracing-overhead report path "
-                              "(default benchmarks/perf/BENCH_obs.json)")
+                              "(default BENCH_obs.json)")
     bench_p.add_argument("--max-overhead", type=float, default=0.02,
                          help="with --sweep obs --check: allowed "
                               "disabled-tracer overhead vs the "
                               "line-vs-run report at --out "
                               "(default 0.02 = 2%%)")
-    bench_p.add_argument("--dist-out",
-                         default="benchmarks/perf/BENCH_dist.json",
+    bench_p.add_argument("--dist-out", default="BENCH_dist.json",
                          help="distributed-scaling report path "
-                              "(default benchmarks/perf/BENCH_dist.json)")
+                              "(default BENCH_dist.json)")
     bench_p.add_argument("--dist-workers", nargs="+", type=int,
                          default=None,
                          help="worker counts the dist sweep times "
@@ -668,10 +659,12 @@ def main(argv=None) -> int:
                          help="with --sweep dist --check: scaling-"
                               "efficiency floor per worker count — "
                               "speedup over min(workers, cpu_count) "
-                              "(default 0.5)")
+                              "(default 0.5); the check refuses when "
+                              "cpu_count is below the largest worker "
+                              "count")
 
     dist_p = sub.add_parser(
-        "dist", help="distribute a sweep: sharded workers over a shared "
+        "dist", help="run a sweep as sharded work units over a shared "
                      "result cache with in-flight dedupe")
     dist_p.add_argument("--mode", default="run",
                         choices=("run", "scatter", "work", "gather"),

@@ -12,7 +12,7 @@ from here instead of reaching into ``repro.gpu``, ``repro.workloads``,
 
     # A whole sweep, fanned out over worker processes and served from
     # the on-disk result cache on re-runs.
-    res = sweep(workloads=("square", "bfs"), jobs=4)
+    res = sweep(workloads=("square", "bfs"), workers=4)
     print(res.get("square", "cpelide").wall_cycles)
     print(res.report.summary())
 
@@ -33,11 +33,16 @@ The commonly-needed building blocks (:class:`GPUConfig`,
 :func:`build_workload`, :class:`HipRuntime`, …) are re-exported so one
 import serves a typical script.
 
+Every sweep — :func:`simulate`, :func:`sweep`, the experiment
+harnesses, the CLIs and the HTTP server — runs through one runner,
+:class:`~repro.engine.runner.SweepRunner`, with one process-count
+setting (``workers``, also accepted as ``jobs``). ``cache=False`` means
+no cache on every path: nothing is read or written.
+
 This surface is versioned: :data:`__api_version__` bumps whenever a
 documented signature changes. Everything in ``__all__`` is stable;
-anything else reachable through this module resolves via a deprecation
-shim (see ``__getattr__``) and warns, pointing at the name's canonical
-deep module.
+other names are not importable from here — import them from their
+canonical modules.
 """
 
 from __future__ import annotations
@@ -71,7 +76,6 @@ from repro.engine.cache import (
     SharedResultCache,
     default_cache_dir,
 )
-from repro.engine.dist import DistSweepRunner
 from repro.engine.runner import (
     ProgressFn,
     SweepReport,
@@ -97,8 +101,19 @@ from repro.workloads.suite import (
     build_workload,
 )
 
-#: Version of the documented :mod:`repro.api` surface. Bumped to ``4.0``
-#: with the first-class protocol registry: frozen
+#: Version of the documented :mod:`repro.api` surface. Bumped to ``5.0``
+#: with the one sweep runner: :func:`simulate` lost ``jobs`` (one cell
+#: never forks); :func:`sweep` treats ``jobs`` and ``workers`` as one
+#: process count (:class:`~repro.errors.ConfigError` when both are given
+#: and differ); ``cache=`` takes a bool or a :class:`SharedResultCache`
+#: (anything else raises ConfigError) and ``cache=False`` means no cache
+#: on every path;
+#: ``DistSweepRunner`` left ``__all__`` (:class:`SweepRunner` is the one
+#: runner); and the deprecated names are gone — the ``protocol_names``
+#: and deep-import shims here, the legacy bulk-op aliases of
+#: :class:`~repro.memory.cache.SetAssocCache`, and the raw-string
+#: trace-path constants of :mod:`repro.gpu.sim`. ``4.0`` added the
+#: first-class protocol registry: frozen
 #: :class:`~repro.coherence.registry.ProtocolSpec` records,
 #: :func:`protocols`/:func:`register_protocol`/:func:`unregister_protocol`,
 #: ``simulate(protocol=...)`` accepting a spec as well as a name,
@@ -110,23 +125,21 @@ from repro.workloads.suite import (
 #: API (async submissions, SSE progress streams, admission control)
 #: over the same :class:`~repro.engine.cache.SharedResultCache` the
 #: distributed engine uses. ``3.1`` added the distributed engine:
-#: ``sweep(workers=...)`` routes through
-#: :class:`~repro.engine.dist.DistSweepRunner` over a shared result
-#: store with in-flight dedupe. ``3.0`` added the :class:`TracePath`
+#: ``sweep(workers=...)`` over a shared result store with in-flight
+#: dedupe. ``3.0`` added the :class:`TracePath`
 #: enum (replacing raw ``"line"``/``"run"``/``"memo"`` strings, which
 #: still coerce) and the unified keyword-only cache bulk-op API
 #: (:class:`repro.memory.cache.BulkResult`). ``2.0`` added the
 #: keyword-only ``simulate``/``sweep`` signatures, the
 #: ``trace_path=``/``tracer=`` parameters, and the :mod:`repro.errors`
 #: hierarchy.
-__api_version__ = "4.0"
+__api_version__ = "5.0"
 
 __all__ = [
     "CacheError",
     "ConfigError",
     "DEFAULT_PROTOCOLS",
     "DEFAULT_SCALE",
-    "DistSweepRunner",
     "EXTRA_WORKLOADS",
     "EventTracer",
     "GPUConfig",
@@ -145,6 +158,7 @@ __all__ = [
     "Simulator",
     "SweepReport",
     "SweepResult",
+    "SweepRunner",
     "SweepSpec",
     "TracePath",
     "Tracer",
@@ -166,55 +180,6 @@ __all__ = [
     "write_trace",
 ]
 
-#: Deep-import names historically reached through ``repro.api`` (or its
-#: wildcard re-exports) that are *not* part of the stable surface.
-#: ``repro.api.<name>`` still resolves — via ``__getattr__`` below — but
-#: emits a :class:`DeprecationWarning` naming the canonical module, so
-#: scripts migrate to one stable, versioned import surface.
-_DEEP_IMPORT_SHIMS = {
-    "CoherenceProtocol": "repro.coherence.base",
-    "Device": "repro.gpu.device",
-    "EnergyModel": "repro.energy.model",
-    "JobSpec": "repro.engine.spec",
-    "Kernel": "repro.workloads.base",
-    "KernelArg": "repro.workloads.base",
-    "KernelMetrics": "repro.metrics.stats",
-    "KernelPacket": "repro.cp.packets",
-    "Placement": "repro.cp.wg_scheduler",
-    "RunMetrics": "repro.metrics.stats",
-    "TimingModel": "repro.timing.model",
-    "resolve_trace_path": "repro.gpu.trace_path",
-    "trace_sync_ops": "repro.analysis",
-}
-
-
-def __getattr__(name: str):
-    """Deprecation shim for legacy deep-import names (PEP 562)."""
-    import warnings
-
-    if name == "protocol_names":
-        # Stable through 3.x; superseded by the ProtocolSpec registry.
-        warnings.warn(
-            "repro.api.protocol_names is deprecated since api version "
-            "4.0; enumerate repro.api.protocols() (ProtocolSpec records "
-            "carry the names plus factory/description/knob metadata)",
-            DeprecationWarning, stacklevel=2)
-        from repro.coherence.registry import protocol_names
-        return protocol_names
-    target = _DEEP_IMPORT_SHIMS.get(name)
-    if target is None:
-        raise AttributeError(
-            f"module 'repro.api' has no attribute {name!r}")
-    import importlib
-
-    warnings.warn(
-        f"repro.api.{name} is deprecated; import it from its canonical "
-        f"module {target} instead (the stable repro.api surface is "
-        f"__all__, api version {__api_version__})",
-        DeprecationWarning, stacklevel=2)
-    return getattr(importlib.import_module(target), name)
-
-
 def default_config(num_chiplets: int = 4, scale: float = DEFAULT_SCALE,
                    **overrides) -> GPUConfig:
     """The Table I configuration at experiment scale.
@@ -224,13 +189,25 @@ def default_config(num_chiplets: int = 4, scale: float = DEFAULT_SCALE,
     return GPUConfig(num_chiplets=num_chiplets, scale=scale, **overrides)
 
 
+def _shared_cache(cache: Union[bool, SharedResultCache, None],
+                  cache_dir=None) -> Optional[SharedResultCache]:
+    """``cache=`` as the runner takes it: ``True`` is the cache at
+    ``cache_dir`` (default root when ``None``), ``False``/``None`` no
+    cache, a :class:`SharedResultCache` itself."""
+    if isinstance(cache, SharedResultCache) or cache is None:
+        return cache
+    if isinstance(cache, bool):
+        return SharedResultCache(root=cache_dir) if cache else None
+    raise ConfigError(f"cache= takes a bool or a SharedResultCache, "
+                      f"not {type(cache).__name__}")
+
+
 def simulate(workload: Union[str, Workload],
              protocol: Union[str, ProtocolSpec] = "cpelide",
              *,
              config: Optional[GPUConfig] = None,
              scheduler: str = "static",
-             cache: Union[bool, ResultCache] = False,
-             jobs: int = 1,
+             cache: Union[bool, SharedResultCache] = False,
              trace_path: Optional[Union[TracePath, str]] = None,
              tracer: Optional[Tracer] = None) -> SimulationResult:
     """Run one workload under one protocol and return its result.
@@ -255,9 +232,11 @@ def simulate(workload: Union[str, Workload],
     :class:`TracePath` member or its string value (``"line"``/``"run"``/
     ``"memo"``; default per ``REPRO_TRACE_PATH``). ``tracer`` attaches an
     observability sink (e.g. :class:`~repro.obs.EventTracer`) — a pure
-    observer; results are bit-identical with or without it.
+    observer; results are bit-identical with or without it. The cell
+    runs in this process (api version 5.0 removed ``jobs``).
     """
     config = config or default_config()
+    shared = _shared_cache(cache)
     factory = None
     if isinstance(protocol, ProtocolSpec):
         spec_obj = protocol
@@ -268,7 +247,7 @@ def simulate(workload: Union[str, Workload],
         if registered == spec_obj:
             protocol = spec_obj.name
         else:
-            if cache:
+            if shared is not None:
                 raise ConfigError(
                     f"simulate(cache=...) requires a registered protocol: "
                     f"spec {spec_obj.name!r} is not (or no longer) the "
@@ -279,7 +258,7 @@ def simulate(workload: Union[str, Workload],
     elif not isinstance(workload, Workload):
         get_protocol(protocol)  # fail fast: ConfigError on unknown names
     if isinstance(workload, Workload) or factory is not None:
-        if cache:
+        if shared is not None:
             raise ConfigError(
                 "simulate(cache=...) requires a registry-named workload: "
                 "Workload instances bypass the sweep engine and have no "
@@ -293,7 +272,7 @@ def simulate(workload: Union[str, Workload],
     spec = SweepSpec(workloads=(workload,), protocols=(protocol,),
                      configs=(config,), scheduler=scheduler,
                      trace_path=trace_path)
-    runner = SweepRunner(jobs=jobs, cache=cache, tracer=tracer)
+    runner = SweepRunner(cache=shared, tracer=tracer)
     return runner.run(spec).outcomes[0].result
 
 
@@ -305,34 +284,43 @@ def sweep(spec: Optional[SweepSpec] = None,
           scale: float = DEFAULT_SCALE,
           scheduler: str = "static",
           configs: Optional[Sequence[GPUConfig]] = None,
-          jobs: int = 1,
-          cache: Union[bool, ResultCache] = True,
+          jobs: Optional[int] = None,
+          cache: Union[bool, SharedResultCache] = True,
           cache_dir=None,
           workers: Optional[int] = None,
           progress: Optional[ProgressFn] = None,
           trace_path: Optional[Union[TracePath, str]] = None,
           tracer: Optional[Tracer] = None) -> SweepResult:
-    """Run a declarative sweep through the parallel engine.
+    """Run a declarative sweep through the sweep engine.
 
     Pass a prebuilt :class:`SweepSpec`, or describe the grid by keyword
-    (``workloads=None`` selects all 24 Table II applications). ``jobs``
-    sizes the worker pool (1 = serial, 0/None = one per CPU); ``cache``
-    (default on) serves completed cells from the on-disk result cache.
-    Results arrive in spec order regardless of completion order.
+    (``workloads=None`` selects all 24 Table II applications). Results
+    arrive in spec order regardless of completion order.
 
-    ``workers`` (api version 3.1) routes the sweep through the
-    *distributed* engine instead: cells execute as content-keyed work
-    units over a :class:`SharedResultCache` (``cache``/``cache_dir``
-    name its root), so any number of concurrent sweeps — in other
-    processes or on other hosts sharing the cache directory — serve each
-    other's completed *and in-flight* cells instead of recomputing.
-    Results stay bit-identical to ``jobs=1``.
+    ``workers`` (or its other name ``jobs``; passing both with different
+    values raises :class:`~repro.errors.ConfigError`) is the process
+    count: 1 (the default) runs every cell in this process, more fans
+    pending cells out over that many forked workers as content-keyed
+    work units, and ``0`` or less means one per CPU. Results are
+    bit-identical for every count.
+
+    ``cache`` (default on) serves completed cells from the on-disk
+    :class:`SharedResultCache` rooted at ``cache_dir`` (default root
+    when ``None``), or from a cache instance passed directly; any number
+    of concurrent sweeps — threads, processes, or hosts sharing the
+    directory — serve each other's completed *and in-flight* cells
+    instead of recomputing. ``cache=False`` reads and writes nothing.
 
     ``trace_path`` selects the trace representation for every cell;
-    ``tracer`` attaches an observability sink. Serial sweeps (``jobs=1``)
-    record full kernel-level detail; parallel sweeps record sweep-cell
-    events only (tracers cannot cross the fork boundary).
+    ``tracer`` attaches an observability sink. Cells run in this process
+    record full kernel-level detail, whatever the worker count; cells on
+    forked workers record sweep-cell and shard events only (tracers
+    cannot cross the fork boundary).
     """
+    if jobs is not None and workers is not None and jobs != workers:
+        raise ConfigError(
+            f"sweep(jobs={jobs}, workers={workers}): jobs and workers "
+            f"name one process count; pass one of them")
     if spec is None:
         if configs is not None:
             if workloads is None:
@@ -348,17 +336,9 @@ def sweep(spec: Optional[SweepSpec] = None,
     elif trace_path is not None and spec.trace_path != trace_path:
         import dataclasses
         spec = dataclasses.replace(spec, trace_path=trace_path)
-    if workers is not None:
-        if isinstance(cache, SharedResultCache):
-            shared = cache
-        elif isinstance(cache, ResultCache):
-            shared = SharedResultCache(root=cache.root, salt=cache.salt)
-        else:
-            shared = SharedResultCache(root=cache_dir)
-        dist = DistSweepRunner(workers=workers, cache=shared,
-                               progress=progress, tracer=tracer)
-        return dist.run(spec)
-    runner = SweepRunner(jobs=jobs, cache=cache, cache_dir=cache_dir,
+    count = workers if workers is not None else jobs
+    runner = SweepRunner(workers=1 if count is None else count,
+                         cache=_shared_cache(cache, cache_dir),
                          progress=progress, tracer=tracer)
     return runner.run(spec)
 

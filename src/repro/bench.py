@@ -6,7 +6,7 @@ cache/protocol operations. It is required to be *bit-identical* to the
 per-line reference — ``tests/test_batched_equivalence.py`` is the
 referee — so its only observable difference is wall-clock time. This
 module measures that difference and emits a machine-readable report
-(``benchmarks/perf/BENCH_trace.json``).
+(``BENCH_trace.json``).
 
 Sweep composition: the **partitioned sweep** — every Table II workload
 whose kernels access *only* ``PatternKind.PARTITIONED`` data structures
@@ -531,25 +531,26 @@ def run_dist_bench(scale: float = QUICK_SCALE, chiplets: int = 4,
     The workload is the Pareto exploration *seed sweep* (see
     :func:`repro.experiments.explore.seed_spec`): the candidate design
     points at one chiplet count x the seed workloads x
-    {baseline, cpelide}. A serial uncached :class:`SweepRunner` run
-    establishes the reference wall time and the reference result dicts;
-    each worker count then executes the same sweep through
-    :class:`~repro.engine.dist.DistSweepRunner` against a *fresh* shared
-    cache (cold), re-asserting bit-identity against the reference every
-    time. A final warm pass over the largest count's cache must report
-    zero recomputes — the cross-process cache's whole point.
+    {baseline, cpelide}. An in-process uncached
+    :class:`~repro.engine.runner.SweepRunner` run establishes the
+    reference wall time and the reference result dicts; each worker
+    count then executes the same sweep against a *fresh*
+    :class:`~repro.engine.cache.SharedResultCache` (cold), re-asserting
+    bit-identity against the reference every time. A final warm pass
+    over the largest count's cache must report zero recomputes — the
+    cross-process cache's whole point.
 
     Reported ``speedup`` is serial wall over distributed wall;
     ``efficiency`` normalizes it by the *usable* parallelism
-    ``min(workers, cpu_count)``. On a single-CPU host every count's
-    usable parallelism is 1, so efficiency stays meaningful (near 1.0
-    minus orchestration overhead) where raw speedup cannot exceed ~1x;
-    the environment stamp records the ``cpu_count`` that normalized it.
+    ``min(workers, cpu_count)``; the environment stamp records the
+    ``cpu_count`` that normalized it. A host with fewer CPUs than the
+    largest worker count still produces a report, but
+    :func:`check_dist_scaling` refuses it.
     """
     import os
     import tempfile
 
-    from repro.engine import DistSweepRunner, SweepRunner
+    from repro.engine import SharedResultCache, SweepRunner
     from repro.experiments import explore
 
     workloads = (list(workloads) if workloads
@@ -560,7 +561,7 @@ def run_dist_bench(scale: float = QUICK_SCALE, chiplets: int = 4,
     cpu_count = os.cpu_count() or 1
 
     t0 = time.perf_counter()
-    serial = SweepRunner(jobs=1, cache=False).run(spec)
+    serial = SweepRunner().run(spec)
     serial_seconds = time.perf_counter() - t0
     reference = serial.to_dicts()
     if progress is not None:
@@ -573,7 +574,8 @@ def run_dist_bench(scale: float = QUICK_SCALE, chiplets: int = 4,
         for workers in worker_counts:
             root = os.path.join(tmp, f"cache-w{workers}")
             t0 = time.perf_counter()
-            result = DistSweepRunner(workers=workers, cache=root).run(spec)
+            result = SweepRunner(workers=workers,
+                                 cache=SharedResultCache(root=root)).run(spec)
             wall = time.perf_counter() - t0
             if result.to_dicts() != reference:
                 raise EquivalenceError(
@@ -603,8 +605,9 @@ def run_dist_bench(scale: float = QUICK_SCALE, chiplets: int = 4,
                          f"{report.summary().splitlines()[0]}")
 
         t0 = time.perf_counter()
-        warm_result = DistSweepRunner(workers=worker_counts[-1],
-                                      cache=last_root).run(spec)
+        warm_result = SweepRunner(
+            workers=worker_counts[-1],
+            cache=SharedResultCache(root=last_root)).run(spec)
         warm_wall = time.perf_counter() - t0
         warm_report = warm_result.report
         if warm_result.to_dicts() != reference:
@@ -664,13 +667,20 @@ def check_dist_scaling(report: Dict,
                        min_efficiency: float = 0.5) -> Tuple[bool, str]:
     """Gate a distributed scaling report.
 
-    Passes when every worker count's scaling efficiency (speedup per
-    *usable* worker — ``min(workers, cpu_count)``) meets
-    ``min_efficiency``, the warm pass recomputed nothing, and every pass
-    stayed bit-identical to the serial reference. Efficiency, not raw
-    speedup, is the gate so the check means the same thing on a 1-CPU
-    CI runner and a 64-core host; the raw numbers stay in the report.
+    Refuses a report timed with fewer CPUs than its largest worker
+    count: such a host cannot show scaling, so no efficiency from it
+    passes. Otherwise passes when every worker count's scaling
+    efficiency (speedup per *usable* worker — ``min(workers,
+    cpu_count)``) meets ``min_efficiency``, the warm pass recomputed
+    nothing, and every pass stayed bit-identical to the serial
+    reference.
     """
+    largest = max(report["counts"], key=lambda cell: cell["workers"])
+    if largest["usable_workers"] < largest["workers"]:
+        return False, (f"refused: cpu_count {largest['usable_workers']} "
+                       f"is below the largest worker count "
+                       f"{largest['workers']}, so this host cannot show "
+                       f"scaling")
     problems = []
     for cell in report["counts"]:
         if not cell["identical"]:

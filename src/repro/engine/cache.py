@@ -26,6 +26,7 @@ import hashlib
 import json
 import os
 import pathlib
+import socket
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -143,7 +144,9 @@ class CacheStats:
 
 
 class ResultCache:
-    """Content-addressed JSON store of completed job results."""
+    """Content-addressed JSON store of completed job results: the
+    storage layer of :class:`SharedResultCache`, which runners and the
+    server use."""
 
     def __init__(self, root: "os.PathLike[str] | str | None" = None,
                  salt: Optional[str] = None) -> None:
@@ -153,9 +156,10 @@ class ResultCache:
 
     # ------------------------------------------------------------------
 
-    def key(self, job: JobSpec) -> str:
+    @staticmethod
+    def key(job: JobSpec) -> str:
         """Stable content hash identifying one job (blake2b, matching
-        the memo store's digests)."""
+        the memo store's digests); independent of root and salt."""
         canonical = json.dumps(job.key_payload(), sort_keys=True,
                                separators=(",", ":"))
         return hashlib.blake2b(canonical.encode(),
@@ -228,8 +232,9 @@ class ResultCache:
 # ---------------------------------------------------------------------------
 
 #: Default lease duration for an in-flight claim. Long enough for any
-#: single sweep cell at bench scale; short enough that a dead worker's
-#: claim is reclaimed within one polling generation.
+#: single sweep cell at bench scale; short enough that a hung worker's
+#: claim is reclaimed within one polling generation (a dead worker's
+#: claim on this host is reclaimed at once).
 DEFAULT_LEASE_SECONDS = 300.0
 
 #: Default polling interval while waiting on another worker's claim.
@@ -255,6 +260,18 @@ CLAIM_ACQUIRED = "claimed"  # caller owns the cell and must compute it
 CLAIM_INFLIGHT = "inflight"  # another live worker is computing it
 
 
+def _pid_alive(pid: Any) -> bool:
+    """Whether process ``pid`` exists on this host (``True`` when it
+    cannot be told, so the claim's lease decides)."""
+    try:
+        os.kill(int(pid), 0)
+    except ProcessLookupError:
+        return False
+    except (OSError, TypeError, ValueError):
+        return True
+    return True
+
+
 class SharedResultCache(ResultCache):
     """A :class:`ResultCache` safe for concurrent multi-process use,
     with *in-flight dedupe*.
@@ -270,8 +287,10 @@ class SharedResultCache(ResultCache):
     it lands (counted as ``deduped`` — "served from in-flight"). Claims
     carry a deadline; a claim whose lease expired (its worker died or
     hung) is *reclaimed* by the next requester, so no cell can be
-    orphaned. Claim files are never ``.json``, so they are invisible to
-    ``clear()``/``__len__``.
+    orphaned. Claims also record the claimant's host and pid: a claim
+    whose claimant no longer exists on this host is reclaimed at once,
+    without waiting out the lease. Claim files are never ``.json``, so
+    they are invisible to ``clear()``/``__len__``.
 
     **Timekeeping.** Two different clocks are in play and must not be
     conflated:
@@ -306,7 +325,6 @@ class SharedResultCache(ResultCache):
 
     def _claim_token(self) -> str:
         import secrets
-        import socket
         return f"{socket.gethostname()}-{os.getpid()}-{secrets.token_hex(8)}"
 
     def _read_claim(self, path: pathlib.Path) -> Optional[Dict[str, Any]]:
@@ -338,6 +356,7 @@ class SharedResultCache(ResultCache):
         path.parent.mkdir(parents=True, exist_ok=True)
         body = json.dumps({
             "token": token,
+            "host": socket.gethostname(),
             "pid": os.getpid(),
             "deadline": time.time() + self.lease_seconds,
             "lease": self.lease_seconds,
@@ -357,8 +376,17 @@ class SharedResultCache(ResultCache):
         only clock shared with claim writers on other hosts — guarded by
         a margin proportional to the claim's declared lease so a reader
         with a fast clock cannot reclaim a live claim.
+
+        A claim written on this host by a process that no longer exists
+        (killed mid-cell) counts as expired at once. A wrong guess (a
+        reused pid) only falls back to the lease; a wrong "dead" costs
+        at most one duplicate computation, since stores are atomic and
+        results deterministic.
         """
         import time
+        if (claim.get("host") == socket.gethostname()
+                and not _pid_alive(claim.get("pid"))):
+            return True
         lease = float(claim.get("lease", self.lease_seconds))
         margin = min(MAX_CLAIM_SKEW_SECONDS, CLAIM_SKEW_FRACTION * lease)
         return claim.get("deadline", 0.0) + margin <= time.time()
@@ -423,6 +451,14 @@ class SharedResultCache(ResultCache):
         token = self._claim_token()
         for attempt in (0, 1, 2):
             if self._write_claim(claim_path, token):
+                payload = self._peek(job)
+                if payload is not None:
+                    # Another worker stored the cell and released its
+                    # claim between our load and our create: serve its
+                    # result rather than compute the cell twice.
+                    self._release(job, token)
+                    self.stats.deduped += 1
+                    return CLAIM_HIT, payload
                 self.stats.claims += 1
                 return CLAIM_ACQUIRED, token
             claim = self._read_claim(claim_path)

@@ -1,413 +1,51 @@
-"""The distributed sweep engine.
+"""Multi-host sweeps over a shared work directory.
 
-Scales a :class:`~repro.engine.spec.SweepSpec` past one scheduler and
-one machine. Three pieces compose:
-
-* **Sharding** — :func:`shard_jobs` splits a sweep's pending cells into
-  deterministic, content-keyed :class:`WorkUnit`\\ s (contiguous batches,
-  so cheap cells amortize process startup and adjacent cells reuse
-  interned traces/memo state inside one worker process). The same spec
-  always shards the same way, and every unit carries a blake2b key over
-  its jobs' cache keys, so units are themselves content-addressed.
-* **Shared cache with in-flight dedupe** — every worker (process or
-  host) talks to one :class:`~repro.engine.cache.SharedResultCache`.
-  Before computing a cell a worker *claims* it; a second worker wanting
-  the same cell waits on the claim and is served the first worker's
-  result ("served from in-flight"), so no cell is ever computed twice,
-  anywhere, even concurrently. Leases expire, so a dead worker's claims
-  are reclaimed.
-* **Execution** — :class:`DistSweepRunner` runs units across local
-  worker processes (``fork``; in-process fallback). For multi-host
-  execution, :func:`scatter` serializes the spec and its units as JSON
-  into a *work directory* (a shared filesystem), :func:`work` lets any
-  host claim and execute units, and :func:`gather` reassembles the
-  bit-identical :class:`~repro.engine.runner.SweepResult`.
-
-Results always aggregate in spec order, so a distributed sweep is
-bit-identical to ``SweepRunner(jobs=1)`` over the same spec — the
-determinism tests in ``tests/test_dist.py`` pin this end to end.
+:class:`~repro.engine.runner.SweepRunner` runs a sweep on one host, in
+its own process or on a fork pool. This module takes the same
+content-keyed :class:`~repro.engine.runner.WorkUnit`\\ s past one
+machine: :func:`scatter` serializes a spec and its units as JSON into a
+*work directory* on a shared filesystem, :func:`work` lets any host
+claim and execute units against the directory's
+:class:`~repro.engine.cache.SharedResultCache`, and :func:`gather`
+reassembles the :class:`~repro.engine.runner.SweepResult` in spec order,
+bit-identical to a ``SweepRunner`` run of the same spec (the
+determinism tests in ``tests/test_dist.py`` pin this end to end).
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import pathlib
-import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
-from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional
 
-from repro.engine.cache import (
-    CLAIM_ACQUIRED,
-    CLAIM_HIT,
-    CacheStats,
-    SharedResultCache,
-)
+from repro.engine.cache import SharedResultCache
 from repro.engine.runner import (
+    HOW_DEDUP,
+    HOW_HIT,
+    HOW_RUN,
+    CellResult,
     JobOutcome,
-    MemoCounters,
     ProgressFn,
     SweepReport,
     SweepResult,
-    _execute_job,
-    _fork_available,
-    _reconstruct,
-    prewarm_pending_traces,
+    SweepRunner,
+    WorkUnit,
+    _execute_unit,
+    _worker_id,
+    outcome_of,
+    run_job_shared,
+    shard_jobs,
 )
-from repro.engine.spec import JobSpec, SweepSpec
+from repro.engine.spec import SweepSpec
 from repro.errors import CacheError
-from repro.obs.tracer import NULL_TRACER, Tracer
+from repro.obs.tracer import Tracer
 
-#: How a distributed cell was served.
-HOW_HIT = "hit"      # already in the shared cache
-HOW_RUN = "run"      # computed by this worker (it held the claim)
-HOW_DEDUP = "dedup"  # served from another worker's in-flight computation
+__all__ = ["DistSweepRunner", "gather", "run_job_shared", "scatter",
+           "work", "work_dir_cache"]
 
-#: Target work units per worker: enough batches that workers stay busy
-#: when cell costs are skewed, few enough that process overhead
-#: amortizes across cells.
-UNITS_PER_WORKER = 4
-
-
-@dataclass(frozen=True)
-class WorkUnit:
-    """One shard of a sweep: a contiguous batch of (index, job) cells.
-
-    ``key`` is a blake2b digest over the member jobs' cache keys — the
-    unit's content address, stable across processes and hosts.
-    """
-
-    index: int
-    items: Tuple[Tuple[int, JobSpec], ...]
-    key: str
-
-    @property
-    def cells(self) -> int:
-        return len(self.items)
-
-    def to_payload(self) -> Dict[str, Any]:
-        """JSON round-trip payload (one scattered ``unit-*.json``)."""
-        return {
-            "index": self.index,
-            "key": self.key,
-            "items": [[i, job.to_payload()] for i, job in self.items],
-        }
-
-    @classmethod
-    def from_payload(cls, payload: Dict[str, Any]) -> "WorkUnit":
-        items = tuple((int(i), JobSpec.from_payload(jp))
-                      for i, jp in payload["items"])
-        return cls(index=int(payload["index"]), items=items,
-                   key=payload["key"])
-
-
-def unit_key(jobs: Sequence[JobSpec], cache: SharedResultCache) -> str:
-    """Content address of one batch of jobs."""
-    digest = hashlib.blake2b(digest_size=16)
-    for job in jobs:
-        digest.update(cache.key(job).encode())
-    return digest.hexdigest()
-
-
-def shard_jobs(jobs: Sequence[JobSpec], pending: Sequence[int],
-               workers: int, cache: SharedResultCache,
-               batch_size: Optional[int] = None) -> List[WorkUnit]:
-    """Split pending cells into deterministic contiguous batches.
-
-    ``batch_size=None`` sizes batches so each worker sees about
-    :data:`UNITS_PER_WORKER` units — big enough to amortize process
-    startup over cheap cells, small enough to balance skewed cell costs.
-    Sharding depends only on the spec's expansion order and the two
-    sizing knobs, never on timing, so the same sweep shards identically
-    on every scheduler and host.
-    """
-    if not pending:
-        return []
-    if batch_size is None:
-        batch_size = max(1, -(-len(pending) // (max(1, workers)
-                                                * UNITS_PER_WORKER)))
-    units: List[WorkUnit] = []
-    for start in range(0, len(pending), batch_size):
-        indices = pending[start:start + batch_size]
-        items = tuple((i, jobs[i]) for i in indices)
-        units.append(WorkUnit(
-            index=len(units), items=items,
-            key=unit_key([job for _, job in items], cache)))
-    return units
-
-
-@dataclass
-class CellResult:
-    """One cell's outcome as transported from a worker."""
-
-    index: int
-    payload: Dict[str, Any]
-    how: str
-    seconds: float
-    memo: MemoCounters = None
-
-
-@dataclass
-class UnitResult:
-    """One executed work unit: its cells plus the worker's accounting."""
-
-    unit_index: int
-    worker: str
-    pid: int
-    cells: List[CellResult]
-    stats: CacheStats
-    seconds: float
-
-    @property
-    def executed(self) -> int:
-        return sum(1 for c in self.cells if c.how == HOW_RUN)
-
-    @property
-    def hits(self) -> int:
-        return sum(1 for c in self.cells if c.how == HOW_HIT)
-
-    @property
-    def deduped(self) -> int:
-        return sum(1 for c in self.cells if c.how == HOW_DEDUP)
-
-
-def run_job_shared(cache: SharedResultCache, job: JobSpec,
-                   tracer: Optional[Tracer] = None,
-                   cancel: "Optional[Any]" = None) -> CellResult:
-    """Execute one cell through the claim/lease protocol.
-
-    Exactly one worker anywhere computes the cell; everyone else is
-    served the stored or in-flight result. ``how`` records which way
-    this call went.
-
-    ``tracer`` (same-process callers only — tracers cannot cross the
-    fork boundary) threads an observability sink into the simulation,
-    so e.g. the job server streams kernel-level progress while the cell
-    computes. ``cancel`` is a :class:`~repro.engine.jobs.CancelToken`:
-    a tripped token raises :class:`~repro.errors.JobCancelled` before
-    the cell starts, and — when the tracer also observes the token, as
-    :class:`~repro.obs.streaming.StreamingTracer` does — at the next
-    kernel boundary of a running simulation. Either way the claim this
-    call acquired is *abandoned* (released immediately), never left to
-    expire, so concurrent waiters on the cell take over at once.
-    """
-    t0 = time.perf_counter()
-    if cancel is not None:
-        cancel.raise_if_set()
-    deduped_before = cache.stats.deduped
-    status, value = cache.acquire(job)
-    if status == CLAIM_HIT:
-        how = (HOW_DEDUP if cache.stats.deduped > deduped_before
-               else HOW_HIT)
-        return CellResult(index=-1, payload=value, how=how,
-                          seconds=time.perf_counter() - t0)
-    assert status == CLAIM_ACQUIRED
-    token = value
-    try:
-        if cancel is not None:
-            cancel.raise_if_set()
-        payload, memo, _obs, seconds, _pid = _execute_job(job, tracer)
-    except BaseException:
-        cache.abandon(job, token)
-        raise
-    cache.store_and_release(job, payload, token)
-    return CellResult(index=-1, payload=payload, how=HOW_RUN,
-                      seconds=seconds, memo=memo)
-
-
-def _worker_id() -> str:
-    import socket
-    return f"{socket.gethostname()}:{os.getpid()}"
-
-
-def _execute_unit(unit: WorkUnit, cache_root: str, salt: str,
-                  lease_seconds: float,
-                  poll_seconds: float) -> UnitResult:
-    """Run one work unit against the shared cache (module-level so the
-    process pool can pickle it; also the body of multi-host workers)."""
-    cache = SharedResultCache(root=cache_root, salt=salt,
-                              lease_seconds=lease_seconds,
-                              poll_seconds=poll_seconds)
-    t0 = time.perf_counter()
-    cells: List[CellResult] = []
-    for index, job in unit.items:
-        cell = run_job_shared(cache, job)
-        cell.index = index
-        cells.append(cell)
-    return UnitResult(unit_index=unit.index, worker=_worker_id(),
-                      pid=os.getpid(), cells=cells,
-                      stats=cache.stats.snapshot(),
-                      seconds=time.perf_counter() - t0)
-
-
-class DistSweepRunner:
-    """Shard a sweep, execute it across workers, aggregate in order.
-
-    The distributed counterpart of
-    :class:`~repro.engine.runner.SweepRunner`: same inputs, same
-    bit-identical :class:`~repro.engine.runner.SweepResult`, but cells
-    execute as content-keyed work units over a
-    :class:`~repro.engine.cache.SharedResultCache`, so any number of
-    concurrent runners — in this process, other processes, or other
-    hosts pointing at the same cache root — share every completed and
-    *in-flight* cell between them.
-    """
-
-    def __init__(self, workers: int = 2,
-                 cache: Union[SharedResultCache, "os.PathLike[str]",
-                              str, None] = None,
-                 batch_size: Optional[int] = None,
-                 lease_seconds: Optional[float] = None,
-                 progress: Optional[ProgressFn] = None,
-                 tracer: Optional[Tracer] = None) -> None:
-        self.workers = max(1, workers)
-        if isinstance(cache, SharedResultCache):
-            self.cache = cache
-        else:
-            self.cache = SharedResultCache(root=cache)
-        if lease_seconds is not None:
-            self.cache.lease_seconds = lease_seconds
-        self.batch_size = batch_size
-        self.progress = progress
-        self.tracer: Tracer = tracer if tracer is not None else NULL_TRACER
-
-    def _emit(self, message: str) -> None:
-        if self.progress is not None:
-            self.progress(message)
-
-    # ------------------------------------------------------------------
-
-    def run(self, spec: SweepSpec) -> SweepResult:
-        """Execute every cell of ``spec``; aggregate in spec order."""
-        start = time.perf_counter()
-        jobs = spec.expand()
-        tracer = self.tracer
-        if tracer.enabled:
-            tracer.sweep_begin(label=f"dist:{spec.kind}:{len(jobs)} cells",
-                               cells=len(jobs))
-        outcomes: List[Optional[JobOutcome]] = [None] * len(jobs)
-        stats_before = self.cache.stats.snapshot()
-
-        # Serve whatever the shared cache already holds.
-        pending: List[int] = []
-        for index, job in enumerate(jobs):
-            payload = self.cache.load(job)
-            if payload is None:
-                pending.append(index)
-            else:
-                outcomes[index] = self._outcome(job, payload, HOW_HIT, 0.0)
-        if len(pending) < len(jobs):
-            self._emit(f"cache: {len(jobs) - len(pending)}/{len(jobs)} "
-                       "jobs already done")
-
-        units = shard_jobs(jobs, pending, self.workers, self.cache,
-                           self.batch_size)
-        worker_cells: Dict[str, int] = {}
-        deduped = 0
-        if units:
-            results = self._run_units(jobs, pending, units)
-            for unit_result in results:
-                worker = unit_result.worker
-                worker_cells[worker] = (worker_cells.get(worker, 0)
-                                        + unit_result.executed)
-                deduped += unit_result.deduped
-                if tracer.enabled:
-                    tracer.shard_event(
-                        phase="end", shard=unit_result.unit_index,
-                        worker=worker, cells=len(unit_result.cells),
-                        executed=unit_result.executed,
-                        hits=unit_result.hits,
-                        deduped=unit_result.deduped,
-                        seconds=unit_result.seconds)
-                for cell in unit_result.cells:
-                    job = jobs[cell.index]
-                    outcomes[cell.index] = self._outcome(
-                        job, cell.payload, cell.how, cell.seconds,
-                        cell.memo)
-                self._emit(f"unit {unit_result.unit_index} "
-                           f"[{unit_result.worker}]: "
-                           f"{unit_result.executed} run, "
-                           f"{unit_result.hits} hit, "
-                           f"{unit_result.deduped} in-flight "
-                           f"({unit_result.seconds:.2f}s)")
-                # Fold the worker's cache accounting into ours so the
-                # report's invalidation/dedupe counters see every worker.
-                self.cache.stats.merge(unit_result.stats)
-
-        done = [outcome for outcome in outcomes if outcome is not None]
-        assert len(done) == len(jobs)
-        report = self._report(done, worker_cells, deduped, stats_before,
-                              time.perf_counter() - start)
-        self._emit(f"sweep done: {report.summary()}")
-        obs = None
-        if tracer.enabled:
-            registry = getattr(tracer, "metrics", None)
-            if registry is not None:
-                obs = registry.aggregate().to_dict(include_children=False)
-        return SweepResult(spec=spec, outcomes=done, report=report, obs=obs)
-
-    # ------------------------------------------------------------------
-
-    def _outcome(self, job: JobSpec, payload: Dict[str, Any], how: str,
-                 seconds: float, memo: MemoCounters = None) -> JobOutcome:
-        result = _reconstruct(job, payload)
-        if how == HOW_RUN:
-            if memo is not None:
-                (result.memo_hits, result.memo_misses,
-                 result.memo_bypasses) = memo
-        elif hasattr(result, "from_cache"):
-            result.from_cache = True
-        if self.tracer.enabled:
-            self.tracer.sweep_cell(phase="end", label=job.label,
-                                   cached=how != HOW_RUN, seconds=seconds)
-        return JobOutcome(job=job, result=result, cached=how != HOW_RUN,
-                          seconds=seconds)
-
-    def _run_units(self, jobs: List[JobSpec], pending: List[int],
-                   units: List[WorkUnit]) -> List[UnitResult]:
-        args = (str(self.cache.root), self.cache.salt,
-                self.cache.lease_seconds, self.cache.poll_seconds)
-        if self.workers == 1 or len(units) == 1 or not _fork_available():
-            return [_execute_unit(unit, *args) for unit in units]
-        import multiprocessing
-
-        prewarm_pending_traces(jobs, pending)
-        context = multiprocessing.get_context("fork")
-        workers = min(self.workers, len(units))
-        results: List[UnitResult] = []
-        with ProcessPoolExecutor(max_workers=workers,
-                                 mp_context=context) as pool:
-            futures = [pool.submit(_execute_unit, unit, *args)
-                       for unit in units]
-            for future in as_completed(futures):
-                results.append(future.result())
-        results.sort(key=lambda r: r.unit_index)
-        return results
-
-    def _report(self, outcomes: List[JobOutcome],
-                worker_cells: Dict[str, int], deduped: int,
-                stats_before: CacheStats,
-                wall_seconds: float) -> SweepReport:
-        executed = [o for o in outcomes if not o.cached]
-        slowest = max(executed, key=lambda o: o.seconds, default=None)
-        delta = self.cache.stats.since(stats_before)
-        per_worker = sorted((n for n in worker_cells.values() if n),
-                            reverse=True)
-        return SweepReport(
-            total_jobs=len(outcomes),
-            executed=len(executed),
-            cache_hits=len(outcomes) - len(executed) - deduped,
-            cache_invalidations=delta.invalidations,
-            wall_seconds=wall_seconds,
-            workers=len(per_worker) or 1,
-            parallel=len(per_worker) > 1,
-            slowest_label=slowest.job.label if slowest else "",
-            slowest_seconds=slowest.seconds if slowest else 0.0,
-            deduped=deduped,
-            per_worker_cells=per_worker,
-        )
+#: The one sweep runner under its earlier name.
+DistSweepRunner = SweepRunner
 
 
 # ---------------------------------------------------------------------------
@@ -455,8 +93,7 @@ def scatter(spec: SweepSpec, work_dir: "os.PathLike[str] | str",
     (work_path / "results").mkdir(parents=True, exist_ok=True)
     cache = work_dir_cache(work_path)
     jobs = spec.expand()
-    units = shard_jobs(jobs, list(range(len(jobs))), workers, cache,
-                       batch_size)
+    units = shard_jobs(jobs, list(range(len(jobs))), workers, batch_size)
     (work_path / "spec.json").write_text(json.dumps({
         "spec": spec.to_payload(),
         "salt": cache.salt,
@@ -513,9 +150,7 @@ def work(work_dir: "os.PathLike[str] | str",
         if tracer is not None and tracer.enabled:
             tracer.shard_event(phase="begin", shard=unit.index,
                                worker=_worker_id(), cells=unit.cells)
-        unit_result = _execute_unit(unit, str(cache.root), cache.salt,
-                                    cache.lease_seconds,
-                                    cache.poll_seconds)
+        unit_result = _execute_unit(unit, cache)
         tmp = result_path.with_suffix(f".tmp.{os.getpid()}")
         tmp.write_text(json.dumps({
             "unit_index": unit_result.unit_index,
@@ -531,18 +166,20 @@ def work(work_dir: "os.PathLike[str] | str",
         tmp.replace(result_path)
         claim_path.unlink(missing_ok=True)
         executed += 1
+        counts = {how: unit_result.count(how)
+                  for how in (HOW_RUN, HOW_HIT, HOW_DEDUP)}
         if tracer is not None and tracer.enabled:
             tracer.shard_event(phase="end", shard=unit.index,
                                worker=unit_result.worker,
                                cells=unit.cells,
-                               executed=unit_result.executed,
-                               hits=unit_result.hits,
-                               deduped=unit_result.deduped,
+                               executed=counts[HOW_RUN],
+                               hits=counts[HOW_HIT],
+                               deduped=counts[HOW_DEDUP],
                                seconds=unit_result.seconds)
         if progress is not None:
-            progress(f"unit {unit_index}: {unit_result.executed} run, "
-                     f"{unit_result.hits} hit, "
-                     f"{unit_result.deduped} in-flight "
+            progress(f"unit {unit_index}: {counts[HOW_RUN]} run, "
+                     f"{counts[HOW_HIT]} hit, "
+                     f"{counts[HOW_DEDUP]} in-flight "
                      f"({unit_result.seconds:.2f}s)")
     return executed
 
@@ -570,38 +207,18 @@ def gather(work_dir: "os.PathLike[str] | str") -> SweepResult:
         document = json.loads(result_path.read_text())
         wall = max(wall, document["seconds"])
         for cell in document["cells"]:
-            job = jobs[cell["index"]]
-            result = _reconstruct(job, cell["payload"])
-            cached = cell["how"] != HOW_RUN
-            if cached and hasattr(result, "from_cache"):
-                result.from_cache = True
-            if cell["how"] == HOW_DEDUP:
-                deduped += 1
-            if not cached:
+            index, how = cell["index"], cell["how"]
+            deduped += how == HOW_DEDUP
+            if how == HOW_RUN:
                 worker = document["worker"]
                 worker_cells[worker] = worker_cells.get(worker, 0) + 1
-            outcomes[cell["index"]] = JobOutcome(
-                job=job, result=result, cached=cached,
-                seconds=cell["seconds"])
+            outcomes[index] = outcome_of(jobs[index], CellResult(
+                index, cell["payload"], how, cell["seconds"]))
     if missing:
         raise CacheError(
             f"gather({work_path}): {len(missing)} unit(s) not finished "
             f"yet: {missing[:8]}{'...' if len(missing) > 8 else ''}")
     done = [o for o in outcomes if o is not None]
     assert len(done) == len(jobs)
-    executed = [o for o in done if not o.cached]
-    slowest = max(executed, key=lambda o: o.seconds, default=None)
-    per_worker = sorted(worker_cells.values(), reverse=True)
-    report = SweepReport(
-        total_jobs=len(done),
-        executed=len(executed),
-        cache_hits=len(done) - len(executed) - deduped,
-        wall_seconds=wall,
-        workers=len(per_worker) or 1,
-        parallel=len(per_worker) > 1,
-        slowest_label=slowest.job.label if slowest else "",
-        slowest_seconds=slowest.seconds if slowest else 0.0,
-        deduped=deduped,
-        per_worker_cells=per_worker,
-    )
+    report = SweepReport.of(done, worker_cells, deduped, 0, wall)
     return SweepResult(spec=spec, outcomes=done, report=report)

@@ -2,20 +2,14 @@
 
 The sweep engine's unit of work is one cell — a single simulation that,
 once started, runs for seconds. Anything that owns such work on behalf
-of someone else (the HTTP job server, a distributed worker loop) needs
-two things the bare runner does not provide:
-
-* a **cancellation token** (:class:`CancelToken`) it can trip from
-  another thread, observed *between* cells and — via the tracer's
-  kernel-boundary hooks — *inside* a running simulation; and
-* a guarantee that cancelling a cell mid-compute **abandons its
-  shared-cache claim** instead of leaving it to expire, so waiters on
-  the same cell take over immediately rather than after a full lease.
-
-:func:`repro.engine.dist.run_job_shared` accepts a token and honors
-both: a tripped token raises :class:`~repro.errors.JobCancelled`, and
-the claim/abandon pairing already in place releases the cell on any
-exception, cancellation included.
+of someone else (the HTTP job server) needs to stop it from another
+thread. A :class:`CancelToken` is that switch. The runner takes no
+token: the job's :class:`~repro.obs.streaming.StreamingTracer` observes
+it at the start of every in-process cell and at every kernel boundary,
+raising :class:`~repro.errors.JobCancelled`. A cell unwound mid-compute
+**abandons its shared-cache claim** (see
+:func:`repro.engine.runner.run_job_shared`), so waiters on the same
+cell take over at once rather than after a full lease.
 """
 
 from __future__ import annotations
@@ -34,8 +28,8 @@ class CancelToken:
     ``cancel()`` may be called from any thread (typically an asyncio
     handler reacting to ``POST /v1/jobs/{id}/cancel`` while the job runs
     in an executor thread). The running side calls :meth:`raise_if_set`
-    at its check points — between sweep cells, and at kernel boundaries
-    through :class:`~repro.obs.streaming.StreamingTracer` — which raises
+    at its check points — cell starts and kernel boundaries, through
+    :class:`~repro.obs.streaming.StreamingTracer` — which raises
     :class:`~repro.errors.JobCancelled` carrying ``reason``.
     """
 

@@ -14,7 +14,7 @@ successive-halving schedule:
 
 Each rung is one :class:`~repro.engine.spec.SweepSpec` (the rung's
 surviving configs x the seed workloads x {baseline, cpelide}) executed
-through the distributed engine, so rung evaluation fans out over worker
+through the sweep engine, so rung evaluation fans out over worker
 processes, every cell lands in the shared
 :class:`~repro.engine.cache.SharedResultCache`, and concurrent explorers
 dedupe against each other in flight. The seed workloads mirror the
@@ -30,8 +30,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Union
 
 from repro.engine.cache import SharedResultCache
-from repro.engine.dist import DistSweepRunner
-from repro.engine.runner import SweepReport, SweepResult
+from repro.engine.runner import SweepReport, SweepResult, SweepRunner
 from repro.engine.spec import SweepSpec
 from repro.errors import ConfigError
 from repro.gpu.config import MB, GPUConfig
@@ -311,27 +310,21 @@ def explore(chiplet_counts: Sequence[int] = DEFAULT_CHIPLET_COUNTS,
             leases: Optional[Sequence[int]] = None) -> ExploreResult:
     """Run the successive-halving Pareto search.
 
-    ``workers`` sizes the distributed runner's pool per rung; ``cache``
-    is the shared result cache (``True`` = the default cache root), so
-    repeated or concurrent explorations share cells. ``protocol`` is the
-    measured mechanism — any registry name (api 4.0); it is swept next
-    to ``baseline`` and scored against it. ``leases`` adds the
-    ``GPUConfig.lease_kernels`` axis to the design space (meaningful for
-    the timestamp protocols). Returns the :class:`ExploreResult` with
-    the frontier of the final rung.
+    ``workers`` sizes the runner's fork pool per rung; ``cache`` is the
+    shared result cache (``True`` = the default cache root), so repeated
+    or concurrent explorations share cells; ``False``/``None`` uses
+    none. ``protocol`` is the measured mechanism — any registry name
+    (api 4.0); it is swept next to ``baseline`` and scored against it.
+    ``leases`` adds the ``GPUConfig.lease_kernels`` axis to the design
+    space (meaningful for the timestamp protocols). Returns the
+    :class:`ExploreResult` with the frontier of the final rung.
     """
     from repro.coherence.registry import get_protocol
     get_protocol(protocol)  # ConfigError on unknown names, up front
     if not rungs:
         raise ConfigError("explore() needs at least one fidelity rung")
-    if isinstance(cache, SharedResultCache):
-        shared = cache
-    elif cache:
-        shared = SharedResultCache()
-    else:
-        import tempfile
-        shared = SharedResultCache(root=tempfile.mkdtemp(
-            prefix="repro-explore-"))
+    if not isinstance(cache, SharedResultCache):
+        cache = SharedResultCache() if cache else None
     points = design_points(chiplet_counts, table_windows, l2_mb, leases)
     if not points:
         raise ConfigError("explore() needs a non-empty design space")
@@ -346,8 +339,8 @@ def explore(chiplet_counts: Sequence[int] = DEFAULT_CHIPLET_COUNTS,
                      f"({len(points) * len(workloads) * len(protocols)} "
                      f"cells)")
         spec = seed_spec(points, scale, workloads, base_config, protocols)
-        runner = DistSweepRunner(workers=workers, cache=shared,
-                                 progress=progress, tracer=tracer)
+        runner = SweepRunner(workers=workers, cache=cache,
+                             progress=progress, tracer=tracer)
         sweep = runner.run(spec)
         scores = _score_rung(points, scale, workloads, sweep, base_config,
                              protocol)

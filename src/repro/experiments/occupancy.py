@@ -12,7 +12,6 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence
 
 from repro.analysis.occupancy import TableOccupancyProfile
-from repro.engine.runner import SweepRunner
 from repro.engine.spec import SweepSpec
 from repro.experiments.runner import DEFAULT_SCALE
 from repro.metrics.report import format_table
@@ -30,11 +29,13 @@ def run(workloads: Optional[Sequence[str]] = None,
     engine replay, not of the comparator protocols). ``tracer`` attaches
     an observability sink to the sweep (see :mod:`repro.obs`).
     """
+    from repro.api import sweep as run_sweep
+
     spec = SweepSpec.grid(workloads=workloads, protocols=("cpelide",),
                           chiplet_counts=(num_chiplets,), scale=scale,
                           kind="occupancy")
-    sweep = SweepRunner(jobs=jobs, cache=cache, progress=progress,
-                        tracer=tracer).run(spec)
+    sweep = run_sweep(spec, jobs=jobs, cache=cache, progress=progress,
+                      tracer=tracer)
     return {outcome.workload: outcome.result for outcome in sweep.outcomes}
 
 

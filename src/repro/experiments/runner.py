@@ -1,10 +1,10 @@
 """Shared experiment execution: (workload x protocol x chiplets) sweeps.
 
-Since the engine landed, every sweep here is expanded, cached, and
-(optionally) parallelized by :class:`repro.engine.SweepRunner`; the
-figure/table harnesses keep their historical :class:`MatrixResult` shape
-on top of it. ``jobs``/``cache`` thread through from the CLIs' ``--jobs``
-and ``--no-cache`` flags.
+Every sweep here runs through :func:`repro.api.sweep` (the engine's one
+:class:`~repro.engine.runner.SweepRunner`); the figure/table harnesses
+keep their historical :class:`MatrixResult` shape on top of it.
+``jobs``/``cache`` thread through from the CLIs' ``--jobs`` and
+``--no-cache`` flags.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.engine.runner import ProgressFn, SweepReport, SweepRunner
+from repro.engine.runner import ProgressFn, SweepReport
 from repro.engine.spec import DEFAULT_SCALE, SweepSpec
 from repro.gpu.config import GPUConfig
 from repro.gpu.sim import SimulationResult
@@ -74,14 +74,16 @@ def run_matrix(workloads: Optional[Sequence[str]] = None,
                progress: Optional[ProgressFn] = None) -> MatrixResult:
     """Run a full sweep through the engine.
 
-    Defaults to all 24 workloads on 4 chiplets, serially and uncached
+    Defaults to all 24 workloads on 4 chiplets, in-process and uncached
     (the benchmark suite must measure real simulations); the experiment
     CLIs pass ``jobs``/``cache`` from their flags.
     """
+    from repro.api import sweep as run_sweep
+
     spec = SweepSpec.grid(workloads=workloads, protocols=protocols,
                           chiplet_counts=chiplet_counts, scale=scale,
                           scheduler=scheduler)
-    sweep = SweepRunner(jobs=jobs, cache=cache, progress=progress).run(spec)
+    sweep = run_sweep(spec, jobs=jobs, cache=cache, progress=progress)
     result = MatrixResult(scale=scale, report=sweep.report)
     for outcome in sweep.outcomes:
         key = (outcome.workload, outcome.job.protocol,

@@ -52,30 +52,6 @@ from repro.gpu.trace_path import (  # noqa: E402  (re-export)
     resolve_trace_path,
 )
 
-#: Legacy module constants kept importable (with a warning) via
-#: :func:`__getattr__` below.
-_LEGACY_CONSTANTS = {
-    "DEFAULT_TRACE_PATH": "run",
-    "_TRACE_PATHS": ("line", "run", "memo"),
-}
-
-
-def __getattr__(name: str):
-    """Deprecation shims for the raw-string trace-path constants.
-
-    Deep imports like ``from repro.gpu.sim import DEFAULT_TRACE_PATH``
-    still resolve (to the historical plain-string values) but warn;
-    use :class:`repro.api.TracePath` instead.
-    """
-    if name in _LEGACY_CONSTANTS:
-        import warnings
-        warnings.warn(
-            f"repro.gpu.sim.{name} is deprecated; use the "
-            "repro.api.TracePath enum instead",
-            DeprecationWarning, stacklevel=2)
-        return _LEGACY_CONSTANTS[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 
 @dataclass
 class SimulationResult:

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import enum
 import hashlib
-import warnings
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
@@ -87,7 +86,8 @@ class Eviction:
 
 @dataclass
 class RunResult:
-    """Outcome of one :meth:`SetAssocCache.access_run` bulk access.
+    """Outcome of one run access (``SetAssocCache._access_run``, the
+    engine of :meth:`SetAssocCache.bulk_access`).
 
     ``hits``/``misses`` count *first* accesses only (the read of a
     read-modify-write run always hits on its own write and is folded
@@ -162,14 +162,6 @@ class BulkResult:
         return self.misses == 0
 
 
-def _warn_legacy_bulk(old: str, new: str) -> None:
-    """One :class:`DeprecationWarning` per legacy bulk-op call site."""
-    warnings.warn(
-        f"SetAssocCache.{old}() is deprecated; use the keyword-only "
-        f"{new}() returning a BulkResult instead",
-        DeprecationWarning, stacklevel=3)
-
-
 class SetAssocCache:
     """An LRU set-associative cache of line indices.
 
@@ -224,7 +216,7 @@ class SetAssocCache:
         """Whether every line in ``[start, start + count)`` is resident.
 
         A pure residency probe (no LRU refresh, no stats) used by bulk
-        fast paths to prove an :meth:`access_run` will be all-hit before
+        fast paths to prove a :meth:`bulk_access` will be all-hit before
         committing to it.
         """
         if count <= 0:
@@ -827,38 +819,6 @@ class SetAssocCache:
                 raise ValueError("bulk_invalidate: start requires count")
             dropped, dirty_lines = self._invalidate_run(start, count)
         return BulkResult(dropped=dropped, lines=dirty_lines)
-
-    # ------------------------------------------------------------------
-    # Deprecated bulk-op shims (pre-BulkResult shapes)
-    # ------------------------------------------------------------------
-
-    def access_run(self, start: int, count: int, do_load: bool,
-                   do_store: bool) -> RunResult:
-        """Deprecated: use :meth:`bulk_access`."""
-        _warn_legacy_bulk("access_run", "bulk_access")
-        res = self._access_run(start, count, do_load, do_store)
-        return res
-
-    def fill_many(self, lines, dirty: bool = False) -> List[Eviction]:
-        """Deprecated: use :meth:`bulk_fill`."""
-        _warn_legacy_bulk("fill_many", "bulk_fill")
-        return self._fill_many(lines, dirty)
-
-    def serve_miss_seq(self, events) -> Tuple[List[int], List[int],
-                                              List[int], int]:
-        """Deprecated: use :meth:`bulk_serve`."""
-        _warn_legacy_bulk("serve_miss_seq", "bulk_serve")
-        return self._serve_miss_seq(events)
-
-    def flush_run(self, start: int, count: int) -> List[int]:
-        """Deprecated: use :meth:`bulk_flush`."""
-        _warn_legacy_bulk("flush_run", "bulk_flush")
-        return self._flush_run(start, count)
-
-    def invalidate_run(self, start: int, count: int) -> Tuple[int, List[int]]:
-        """Deprecated: use :meth:`bulk_invalidate`."""
-        _warn_legacy_bulk("invalidate_run", "bulk_invalidate")
-        return self._invalidate_run(start, count)
 
     # ------------------------------------------------------------------
     # Synchronization operations (implicit acquire / release)

@@ -17,10 +17,11 @@ this).
 
 The tracer doubles as the engine's *in-band cancellation point*: give
 it a :class:`~repro.engine.jobs.CancelToken` and a tripped token raises
-:class:`~repro.errors.JobCancelled` at the next kernel boundary,
-unwinding the cell so its shared-cache claim is abandoned rather than
-left to expire. This is the one deliberate exception to tracer purity —
-a cancelled run produces no result at all, never a different one.
+:class:`~repro.errors.JobCancelled` at the next cell start or kernel
+boundary, unwinding the cell so its shared-cache claim is abandoned
+rather than left to expire. This is the one deliberate exception to
+tracer purity — a cancelled run produces no result at all, never a
+different one.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ class StreamingTracer(Tracer):
 
     Attributes:
         cancel: Optional :class:`~repro.engine.jobs.CancelToken`
-            observed at kernel boundaries.
+            observed at cell starts and kernel boundaries.
         kernels_done: Kernels completed so far (across all runs).
         runs_done: Simulations completed so far.
         cells_done: Sweep cells finished so far (``phase="end"``).
@@ -134,6 +135,9 @@ class StreamingTracer(Tracer):
 
     def sweep_cell(self, *, phase: str, label: str, cached: bool = False,
                    seconds: float = 0.0) -> None:
+        if phase == "begin" and self.cancel is not None:
+            # A cancelled job stops before its next cell claims anything.
+            self.cancel.raise_if_set()
         if phase == "end":
             self.cells_done += 1
         self._emit("sweep", f"cell-{phase}", {

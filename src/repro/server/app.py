@@ -3,16 +3,16 @@
 :class:`ReproServer` wires the pieces together. The asyncio thread owns
 the HTTP surface, the admission controller, and the job queue; a small
 scheduler task moves queued jobs onto a thread pool whenever a worker
-slot frees up. Each worker thread executes its job's cells *serially*
-through :func:`~repro.engine.dist.run_job_shared` against the server's
-:class:`~repro.engine.cache.SharedResultCache` — concurrency comes from
-multiple jobs in flight at once, and overlapping jobs dedupe through
-the cache's claim/lease protocol instead of computing the same cell
-twice. Cells run in-process (not forked) so the job's
+slot frees up. Each worker thread runs its job through the engine's one
+:class:`~repro.engine.runner.SweepRunner`, in-process, against the
+server's :class:`~repro.engine.cache.SharedResultCache` — concurrency
+comes from multiple jobs in flight at once, and overlapping jobs dedupe
+through the cache's claim/lease protocol instead of computing the same
+cell twice. Cells run in-process (not forked) so the job's
 :class:`~repro.obs.streaming.StreamingTracer` sees kernel-level
 progress for the SSE feed and its
 :class:`~repro.engine.jobs.CancelToken` can unwind a running cell at
-the next kernel boundary.
+the next cell start or kernel boundary.
 
 Endpoints (all JSON unless noted)::
 
@@ -30,9 +30,10 @@ Saturation answers ``429`` with a ``Retry-After`` header; malformed
 bodies answer ``400``; unknown jobs ``404``.
 
 A job's ``result`` body carries every cell's ``to_dict()`` payload in
-spec order, reconstructed exactly the way :func:`repro.api.sweep`
-serializes its outcomes — a served sweep is byte-identical JSON to a
-direct in-process run of the same spec.
+spec order (:meth:`~repro.engine.runner.SweepResult.to_dicts`, exactly
+what :func:`repro.api.sweep` returns) plus the sweep's
+:class:`~repro.engine.runner.SweepReport` — a served sweep is
+byte-identical JSON to a direct in-process run of the same spec.
 """
 
 from __future__ import annotations
@@ -42,13 +43,11 @@ import dataclasses
 import functools
 import re
 import threading
-import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, Dict, List, Optional, Union
 
 from repro.engine.cache import CacheStats, SharedResultCache
-from repro.engine.dist import HOW_RUN, run_job_shared
-from repro.engine.runner import _reconstruct
+from repro.engine.runner import SweepRunner
 from repro.errors import ConfigError, JobCancelled
 from repro.obs.metrics import MetricRegistry
 from repro.server.http import (
@@ -353,8 +352,8 @@ class ReproServer:
         self._wakeup.set()
 
     def _run_job(self, job: Job) -> None:
-        """Worker-thread body: execute every cell through the shared
-        cache, then publish the result and the terminal state.
+        """Worker-thread body: run the job's sweep in-process through the
+        shared cache, then publish the result and the terminal state.
 
         Each job gets its own cache *instance* over the server's root +
         salt so its stats start at zero — the result reports exactly
@@ -365,45 +364,14 @@ class ReproServer:
                                   salt=self.cache.salt,
                                   lease_seconds=self.cache.lease_seconds,
                                   poll_seconds=self.cache.poll_seconds)
-        spec = job.submission.spec
-        tracer = job.tracer
-        t0 = time.perf_counter()
         try:
-            cells = spec.expand()
-            tracer.sweep_begin(
-                label=f"serve:{spec.kind}:{len(cells)} cells",
-                cells=len(cells))
-            payloads: List[Dict[str, Any]] = []
-            executed = hits = deduped = 0
-            for cell_spec in cells:
-                tracer.sweep_cell(phase="begin", label=cell_spec.label)
-                cell = run_job_shared(cache, cell_spec, tracer=tracer,
-                                      cancel=job.cancel)
-                tracer.sweep_cell(phase="end", label=cell_spec.label,
-                                  cached=cell.how != HOW_RUN,
-                                  seconds=cell.seconds)
-                if cell.how == HOW_RUN:
-                    executed += 1
-                elif cell.how == "dedup":
-                    deduped += 1
-                else:
-                    hits += 1
-                # Reconstruct-then-serialize is exactly the transform
-                # repro.api.sweep applies, keeping served results
-                # byte-identical to a direct in-process run.
-                payloads.append(
-                    _reconstruct(cell_spec, cell.payload).to_dict())
+            sweep = SweepRunner(cache=cache, tracer=job.tracer).run(
+                job.submission.spec)
             job.result = {
                 "id": job.id,
                 "state": DONE,
-                "results": payloads,
-                "report": {
-                    "total_jobs": len(cells),
-                    "executed": executed,
-                    "cache_hits": hits,
-                    "deduped": deduped,
-                    "wall_seconds": round(time.perf_counter() - t0, 6),
-                },
+                "results": sweep.to_dicts(),
+                "report": dataclasses.asdict(sweep.report),
                 "cache": _stats_dict(cache.stats),
             }
             job.cache_stats = _stats_dict(cache.stats)

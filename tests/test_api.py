@@ -142,11 +142,10 @@ class TestProtocolRegistry:
         with pytest.raises(repro.ConfigError, match="no-such-proto"):
             simulate("square", "no-such-proto", config=config2)
 
-    def test_protocol_names_shim_warns(self):
+    def test_protocol_names_is_not_in_the_api(self):
         import repro.api as api
-        with pytest.warns(DeprecationWarning, match="protocol_names"):
-            shim = api.protocol_names
-        assert shim is protocol_names
+        with pytest.raises(AttributeError):
+            api.protocol_names
 
 
 class TestTopLevelExports:

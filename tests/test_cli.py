@@ -150,14 +150,20 @@ class TestBenchEnvironment:
     def test_check_dist_scaling_gates(self):
         from repro.bench import check_dist_scaling
 
-        cell = {"workers": 2, "usable_workers": 1, "efficiency": 0.9,
-                "speedup": 0.9, "identical": True}
+        # Timed with fewer CPUs than workers: refused, whatever the
+        # efficiency says.
+        starved = {"workers": 2, "usable_workers": 1, "efficiency": 0.9,
+                   "speedup": 0.9, "identical": True}
         report = {
-            "counts": [cell],
+            "counts": [starved],
             "warm": {"executed": 0, "identical": True},
             "aggregate": {"max_efficiency": 0.9, "warm_speedup": 10.0},
             "meta": {"worker_counts": [2]},
         }
+        ok, message = check_dist_scaling(report, min_efficiency=0.5)
+        assert not ok and "cpu_count 1" in message
+        cell = dict(starved, usable_workers=2, speedup=1.8)
+        report = dict(report, counts=[cell])
         ok, message = check_dist_scaling(report, min_efficiency=0.5)
         assert ok and "scaling ok" in message
         bad = dict(report, counts=[dict(cell, efficiency=0.1)])

@@ -1,8 +1,8 @@
 """Distributed sweep engine: shared cache claims, sharding, runners.
 
 Covers the cross-process dedupe protocol (claim/lease/reclaim), the
-deterministic sharder, :class:`DistSweepRunner` bit-identity against the
-serial engine, and the scatter/work/gather multi-host flow.
+deterministic sharder, forked :class:`SweepRunner` bit-identity against
+the in-process path, and the scatter/work/gather multi-host flow.
 """
 
 from __future__ import annotations
@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
+import signal
 import threading
 import time
 
@@ -21,15 +22,8 @@ from repro.engine.cache import (
     CLAIM_INFLIGHT,
     SharedResultCache,
 )
-from repro.engine.dist import (
-    DistSweepRunner,
-    gather,
-    scatter,
-    shard_jobs,
-    unit_key,
-    work,
-)
-from repro.engine.runner import SweepRunner
+from repro.engine.dist import gather, scatter, work
+from repro.engine.runner import SweepRunner, shard_jobs, unit_key
 from repro.engine.spec import JobSpec, SweepSpec
 from repro.errors import CacheError
 from repro.gpu.config import GPUConfig
@@ -291,63 +285,107 @@ class TestExpiredClaimReclaimRace:
         assert payloads[0]["value"] == payloads[1]["value"] == 42
 
 
-class TestShardJobs:
-    def test_units_cover_pending_exactly_once(self, tmp_path):
+def _claim_and_die(root):
+    """A claimant killed mid-cell: it never releases its claim."""
+    cache = SharedResultCache(root=root)
+    status, _ = cache.try_claim(one_job())
+    if status == CLAIM_ACQUIRED:
+        os.kill(os.getpid(), signal.SIGKILL)
+    os._exit(1)
+
+
+class TestKilledClaimant:
+    def test_dead_claimant_on_this_host_is_reclaimed_at_once(
+            self, tmp_path):
+        """A SIGKILLed claimant leaves its claim (300 s lease) behind;
+        the next acquire on the same host takes it over at once."""
+        ctx = multiprocessing.get_context("fork")
+        proc = ctx.Process(target=_claim_and_die,
+                           args=(str(tmp_path / "c"),))
+        proc.start()
+        proc.join(timeout=30)
+        assert proc.exitcode == -signal.SIGKILL
+        cache = SharedResultCache(root=tmp_path / "c", poll_seconds=0.01)
+        assert cache.claimed_keys() == [cache.key(one_job())]
+        t0 = time.monotonic()
+        status, _ = cache.acquire(one_job())
+        assert status == CLAIM_ACQUIRED
+        assert time.monotonic() - t0 < 1.0
+        assert cache.stats.reclaims == 1
+
+    def test_dead_pid_counts_only_on_this_host(self, tmp_path):
+        import socket
+
+        proc = multiprocessing.get_context("fork").Process(
+            target=os._exit, args=(0,))
+        proc.start()
+        proc.join(timeout=30)
         cache = SharedResultCache(root=tmp_path / "c")
+        live = {"pid": proc.pid, "deadline": time.time() + 100.0,
+                "lease": 100.0}
+        here = socket.gethostname()
+        assert cache._claim_expired(dict(live, host=here))
+        assert not cache._claim_expired(dict(live, host="another-host"))
+        assert not cache._claim_expired(dict(live, host=here,
+                                             pid=os.getpid()))
+
+
+class TestShardJobs:
+    def test_units_cover_pending_exactly_once(self):
         jobs = small_spec().expand()
         pending = list(range(len(jobs)))
-        units = shard_jobs(jobs, pending, workers=2, cache=cache)
+        units = shard_jobs(jobs, pending, workers=2)
         covered = [index for unit in units for index, _ in unit.items]
         assert covered == pending
 
-    def test_unit_keys_are_content_addressed_and_deterministic(
-            self, tmp_path):
-        cache = SharedResultCache(root=tmp_path / "c")
+    def test_unit_keys_are_content_addressed_and_deterministic(self):
         jobs = small_spec().expand()
-        key_a = unit_key(jobs[:2], cache)
-        key_b = unit_key(jobs[:2], cache)
+        key_a = unit_key(jobs[:2])
+        key_b = unit_key(jobs[:2])
         assert key_a == key_b
-        assert key_a != unit_key(jobs[2:4], cache)
-        units = shard_jobs(jobs, list(range(len(jobs))), 2, cache)
-        again = shard_jobs(jobs, list(range(len(jobs))), 2, cache)
+        assert key_a != unit_key(jobs[2:4])
+        units = shard_jobs(jobs, list(range(len(jobs))), 2)
+        again = shard_jobs(jobs, list(range(len(jobs))), 2)
         assert [u.key for u in units] == [u.key for u in again]
 
-    def test_batch_size_override(self, tmp_path):
-        cache = SharedResultCache(root=tmp_path / "c")
+    def test_batch_size_override(self):
         jobs = small_spec().expand()
-        units = shard_jobs(jobs, list(range(len(jobs))), 2, cache,
-                           batch_size=1)
+        units = shard_jobs(jobs, list(range(len(jobs))), 2, batch_size=1)
         assert len(units) == len(jobs)
         assert all(unit.cells == 1 for unit in units)
 
-    def test_only_pending_jobs_shard(self, tmp_path):
-        cache = SharedResultCache(root=tmp_path / "c")
+    def test_only_pending_jobs_shard(self):
         jobs = small_spec().expand()
-        units = shard_jobs(jobs, [1, 3], 2, cache)
+        units = shard_jobs(jobs, [1, 3], 2)
         covered = [index for unit in units for index, _ in unit.items]
         assert covered == [1, 3]
+
+
+def shared(tmp_path):
+    """A shared cache under the test's tmp dir."""
+    return SharedResultCache(root=tmp_path / "c")
 
 
 class TestDistRunner:
     def test_bit_identical_to_serial(self, tmp_path):
         spec = small_spec()
-        serial = SweepRunner(jobs=1, cache=False).run(spec)
-        dist = DistSweepRunner(workers=2, cache=tmp_path / "c").run(spec)
+        serial = SweepRunner().run(spec)
+        dist = SweepRunner(workers=2, cache=shared(tmp_path)).run(spec)
         assert dist.to_dicts() == serial.to_dicts()
 
     def test_second_pass_zero_recomputes(self, tmp_path):
         spec = small_spec()
-        runner = DistSweepRunner(workers=2, cache=tmp_path / "c")
+        runner = SweepRunner(workers=2, cache=shared(tmp_path))
         first = runner.run(spec)
         assert first.report.executed == first.report.total_jobs
-        warm = DistSweepRunner(workers=2, cache=tmp_path / "c").run(spec)
+        warm = SweepRunner(workers=2, cache=shared(tmp_path)).run(spec)
         assert warm.report.executed == 0
         assert warm.report.cache_hits == warm.report.total_jobs
         assert warm.to_dicts() == first.to_dicts()
 
     def test_summary_reports_dedupe_and_worker_cells(self, tmp_path):
         spec = small_spec()
-        result = DistSweepRunner(workers=2, cache=tmp_path / "c").run(spec)
+        result = SweepRunner(workers=2, cache=shared(tmp_path)).run(spec)
         summary = result.report.summary()
         assert "served from in-flight" in summary
         if result.report.parallel:
@@ -358,15 +396,15 @@ class TestDistRunner:
 
     def test_single_worker_runs_in_process(self, tmp_path):
         spec = small_spec(workloads=("square",))
-        result = DistSweepRunner(workers=1, cache=tmp_path / "c").run(spec)
+        result = SweepRunner(workers=1, cache=shared(tmp_path)).run(spec)
         assert result.report.executed == result.report.total_jobs
-        serial = SweepRunner(jobs=1, cache=False).run(spec)
+        serial = SweepRunner().run(spec)
         assert result.to_dicts() == serial.to_dicts()
 
     def test_results_marked_from_cache_on_warm_pass(self, tmp_path):
         spec = small_spec(workloads=("square",))
-        DistSweepRunner(workers=1, cache=tmp_path / "c").run(spec)
-        warm = DistSweepRunner(workers=1, cache=tmp_path / "c").run(spec)
+        SweepRunner(workers=1, cache=shared(tmp_path)).run(spec)
+        warm = SweepRunner(workers=1, cache=shared(tmp_path)).run(spec)
         assert all(outcome.result.from_cache
                    for outcome in warm.outcomes)
 
@@ -382,7 +420,7 @@ class TestScatterWorkGather:
         executed = work(work_dir)
         assert executed == len(units)
         gathered = gather(work_dir)
-        serial = SweepRunner(jobs=1, cache=False).run(spec)
+        serial = SweepRunner().run(spec)
         assert gathered.to_dicts() == serial.to_dicts()
 
     def test_second_work_call_finds_nothing(self, tmp_path):
@@ -440,3 +478,30 @@ class TestApiIntegration:
         assert res.to_dicts() == serial.to_dicts()
         again = sweep(spec, workers=2, cache_dir=tmp_path / "c")
         assert again.report.executed == 0
+
+    def test_uncached_worker_sweep_touches_no_cache(self, tmp_path,
+                                                    monkeypatch):
+        """``cache=False`` means no cache on the forked path too: every
+        call executes every cell and the default cache root stays
+        empty."""
+        from repro.api import sweep
+
+        root = tmp_path / "default-cache"
+        root.mkdir()
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(root))
+        spec = small_spec()
+        for _ in range(2):
+            res = sweep(spec, workers=2, cache=False)
+            assert res.report.executed == res.report.total_jobs
+            assert res.report.cache_hits == 0
+        assert list(root.iterdir()) == []
+
+    def test_jobs_and_workers_name_one_count(self):
+        from repro.api import sweep
+        from repro.errors import ConfigError
+
+        spec = small_spec(workloads=("square",), protocols=("cpelide",))
+        with pytest.raises(ConfigError, match="one process count"):
+            sweep(spec, jobs=2, workers=3, cache=False)
+        res = sweep(spec, jobs=2, workers=2, cache=False)
+        assert res.report.executed == 1

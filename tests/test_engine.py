@@ -7,7 +7,12 @@ import json
 import pytest
 
 from repro.analysis.occupancy import TableOccupancyProfile
-from repro.engine.cache import CacheStats, ResultCache, code_version_salt
+from repro.engine.cache import (
+    CacheStats,
+    ResultCache,
+    SharedResultCache,
+    code_version_salt,
+)
 from repro.engine.runner import SweepRunner, resolve_jobs
 from repro.engine.spec import JobSpec, SweepSpec, workload_label
 from repro.gpu.config import GPUConfig
@@ -69,25 +74,25 @@ class TestSpec:
 
 class TestDeterminism:
     def test_parallel_matches_serial_bit_for_bit(self):
-        """ISSUE acceptance: 3 workloads x 2 protocols, jobs=1 vs jobs=4
+        """3 workloads x 2 protocols, in-process vs 4 forked workers
         produce byte-identical ``to_dict()`` payloads in the same order."""
         spec = small_spec()
-        serial = SweepRunner(jobs=1).run(spec)
-        parallel = SweepRunner(jobs=4).run(spec)
+        serial = SweepRunner(workers=1).run(spec)
+        parallel = SweepRunner(workers=4).run(spec)
         assert serial.to_dicts() == parallel.to_dicts()
         assert [o.job.label for o in serial.outcomes] == \
             [o.job.label for o in parallel.outcomes]
 
     def test_cached_matches_uncached_bit_for_bit(self, tmp_path):
         spec = small_spec(workloads=("square",))
-        cache = ResultCache(root=tmp_path / "c")
-        first = SweepRunner(jobs=1, cache=cache).run(spec)
-        second = SweepRunner(jobs=1, cache=cache).run(spec)
+        cache = SharedResultCache(root=tmp_path / "c")
+        first = SweepRunner(cache=cache).run(spec)
+        second = SweepRunner(cache=cache).run(spec)
         assert first.to_dicts() == second.to_dicts()
 
     def test_results_in_spec_order_regardless_of_completion(self):
         spec = small_spec(workloads=("square", "babelstream"))
-        result = SweepRunner(jobs=4).run(spec)
+        result = SweepRunner(workers=4).run(spec)
         expected = [job.label for job in spec.expand()]
         assert [o.job.label for o in result.outcomes] == expected
 
@@ -99,7 +104,7 @@ class TestCache:
         with zero simulator invocations."""
         spec = small_spec()
         cache_dir = tmp_path / "cache"
-        first = SweepRunner(jobs=1, cache=True, cache_dir=cache_dir).run(spec)
+        first = SweepRunner(cache=SharedResultCache(root=cache_dir)).run(spec)
         assert first.report.executed == spec.num_jobs
         assert first.report.cache_hits == 0
 
@@ -107,7 +112,7 @@ class TestCache:
             raise AssertionError("Simulator.run called on a cached sweep")
 
         monkeypatch.setattr(Simulator, "run", boom)
-        second = SweepRunner(jobs=1, cache=True, cache_dir=cache_dir).run(spec)
+        second = SweepRunner(cache=SharedResultCache(root=cache_dir)).run(spec)
         assert second.report.cache_hits == spec.num_jobs
         assert second.report.executed == 0
         assert second.to_dicts() == first.to_dicts()
@@ -115,25 +120,27 @@ class TestCache:
 
     def test_salt_change_invalidates(self, tmp_path):
         spec = small_spec(workloads=("square",), protocols=("cpelide",))
-        old = ResultCache(root=tmp_path / "c", salt="old-code-version")
-        SweepRunner(jobs=1, cache=old).run(spec)
+        old = SharedResultCache(root=tmp_path / "c",
+                                salt="old-code-version")
+        SweepRunner(cache=old).run(spec)
         assert len(old) == 1
 
-        new = ResultCache(root=tmp_path / "c", salt="new-code-version")
-        result = SweepRunner(jobs=1, cache=new).run(spec)
+        new = SharedResultCache(root=tmp_path / "c",
+                                salt="new-code-version")
+        result = SweepRunner(cache=new).run(spec)
         assert result.report.cache_invalidations == 1
         assert result.report.executed == 1
         # The stale entry was replaced: a third run under the new salt hits.
-        again = SweepRunner(jobs=1, cache=new).run(spec)
+        again = SweepRunner(cache=new).run(spec)
         assert again.report.cache_hits == 1
 
     def test_corrupt_entry_is_invalidated(self, tmp_path):
         spec = small_spec(workloads=("square",), protocols=("cpelide",))
-        cache = ResultCache(root=tmp_path / "c")
-        SweepRunner(jobs=1, cache=cache).run(spec)
+        cache = SharedResultCache(root=tmp_path / "c")
+        SweepRunner(cache=cache).run(spec)
         [path] = list((tmp_path / "c").rglob("*.json"))
         path.write_text("{not json")
-        result = SweepRunner(jobs=1, cache=cache).run(spec)
+        result = SweepRunner(cache=cache).run(spec)
         assert result.report.cache_invalidations == 1
         assert result.report.executed == 1
 
@@ -165,6 +172,27 @@ class TestCache:
         assert len(code_version_salt()) == 16
 
 
+class TestProgress:
+    def test_one_progress_line_per_computed_cell(self, tmp_path, config):
+        """One cached and two computed cells in-process: exactly two
+        ``[i/n] label (s)`` lines, one per computed cell (the fig8
+        benchmark times cells by these lines)."""
+        cache = SharedResultCache(root=tmp_path / "c")
+        one = SweepSpec(workloads=("square",), protocols=("cpelide",),
+                        configs=(config,))
+        SweepRunner(cache=cache).run(one)
+        lines = []
+        three = SweepSpec(workloads=("square",),
+                          protocols=("baseline", "cpelide", "hmg"),
+                          configs=(config,))
+        result = SweepRunner(cache=cache, progress=lines.append).run(three)
+        assert result.report.cache_hits == 1
+        cell_lines = [line for line in lines if line.startswith("[")]
+        assert len(cell_lines) == 2
+        assert cell_lines[0].startswith("[1/2] square/baseline@4 (")
+        assert cell_lines[1].startswith("[2/2] square/hmg@4 (")
+
+
 class TestSerialization:
     def test_simulation_result_json_roundtrip(self, config):
         result = Simulator(config, "cpelide").run(
@@ -190,9 +218,9 @@ class TestOccupancyJobs:
         spec = small_spec(workloads=("square", "bfs"),
                           protocols=("cpelide",), kind="occupancy")
         cache_dir = tmp_path / "cache"
-        first = SweepRunner(jobs=1, cache=True, cache_dir=cache_dir).run(spec)
+        first = SweepRunner(cache=SharedResultCache(root=cache_dir)).run(spec)
         assert all(isinstance(o.result, TableOccupancyProfile)
                    for o in first.outcomes)
-        second = SweepRunner(jobs=1, cache=True, cache_dir=cache_dir).run(spec)
+        second = SweepRunner(cache=SharedResultCache(root=cache_dir)).run(spec)
         assert second.report.cache_hits == spec.num_jobs
         assert second.to_dicts() == first.to_dicts()

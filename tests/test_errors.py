@@ -56,8 +56,8 @@ class TestApiSurface:
     def test_api_version(self):
         import repro as repro_pkg
 
-        assert repro.api.__api_version__ == "4.0"
-        assert repro_pkg.__api_version__ == "4.0"
+        assert repro.api.__api_version__ == "5.0"
+        assert repro_pkg.__api_version__ == "5.0"
 
     def test_simulate_rejects_cache_with_workload_instance(self):
         config = GPUConfig(num_chiplets=4, scale=TEST_SCALE)
@@ -66,16 +66,24 @@ class TestApiSurface:
             repro.api.simulate(workload, "cpelide", config=config,
                                cache=True)
 
+    def test_cache_takes_a_bool_or_a_shared_cache(self, tmp_path):
+        from repro.engine.cache import ResultCache
+
+        with pytest.raises(ConfigError, match="SharedResultCache"):
+            repro.api.sweep(workloads=("square",), protocols=("cpelide",),
+                            scale=TEST_SCALE,
+                            cache=ResultCache(root=tmp_path / "c"))
+
     def test_simulate_options_are_keyword_only(self):
         config = GPUConfig(num_chiplets=4, scale=TEST_SCALE)
         with pytest.raises(TypeError):
             repro.api.simulate("square", "cpelide", config)
 
-    def test_deep_import_shim_warns_and_resolves(self):
-        with pytest.warns(DeprecationWarning, match="repro.gpu.device"):
-            device_cls = repro.api.Device
-        from repro.gpu.device import Device
-        assert device_cls is Device
+    def test_deep_import_names_are_not_in_the_api(self):
+        for name in ("Device", "JobSpec", "RunMetrics",
+                     "resolve_trace_path"):
+            with pytest.raises(AttributeError):
+                getattr(repro.api, name)
 
     def test_stable_names_do_not_warn(self):
         with warnings.catch_warnings():

@@ -161,3 +161,20 @@ class TestExplore:
         assert rerun.rungs[0].report.executed == 0
         assert rerun.rungs[0].report.cache_hits == \
             rerun.rungs[0].report.total_jobs
+
+    def test_uncached_exploration_leaves_tmpdir_unchanged(self, tmp_path,
+                                                          monkeypatch):
+        """``cache=False`` means no cache: no throwaway cache directory
+        appears in ``$TMPDIR``."""
+        import tempfile
+
+        tmp = tmp_path / "tmp"
+        tmp.mkdir()
+        monkeypatch.setenv("TMPDIR", str(tmp))
+        monkeypatch.setattr(tempfile, "tempdir", None)  # re-read TMPDIR
+        result = explore(chiplet_counts=(2,), table_windows=(4,),
+                         l2_mb=(4,), workloads=("square",),
+                         rungs=(TEST_SCALE,), workers=1, cache=False)
+        report = result.rungs[0].report
+        assert report.executed == report.total_jobs
+        assert list(tmp.iterdir()) == []

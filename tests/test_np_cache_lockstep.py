@@ -190,42 +190,13 @@ def test_numpy_digest_is_behavioral(shape, trace):
         assert a.memo_digest() == before_digest
 
 
-def test_legacy_shims_warn_and_preserve_shapes():
-    """The five pre-BulkResult names still work — with a warning — and
-    return the historical shapes, equal to what the unified API reports
-    on a twin cache driven through the same sequence; ``bulk_*`` itself
-    never warns."""
-    legacy, _ = make_pair((16, 4))
+def test_legacy_bulk_names_are_gone():
+    """The five pre-BulkResult names no longer exist; the keyword-only
+    ``bulk_*`` API never warns."""
     twin, _ = make_pair((16, 4))
-
-    with pytest.warns(DeprecationWarning, match="access_run"):
-        run = legacy.access_run(0, 8, True, True)
-    ref = twin.bulk_access(start=0, count=8, load=True, store=True)
-    assert (run.hits, run.misses, run.events, run.uniform_miss) == (
-        ref.hits, ref.misses, ref.events, ref.uniform_miss)
-
-    with pytest.warns(DeprecationWarning, match="fill_many"):
-        evs = legacy.fill_many([30, 31, 32], True)
-    assert evs == twin.bulk_fill(lines=[30, 31, 32], dirty=True).evictions
-
-    with pytest.warns(DeprecationWarning, match="serve_miss_seq"):
-        missed, access_devs, fill_devs, writebacks = (
-            legacy.serve_miss_seq([(5, None, False), (40, 41, True)]))
-    ref = twin.bulk_serve(events=[(5, None, False), (40, 41, True)])
-    assert missed == ref.lines
-    assert access_devs == [e.line for e in ref.evictions]
-    assert fill_devs == [e.line for e in ref.fill_evictions]
-    assert writebacks == ref.writebacks
-
-    with pytest.warns(DeprecationWarning, match="flush_run"):
-        flushed = legacy.flush_run(0, 48)
-    assert flushed == twin.bulk_flush(start=0, count=48).lines
-
-    with pytest.warns(DeprecationWarning, match="invalidate_run"):
-        dropped, dirty = legacy.invalidate_run(0, 64)
-    ref = twin.bulk_invalidate(start=0, count=64)
-    assert (dropped, dirty) == (ref.dropped, ref.lines)
-    assert legacy.memo_state() == twin.memo_state()
+    for name in ("access_run", "fill_many", "serve_miss_seq", "flush_run",
+                 "invalidate_run"):
+        assert not hasattr(twin, name)
 
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -151,19 +151,27 @@ class TestMetricRegistry:
 
 
 class TestSweepTracing:
-    def test_sweep_records_cells_and_obs(self, config):
+    @staticmethod
+    def check_sweep_records_cells_and_obs(config, **count):
         from repro.api import sweep
 
         tracer = EventTracer()
         res = sweep(workloads=("square",), protocols=("cpelide",),
-                    configs=(config,), cache=False, tracer=tracer)
+                    configs=(config,), cache=False, tracer=tracer, **count)
         assert len(tracer.events_of("sweep", "begin")) == 1
         assert len(tracer.events_of("sweep", "cell-end")) == 1
-        # Serial sweeps record full kernel-level detail inside the cell.
+        # In-process sweeps record full kernel-level detail inside the
+        # cell, whichever name the process count goes by.
         assert tracer.events_of("kernel", "complete")
         assert res.obs is not None
         assert res.obs["counters"]["sweep.cells_executed"] == 1
         assert res.outcomes[0].result.obs is not None
+
+    def test_sweep_records_cells_and_obs(self, config):
+        self.check_sweep_records_cells_and_obs(config, jobs=1)
+
+    def test_sweep_records_cells_and_obs_given_workers(self, config):
+        self.check_sweep_records_cells_and_obs(config, workers=1)
 
     def test_null_tracer_is_disabled_and_silent(self):
         assert NULL_TRACER.enabled is False

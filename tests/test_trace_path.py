@@ -56,7 +56,7 @@ def test_api_exports_trace_path():
 
     assert api.TracePath is TracePath
     assert "TracePath" in api.__all__
-    assert api.__api_version__ == "4.0"
+    assert api.__api_version__ == "5.0"
 
 
 def test_simulator_accepts_enum_and_string():
@@ -71,15 +71,12 @@ def test_simulator_accepts_enum_and_string():
         Simulator(config, trace_path="batch")
 
 
-def test_legacy_sim_constants_warn():
+def test_legacy_sim_constants_are_gone():
     from repro.gpu import sim
 
-    with pytest.warns(DeprecationWarning, match="DEFAULT_TRACE_PATH"):
-        assert sim.DEFAULT_TRACE_PATH == "run"
-    with pytest.warns(DeprecationWarning, match="_TRACE_PATHS"):
-        assert sim._TRACE_PATHS == ("line", "run", "memo")
-    with pytest.raises(AttributeError):
-        sim.no_such_constant
+    for name in ("DEFAULT_TRACE_PATH", "_TRACE_PATHS", "no_such_constant"):
+        with pytest.raises(AttributeError):
+            getattr(sim, name)
 
 
 def test_canonical_imports_do_not_warn():

@@ -18,17 +18,13 @@ from __future__ import annotations
 import pytest
 
 from repro.engine import cache as engine_cache
-from repro.engine.cache import ResultCache
+from repro.engine.cache import SharedResultCache
 from repro.engine.runner import SweepRunner, _fork_available
 from repro.engine.spec import SweepSpec
 from repro.gpu.config import GPUConfig
 from repro.gpu.memo import clear_memo_stores
-from repro.gpu.sim import (
-    DEFAULT_TRACE_PATH,
-    TRACE_PATH_ENV,
-    Simulator,
-    resolve_trace_path,
-)
+from repro.gpu.sim import TRACE_PATH_ENV, Simulator, resolve_trace_path
+from repro.gpu.trace_path import DEFAULT_TRACE_PATH
 
 from tests.conftest import TEST_SCALE
 
@@ -90,7 +86,7 @@ class TestMemoCounterTransport:
 
     def test_serial_sweep_transports_counters(self, monkeypatch):
         monkeypatch.setenv(TRACE_PATH_ENV, "memo")
-        outcome = SweepRunner(jobs=1).run(small_spec()).outcomes[0]
+        outcome = SweepRunner().run(small_spec()).outcomes[0]
         assert outcome.cached is False
         assert outcome.result.memo_hits is not None
         assert outcome.result.memo_hits + outcome.result.memo_misses > 0
@@ -103,7 +99,7 @@ class TestMemoCounterTransport:
         when the parent's environment says so, and their counters cross
         the pickled-payload boundary instead of silently reading zero."""
         monkeypatch.setenv(TRACE_PATH_ENV, "memo")
-        sweep = SweepRunner(jobs=2).run(
+        sweep = SweepRunner(workers=2).run(
             small_spec(workloads=("square", "babelstream")))
         for outcome in sweep.outcomes:
             assert outcome.cached is False
@@ -116,9 +112,9 @@ class TestMemoCounterTransport:
         """A warm ResultCache hit must say so — ``from_cache=True`` and
         ``None`` counters — never fabricate zero memo activity."""
         monkeypatch.setenv(TRACE_PATH_ENV, "memo")
-        cache = ResultCache(root=tmp_path / "c")
-        first = SweepRunner(jobs=1, cache=cache).run(small_spec())
-        warm = SweepRunner(jobs=1, cache=cache).run(small_spec())
+        cache = SharedResultCache(root=tmp_path / "c")
+        first = SweepRunner(cache=cache).run(small_spec())
+        warm = SweepRunner(cache=cache).run(small_spec())
         assert first.outcomes[0].result.from_cache is False
         assert first.outcomes[0].result.memo_hits is not None
         outcome = warm.outcomes[0]
@@ -131,9 +127,9 @@ class TestMemoCounterTransport:
     def test_from_cache_not_serialized(self, tmp_path, monkeypatch):
         """``from_cache`` is runtime provenance, not result identity:
         the stored payload must stay bit-identical to a fresh run's."""
-        cache = ResultCache(root=tmp_path / "c")
-        first = SweepRunner(jobs=1, cache=cache).run(small_spec())
-        warm = SweepRunner(jobs=1, cache=cache).run(small_spec())
+        cache = SharedResultCache(root=tmp_path / "c")
+        first = SweepRunner(cache=cache).run(small_spec())
+        warm = SweepRunner(cache=cache).run(small_spec())
         assert first.to_dicts() == warm.to_dicts()
         assert "from_cache" not in repr(warm.to_dicts())
 
