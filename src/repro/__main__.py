@@ -487,8 +487,7 @@ def cmd_serve(args) -> int:
         serve(host=args.host, port=args.port, cache=cache,
               max_inflight=args.max_inflight,
               max_queue_depth=args.max_queue_depth,
-              client_quota=args.client_quota,
-              use_uvicorn=args.uvicorn)
+              client_quota=args.client_quota)
     except KeyboardInterrupt:
         pass
     return 0
@@ -772,9 +771,6 @@ def main(argv=None) -> int:
     serve_p.add_argument("--client-quota", type=int, default=8,
                          help="active (queued+running) jobs one client "
                               "may hold (default 8)")
-    serve_p.add_argument("--uvicorn", action="store_true", default=None,
-                         help="require uvicorn's ASGI server (default: "
-                              "auto-detect, stdlib fallback)")
 
     check_p = sub.add_parser(
         "check", help="differential oracle: cross-check trace paths x "

@@ -101,8 +101,12 @@ from repro.workloads.suite import (
     build_workload,
 )
 
-#: Version of the documented :mod:`repro.api` surface. Bumped to ``5.0``
-#: with the one sweep runner: :func:`simulate` lost ``jobs`` (one cell
+#: Version of the documented :mod:`repro.api` surface. Bumped to ``6.0``
+#: when :func:`serve` lost ``use_uvicorn`` (the server is the stdlib
+#: asyncio one only; the ASGI adapter is gone) and
+#: :class:`ResultCache` became another name of
+#: :class:`SharedResultCache`, so every ``cache=`` accepts it. ``5.0``
+#: came with the one sweep runner: :func:`simulate` lost ``jobs`` (one cell
 #: never forks); :func:`sweep` treats ``jobs`` and ``workers`` as one
 #: process count (:class:`~repro.errors.ConfigError` when both are given
 #: and differ); ``cache=`` takes a bool or a :class:`SharedResultCache`
@@ -133,7 +137,7 @@ from repro.workloads.suite import (
 #: keyword-only ``simulate``/``sweep`` signatures, the
 #: ``trace_path=``/``tracer=`` parameters, and the :mod:`repro.errors`
 #: hierarchy.
-__api_version__ = "5.0"
+__api_version__ = "6.0"
 
 __all__ = [
     "CacheError",
@@ -348,8 +352,7 @@ def serve(host: str = "127.0.0.1", port: int = 8642,
           cache: Union[SharedResultCache, str, None] = None,
           max_inflight: int = 2,
           max_queue_depth: int = 64,
-          client_quota: int = 8,
-          use_uvicorn: Optional[bool] = None) -> None:
+          client_quota: int = 8) -> None:
     """Serve the simulation job API over HTTP until interrupted
     (api version 3.2).
 
@@ -365,16 +368,15 @@ def serve(host: str = "127.0.0.1", port: int = 8642,
     concurrent clients requesting overlapping cells trigger exactly one
     computation per cell.
 
-    Pure stdlib by default; ``use_uvicorn=None`` auto-upgrades to
-    uvicorn's ASGI server when it happens to be installed. Equivalent
-    CLI: ``python -m repro serve``. For programmatic/in-process use,
-    instantiate :class:`repro.server.ReproServer` directly.
+    Pure stdlib: the built-in asyncio HTTP server, nothing to install.
+    Equivalent CLI: ``python -m repro serve``. For programmatic/in-process
+    use, instantiate :class:`repro.server.ReproServer` directly.
     """
     from repro.server import app as server_app
 
     server_app.run(host=host, port=port, cache=cache,
                    max_inflight=max_inflight,
                    max_queue_depth=max_queue_depth,
-                   client_quota=client_quota, use_uvicorn=use_uvicorn,
+                   client_quota=client_quota,
                    ready=lambda url: print(f"repro server listening on "
                                            f"{url} (Ctrl-C to stop)"))

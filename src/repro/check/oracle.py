@@ -7,9 +7,10 @@ what a cache replays) and demands, per (workload, protocol):
 
 * the full serialized result (``SimulationResult.to_dict()``) is
   bit-identical across the line, run and memo trace paths, and
-* the final machine state — per-chiplet L2 contents, L3 contents,
-  first-touch page homes, and the protocol's own state (coherence table
-  rows or HMG directories) — is identical too.
+* the final machine state — per-chiplet L2 and L3 contents with their
+  set-creation and LRU order, first-touch page homes, and the
+  protocol's own state (coherence table rows or HMG directories) — is
+  identical too.
 
 On a metrics mismatch the report pinpoints the first divergent kernel
 and the exact metric key paths that differ. ``python -m repro check``
@@ -127,20 +128,20 @@ def final_state_fingerprint(sim: Simulator) -> Dict[str, str]:
     Component name -> ``repr`` of its behavioral state. Components are
     compared individually so a mismatch names the diverging structure.
 
-    Cache contents are compared as sorted ``(line, dirty)`` sets, not
-    raw ``memo_state()``: the batched trace path replays a kernel's
-    accesses in run order rather than line order, which permutes LRU /
-    insertion order inside a set without changing which lines are
-    resident or dirty. Residency and dirtiness are the architectural
-    state; recency order is a path artifact.
+    Caches are compared by their ordered ``memo_state()``: the sets in
+    creation order, each set's ``(line, dirty)`` pairs in LRU order.
+    Both orders are machine state, not a path artifact — LRU order picks
+    the next eviction victim, and set-creation order is the order a
+    whole-cache flush or invalidate writes dirty lines back in, which
+    fixes the L3's fill order in turn.
     """
     device = sim.last_device
     protocol = sim.last_protocol
     assert device is not None and protocol is not None
     state: Dict[str, str] = {}
     for chiplet, l2 in enumerate(device.l2s):
-        state[f"l2[{chiplet}]"] = repr(sorted(l2.iter_lines()))
-    state["l3"] = repr(sorted(device.l3.iter_lines()))
+        state[f"l2[{chiplet}]"] = repr(l2.memo_state())
+    state["l3"] = repr(device.l3.memo_state())
     state["page_homes"] = repr(device.home_map.page_homes())
     snapshot = protocol.memo_snapshot()
     if snapshot is not None:

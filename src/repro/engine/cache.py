@@ -100,11 +100,11 @@ def default_cache_dir() -> pathlib.Path:
 class CacheStats:
     """Hit/miss/invalidation accounting for one cache instance.
 
-    The last three counters only move on a :class:`SharedResultCache`:
-    ``deduped`` counts results served from another worker's *in-flight*
-    computation (the claim/lease protocol), ``claims`` counts claims this
-    instance acquired, and ``reclaims`` counts expired leases it took
-    over from dead workers.
+    The last three counters only move under the claim/lease protocol of
+    :class:`SharedResultCache`: ``deduped`` counts results served from
+    another worker's *in-flight* computation, ``claims`` counts claims
+    this instance acquired, and ``reclaims`` counts expired leases it
+    took over from dead workers.
     """
 
     hits: int = 0
@@ -143,16 +143,99 @@ class CacheStats:
         self.reclaims += other.reclaims
 
 
-class ResultCache:
-    """Content-addressed JSON store of completed job results: the
-    storage layer of :class:`SharedResultCache`, which runners and the
-    server use."""
+# ---------------------------------------------------------------------------
+# The result cache: shared across processes, with in-flight dedupe
+# ---------------------------------------------------------------------------
+
+#: Default lease duration for an in-flight claim. Long enough for any
+#: single sweep cell at bench scale; short enough that a hung worker's
+#: claim is reclaimed within one polling generation (a dead worker's
+#: claim on this host is reclaimed at once).
+DEFAULT_LEASE_SECONDS = 300.0
+
+#: Default polling interval while waiting on another worker's claim.
+DEFAULT_POLL_SECONDS = 0.05
+
+#: Upper bound on the clock-skew margin added to claim deadlines before
+#: they count as expired. Claim deadlines are *wall-clock* timestamps —
+#: the only clock two hosts sharing a cache directory have in common —
+#: so a reader whose clock runs ahead of the writer's would otherwise
+#: reclaim a perfectly live claim. The effective margin is proportional
+#: to the claim's own lease (a 300 s lease tolerates 5 s of skew, a
+#: 10 ms test lease only 2.5 ms, so short-lease tests still expire
+#: promptly), capped here.
+MAX_CLAIM_SKEW_SECONDS = 5.0
+
+#: Fraction of a claim's lease granted as skew margin (capped at
+#: :data:`MAX_CLAIM_SKEW_SECONDS`).
+CLAIM_SKEW_FRACTION = 0.25
+
+#: ``try_claim`` outcomes.
+CLAIM_HIT = "hit"          # result already stored; payload returned
+CLAIM_ACQUIRED = "claimed"  # caller owns the cell and must compute it
+CLAIM_INFLIGHT = "inflight"  # another live worker is computing it
+
+
+def _pid_alive(pid: Any) -> bool:
+    """Whether process ``pid`` exists on this host (``True`` when it
+    cannot be told, so the claim's lease decides)."""
+    try:
+        os.kill(int(pid), 0)
+    except ProcessLookupError:
+        return False
+    except (OSError, TypeError, ValueError):
+        return True
+    return True
+
+
+class SharedResultCache:
+    """Content-addressed JSON store of completed job results, safe for
+    concurrent multi-process use, with *in-flight dedupe*.
+
+    Storage is plain content-addressed JSON files (atomic rename), so
+    any number of readers/writers on one filesystem — including workers
+    on different hosts sharing a network mount — can use one root
+    concurrently. On top of :meth:`load`/:meth:`store` sits the
+    **claim/lease protocol**: before computing a missing cell a worker
+    *claims* it by exclusively creating ``<key>.claim`` beside the
+    entry. A second worker that wants the same cell sees the live
+    claim, *waits* instead of recomputing, and is served the first
+    worker's result the moment it lands (counted as ``deduped`` —
+    "served from in-flight"). Claims
+    carry a deadline; a claim whose lease expired (its worker died or
+    hung) is *reclaimed* by the next requester, so no cell can be
+    orphaned. Claims also record the claimant's host and pid: a claim
+    whose claimant no longer exists on this host is reclaimed at once,
+    without waiting out the lease. Claim files are never ``.json``, so
+    they are invisible to ``clear()``/``__len__``.
+
+    **Timekeeping.** Two different clocks are in play and must not be
+    conflated:
+
+    * *Claim deadlines* are **wall-clock** (``time.time()``) timestamps,
+      because they are compared across processes and hosts — wall time
+      is the only clock a network-mounted cache directory's readers
+      share. A claim only counts as expired once its deadline plus a
+      *skew margin* has passed (:meth:`_claim_expired`), so a reader
+      whose clock runs slightly ahead of the writer's cannot reclaim a
+      live claim. The margin scales with the claim's own lease
+      (:data:`CLAIM_SKEW_FRACTION`, capped at
+      :data:`MAX_CLAIM_SKEW_SECONDS`).
+    * *Local timeouts* (the ``timeout`` parameter of :meth:`wait_for`)
+      are measured on ``time.monotonic()``: a backwards wall-clock step
+      (NTP correction, manual adjustment) must neither stall a wait
+      forever nor expire it early.
+    """
 
     def __init__(self, root: "os.PathLike[str] | str | None" = None,
-                 salt: Optional[str] = None) -> None:
+                 salt: Optional[str] = None,
+                 lease_seconds: float = DEFAULT_LEASE_SECONDS,
+                 poll_seconds: float = DEFAULT_POLL_SECONDS) -> None:
         self.root = pathlib.Path(root) if root else default_cache_dir()
         self.salt = salt if salt is not None else code_version_salt()
         self.stats = CacheStats()
+        self.lease_seconds = lease_seconds
+        self.poll_seconds = poll_seconds
 
     # ------------------------------------------------------------------
 
@@ -225,98 +308,6 @@ class ResultCache:
         if not self.root.exists():
             return 0
         return sum(1 for _ in self.root.rglob("*.json"))
-
-
-# ---------------------------------------------------------------------------
-# Cross-process shared cache with in-flight dedupe (claim/lease protocol)
-# ---------------------------------------------------------------------------
-
-#: Default lease duration for an in-flight claim. Long enough for any
-#: single sweep cell at bench scale; short enough that a hung worker's
-#: claim is reclaimed within one polling generation (a dead worker's
-#: claim on this host is reclaimed at once).
-DEFAULT_LEASE_SECONDS = 300.0
-
-#: Default polling interval while waiting on another worker's claim.
-DEFAULT_POLL_SECONDS = 0.05
-
-#: Upper bound on the clock-skew margin added to claim deadlines before
-#: they count as expired. Claim deadlines are *wall-clock* timestamps —
-#: the only clock two hosts sharing a cache directory have in common —
-#: so a reader whose clock runs ahead of the writer's would otherwise
-#: reclaim a perfectly live claim. The effective margin is proportional
-#: to the claim's own lease (a 300 s lease tolerates 5 s of skew, a
-#: 10 ms test lease only 2.5 ms, so short-lease tests still expire
-#: promptly), capped here.
-MAX_CLAIM_SKEW_SECONDS = 5.0
-
-#: Fraction of a claim's lease granted as skew margin (capped at
-#: :data:`MAX_CLAIM_SKEW_SECONDS`).
-CLAIM_SKEW_FRACTION = 0.25
-
-#: ``try_claim`` outcomes.
-CLAIM_HIT = "hit"          # result already stored; payload returned
-CLAIM_ACQUIRED = "claimed"  # caller owns the cell and must compute it
-CLAIM_INFLIGHT = "inflight"  # another live worker is computing it
-
-
-def _pid_alive(pid: Any) -> bool:
-    """Whether process ``pid`` exists on this host (``True`` when it
-    cannot be told, so the claim's lease decides)."""
-    try:
-        os.kill(int(pid), 0)
-    except ProcessLookupError:
-        return False
-    except (OSError, TypeError, ValueError):
-        return True
-    return True
-
-
-class SharedResultCache(ResultCache):
-    """A :class:`ResultCache` safe for concurrent multi-process use,
-    with *in-flight dedupe*.
-
-    Storage stays plain content-addressed JSON files (atomic rename), so
-    any number of readers/writers on one filesystem — including workers
-    on different hosts sharing a network mount — can use one root
-    concurrently. What this subclass adds is the **claim/lease
-    protocol**: before computing a missing cell a worker *claims* it by
-    exclusively creating ``<key>.claim`` beside the entry. A second
-    worker that wants the same cell sees the live claim, *waits* instead
-    of recomputing, and is served the first worker's result the moment
-    it lands (counted as ``deduped`` — "served from in-flight"). Claims
-    carry a deadline; a claim whose lease expired (its worker died or
-    hung) is *reclaimed* by the next requester, so no cell can be
-    orphaned. Claims also record the claimant's host and pid: a claim
-    whose claimant no longer exists on this host is reclaimed at once,
-    without waiting out the lease. Claim files are never ``.json``, so
-    they are invisible to ``clear()``/``__len__``.
-
-    **Timekeeping.** Two different clocks are in play and must not be
-    conflated:
-
-    * *Claim deadlines* are **wall-clock** (``time.time()``) timestamps,
-      because they are compared across processes and hosts — wall time
-      is the only clock a network-mounted cache directory's readers
-      share. A claim only counts as expired once its deadline plus a
-      *skew margin* has passed (:meth:`_claim_expired`), so a reader
-      whose clock runs slightly ahead of the writer's cannot reclaim a
-      live claim. The margin scales with the claim's own lease
-      (:data:`CLAIM_SKEW_FRACTION`, capped at
-      :data:`MAX_CLAIM_SKEW_SECONDS`).
-    * *Local timeouts* (the ``timeout`` parameter of :meth:`wait_for`)
-      are measured on ``time.monotonic()``: a backwards wall-clock step
-      (NTP correction, manual adjustment) must neither stall a wait
-      forever nor expire it early.
-    """
-
-    def __init__(self, root: "os.PathLike[str] | str | None" = None,
-                 salt: Optional[str] = None,
-                 lease_seconds: float = DEFAULT_LEASE_SECONDS,
-                 poll_seconds: float = DEFAULT_POLL_SECONDS) -> None:
-        super().__init__(root=root, salt=salt)
-        self.lease_seconds = lease_seconds
-        self.poll_seconds = poll_seconds
 
     # ------------------------------------------------------------------
 
@@ -550,3 +541,7 @@ class SharedResultCache(ResultCache):
         if not self.root.exists():
             return []
         return sorted(path.stem for path in self.root.rglob("*.claim"))
+
+
+#: The one result-cache class under its storage-layer name.
+ResultCache = SharedResultCache

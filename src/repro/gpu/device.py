@@ -179,8 +179,9 @@ class Device:
                              events) -> None:
         """Serve an ordered L2 miss/victim event stream from the L3.
 
-        ``events`` is a :class:`~repro.memory.cache.RunResult` event list:
-        ``(line, victim_line, victim_dirty)`` per missing line, ascending.
+        ``events`` is a :attr:`~repro.memory.cache.BulkResult.events`
+        list: ``(line, victim_line, victim_dirty)`` per missing line,
+        ascending.
         For each event this performs exactly what the per-line path does:
         a :meth:`fetch_from_l3` for the missing line (attributed to
         ``requester``) followed, if the victim was dirty, by a

@@ -31,11 +31,7 @@ from repro.memory.cache import (
 from repro.memory.dram import DRAMModel
 from repro.memory.l1 import L1Filter
 from repro.memory.lds import LocalDataShare
-from repro.memory.npcache import (
-    NUMPY_AVAILABLE,
-    NumpyCacheCore,
-    make_cache_core,
-)
+from repro.memory.npcache import NumpyCacheCore, make_cache_core
 from repro.memory.translation import AddressTranslator, PageSpan
 
 __all__ = [
@@ -51,7 +47,6 @@ __all__ = [
     "BulkResult",
     "CacheStats",
     "Eviction",
-    "NUMPY_AVAILABLE",
     "NumpyCacheCore",
     "SetAssocCache",
     "WritePolicy",

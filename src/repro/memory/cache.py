@@ -14,6 +14,14 @@ Supported behaviours needed by the three evaluated protocols:
   (Sec. III-B, "Lazy Acquire/Release": "when a fully dirty line is written
   back, the cache retains a clean copy of the line"),
 * per-line invalidation (HMG directory-eviction invalidations).
+
+:class:`SetAssocCache` is the per-line reference. Its ``bulk_*``
+operations are plain loops over its per-line primitives, so the
+behaviour they define (residency, dirty flags, LRU order within a set,
+set-creation order, stats) is exactly that of the per-line calls. It
+backs the per-line ``line`` trace path. The run and memo paths use the
+vectorized :class:`~repro.memory.npcache.NumpyCacheCore`, which must
+match this core bit for bit.
 """
 
 from __future__ import annotations
@@ -82,36 +90,6 @@ class Eviction:
 
     line: int
     dirty: bool
-
-
-@dataclass
-class RunResult:
-    """Outcome of one run access (``SetAssocCache._access_run``, the
-    engine of :meth:`SetAssocCache.bulk_access`).
-
-    ``hits``/``misses`` count *first* accesses only (the read of a
-    read-modify-write run always hits on its own write and is folded
-    into the stats, not reported here), matching what a per-line caller
-    would observe from each line's first ``access()``.
-
-    ``events`` lists one ``(line, victim_line, victim_dirty)`` triple per
-    missing line, ascending by line — exactly the order a per-line sweep
-    would produce the misses in, with each miss's capacity victim (or
-    ``None``) attached. It is ``None`` when ``uniform_miss`` is set:
-    every line missed and no eviction occurred, so the miss stream is
-    simply the run itself and the caller may recurse with another bulk
-    operation instead of replaying events.
-    """
-
-    hits: int
-    misses: int
-    events: Optional[List[Tuple[int, Optional[int], bool]]]
-    uniform_miss: bool = False
-
-    @property
-    def all_hit(self) -> bool:
-        """Whether every first access hit."""
-        return self.misses == 0
 
 
 @dataclass
@@ -191,8 +169,7 @@ class SetAssocCache:
         # set index -> OrderedDict mapping line -> dirty flag (LRU order:
         # least recently used first).
         self._sets: Dict[int, "OrderedDict[int, bool]"] = {}
-        # Resident-line count, maintained incrementally by every mutator
-        # so emptiness/occupancy checks are O(1) on the bulk fast paths.
+        # Resident-line count, maintained incrementally by every mutator.
         self._resident = 0
 
     # ------------------------------------------------------------------
@@ -215,33 +192,11 @@ class SetAssocCache:
     def run_fully_resident(self, start: int, count: int) -> bool:
         """Whether every line in ``[start, start + count)`` is resident.
 
-        A pure residency probe (no LRU refresh, no stats) used by bulk
-        fast paths to prove a :meth:`bulk_access` will be all-hit before
+        A pure residency probe (no LRU refresh, no stats) the protocols
+        use to prove a :meth:`bulk_access` will be all-hit before
         committing to it.
         """
-        if count <= 0:
-            return True
-        if self._resident < count:
-            return False
-        ns = self.num_sets
-        sets = self._sets
-        end = start + count
-        if count < ns:
-            for line in range(start, end):
-                cset = sets.get(line % ns)
-                if cset is None or line not in cset:
-                    return False
-            return True
-        for idx in range(ns):
-            first = start + ((idx - start) % ns)
-            k = 1 + (end - 1 - first) // ns
-            cset = sets.get(idx)
-            if cset is None or len(cset) < k:
-                return False
-            for line in range(first, first + (k - 1) * ns + 1, ns):
-                if line not in cset:
-                    return False
-        return True
+        return all(map(self.lookup, range(start, start + count)))
 
     def access(self, line: int, is_write: bool) -> Tuple[bool, Optional[Eviction]]:
         """Perform a demand access; allocate on miss.
@@ -302,442 +257,19 @@ class SetAssocCache:
         cset[line] = dirty or bool(prev)
         return evicted
 
-    def _fill_many(self, lines, dirty: bool = False) -> List[Eviction]:
-        """Bulk :meth:`fill` over an iterable of lines, in order.
-
-        Returns the evictions in occurrence order (callers absorb them
-        after the fact; eviction handling only touches order-free
-        counters, so deferring it is bit-identical to per-line fills).
-        """
-        ns = self.num_sets
-        assoc = self.assoc
-        sets = self._sets
-        stats = self.stats
-        evictions: List[Eviction] = []
-        resident = self._resident
-        for line in lines:
-            idx = line % ns
-            cset = sets.get(idx)
-            if cset is None:
-                cset = OrderedDict()
-                sets[idx] = cset
-            prev = cset.pop(line, None)
-            if prev is None:
-                if len(cset) >= assoc:
-                    victim, victim_dirty = cset.popitem(last=False)
-                    evictions.append(Eviction(victim, victim_dirty))
-                    stats.evictions += 1
-                    if victim_dirty:
-                        stats.dirty_evictions += 1
-                else:
-                    resident += 1
-            cset[line] = dirty or bool(prev)
-        self._resident = resident
-        return evictions
-
     # ------------------------------------------------------------------
-    # Bulk (run) operations
-    # ------------------------------------------------------------------
-    #
-    # These are bit-exact aggregations of the per-line primitives over a
-    # contiguous line interval: the resulting cache state (residency, LRU
-    # order, dirty flags) and `CacheStats` are identical to issuing the
-    # per-line calls in ascending line order, but sets whose occupancy
-    # permits it are processed in O(assoc) instead of O(lines). The
-    # differential tests in tests/test_cache_runs.py and
-    # tests/test_batched_equivalence.py enforce the equivalence.
-
-    def _access_run(self, start: int, count: int, do_load: bool,
-                    do_store: bool) -> RunResult:
-        """Demand-access every line in ``[start, start + count)``.
-
-        Equivalent to, for each line in ascending order: an
-        ``access(line, False)`` if ``do_load``, then an
-        ``access(line, True)`` if ``do_store`` (the read-modify-write
-        composition ``lines_for_arg`` traces produce). Lines in a run are
-        distinct, so a run's second (store) access always hits.
-        """
-        if count <= 0:
-            return RunResult(0, 0, [])
-        if not (do_load or do_store):
-            raise ValueError("access_run requires do_load and/or do_store")
-        ns = self.num_sets
-        assoc = self.assoc
-        end = start + count
-        store_dirty = do_store and self.policy is WritePolicy.WRITE_BACK
-        sets = self._sets
-        if (self._resident == 0 and count >= ns
-                and (count + ns - 1) // ns <= assoc):
-            # Totally cold cache — the steady state right after an
-            # implicit acquire. Every line fills an empty way, so the
-            # outcome is a uniform miss by construction: build each set's
-            # contents in one shot, no probes, events, or sort.
-            for idx in range(ns):
-                first = start + ((idx - start) % ns)
-                k = 1 + (end - 1 - first) // ns
-                sets[idx] = OrderedDict.fromkeys(
-                    range(first, first + (k - 1) * ns + 1, ns), store_dirty)
-            self._resident = count
-            self._run_stats(0, count, 0, 0, do_load, do_store, count)
-            return RunResult(0, count, None, uniform_miss=True)
-        hits = 0
-        evictions = 0
-        dirty_evictions = 0
-        events: List[Tuple[int, Optional[int], bool]] = []
-        append = events.append
-        # Sets where every line cold-filled an empty way: their events are
-        # reconstructible ((line, None, False) each), so materialization
-        # is deferred until we know the run is not a uniform miss.
-        pure_segs: List[Tuple[int, int]] = []
-        if count < 2 * ns:
-            # At most two run lines per set, so per-set batching cannot
-            # amortize its framing: use a straight per-line walk, already
-            # in ascending event order. Try an
-            # optimistic all-hit pass first — the prefix moves (and dirty
-            # marks) a failed attempt leaves behind are exactly what the
-            # classifying walk's leading hits would redo, so falling
-            # through stays bit-identical.
-            sets_get = sets.get
-            try:
-                if store_dirty:
-                    for line in range(start, end):
-                        cset = sets_get(line % ns)
-                        cset.move_to_end(line)
-                        cset[line] = True
-                else:
-                    for line in range(start, end):
-                        sets_get(line % ns).move_to_end(line)
-                hits = count
-            except (KeyError, AttributeError):
-                # Some line missed (or its set doesn't exist yet):
-                # reclassify the whole run per line.
-                for line in range(start, end):
-                    idx = line % ns
-                    cset = sets_get(idx)
-                    if cset is not None:
-                        if line in cset:
-                            hits += 1
-                            cset.move_to_end(line)
-                            if store_dirty:
-                                cset[line] = True
-                            continue
-                    else:
-                        cset = OrderedDict()
-                        sets[idx] = cset
-                    if len(cset) >= assoc:
-                        victim, victim_dirty = cset.popitem(last=False)
-                        evictions += 1
-                        if victim_dirty:
-                            dirty_evictions += 1
-                        append((line, victim, victim_dirty))
-                    else:
-                        append((line, None, False))
-                    cset[line] = store_dirty
-        else:
-            # Sets whose first run line is below `split` hold one extra
-            # run line; iterating by `first` makes the per-set index
-            # arithmetic a single modulo.
-            k_lo, r = divmod(count, ns)
-            split = start + r
-            sets_get = sets.get
-            for first in range(start, start + ns):
-                k = k_lo + 1 if first < split else k_lo
-                set_end = first + (k - 1) * ns + 1
-                idx = first % ns
-                cset = sets_get(idx)
-                if cset is None:
-                    cset = OrderedDict()
-                    sets[idx] = cset
-                rng = range(first, set_end, ns)
-                if len(cset) >= k:
-                    # Optimistic all-resident fast path: refresh LRU in
-                    # run order, bailing out at the first missing line.
-                    # The prefix moves (and dirty marks) a failed attempt
-                    # leaves behind are exactly what the per-line replay's
-                    # leading hits would have done, so falling through to
-                    # the classified paths below stays bit-identical.
-                    try:
-                        if store_dirty:
-                            move = cset.move_to_end
-                            for line in rng:
-                                move(line)
-                                cset[line] = True
-                        else:
-                            # Consume the map purely for move_to_end's
-                            # side effect (always-None, so any() never
-                            # short-circuits): a C-speed LRU refresh with
-                            # no result list.
-                            any(map(cset.move_to_end, rng))
-                        hits += k
-                        continue
-                    except KeyError:
-                        pass
-                res_n = sum(map(cset.__contains__, rng)) if cset else 0
-                if res_n == 0:
-                    if k <= assoc - len(cset):
-                        # Pure cold fill: every miss lands in an empty way.
-                        cset.update(dict.fromkeys(rng, store_dirty))
-                        pure_segs.append((first, set_end))
-                    else:
-                        e, de = self._run_spill_set(cset, first, set_end,
-                                                    store_dirty, events)
-                        evictions += e
-                        dirty_evictions += de
-                else:
-                    h, e, de = self._run_mixed_set(cset, first, set_end,
-                                                   store_dirty, events)
-                    hits += h
-                    evictions += e
-                    dirty_evictions += de
-        misses = count - hits
-        self._resident += misses - evictions
-        self._run_stats(hits, misses, evictions, dirty_evictions,
-                        do_load, do_store, count)
-        if hits == 0 and evictions == 0:
-            return RunResult(0, misses, None, uniform_miss=True)
-        for first, set_end in pure_segs:
-            for line in range(first, set_end, ns):
-                append((line, None, False))
-        if len(events) > 1:
-            # Lines are distinct, so lexicographic tuple order == line
-            # order and the None victims never get compared.
-            events.sort()
-        return RunResult(hits, misses, events)
-
-    def _run_stats(self, hits: int, misses: int, evictions: int,
-                   dirty_evictions: int, do_load: bool, do_store: bool,
-                   count: int) -> None:
-        """Fold one run's aggregate outcome into :attr:`stats`."""
-        stats = self.stats
-        if do_load:
-            stats.read_hits += hits
-            stats.read_misses += misses
-        else:
-            stats.write_hits += hits
-            stats.write_misses += misses
-        total_hits = hits
-        if do_load and do_store:
-            # The store after each load hits the just-filled line.
-            stats.write_hits += count
-            total_hits += count
-        stats.hits += total_hits
-        stats.misses += misses
-        stats.evictions += evictions
-        stats.dirty_evictions += dirty_evictions
-
-    def _run_spill_set(self, cset: "OrderedDict[int, bool]", first: int,
-                       set_end: int, store_dirty: bool,
-                       events: List[Tuple[int, Optional[int], bool]]
-                       ) -> Tuple[int, int]:
-        """One set's run slice when no run line is resident and the fill
-        overflows the free ways: every access misses, and the victim
-        sequence is fully determined — the first ``free`` misses fill
-        empty ways, the next displace the initial residents in LRU order,
-        and once the set is run-only each miss displaces the run line
-        ``assoc`` insertions back. Returns ``(evictions, dirty)``."""
-        ns = self.num_sets
-        assoc = self.assoc
-        free = assoc - len(cset)
-        displaced = [cset.popitem(last=False)
-                     for _ in range(min((set_end - first - 1) // ns + 1 - free,
-                                        len(cset)))]
-        evictions = 0
-        dirty_evictions = 0
-        i = 0
-        for line in range(first, set_end, ns):
-            if i < free:
-                events.append((line, None, False))
-            elif i < assoc:
-                victim, victim_dirty = displaced[i - free]
-                events.append((line, victim, victim_dirty))
-                evictions += 1
-                if victim_dirty:
-                    dirty_evictions += 1
-            else:
-                victim = line - assoc * ns
-                del cset[victim]
-                events.append((line, victim, store_dirty))
-                evictions += 1
-                if store_dirty:
-                    dirty_evictions += 1
-            cset[line] = store_dirty
-            i += 1
-        return evictions, dirty_evictions
-
-    def _run_mixed_set(self, cset: "OrderedDict[int, bool]", first: int,
-                       set_end: int, store_dirty: bool,
-                       events: List[Tuple[int, Optional[int], bool]]
-                       ) -> Tuple[int, int, int]:
-        """One set's run slice under mixed residency: an earlier miss may
-        displace a later run line before its access (turning its hit into
-        a miss), so replay per line. Returns ``(hits, evictions, dirty)``."""
-        ns = self.num_sets
-        assoc = self.assoc
-        hits = 0
-        evictions = 0
-        dirty_evictions = 0
-        for line in range(first, set_end, ns):
-            prev = cset.pop(line, None)
-            if prev is not None:
-                hits += 1
-                cset[line] = prev or store_dirty
-                continue
-            if len(cset) >= assoc:
-                victim, victim_dirty = cset.popitem(last=False)
-                evictions += 1
-                if victim_dirty:
-                    dirty_evictions += 1
-                events.append((line, victim, victim_dirty))
-            else:
-                events.append((line, None, False))
-            cset[line] = store_dirty
-        return hits, evictions, dirty_evictions
-
-    def _serve_miss_seq(self, events) -> Tuple[List[int], List[int],
-                                               List[int], int]:
-        """Apply an ordered L2 miss/victim event stream to this cache.
-
-        For each ``(line, victim_line, victim_dirty)`` event this
-        performs a read ``access(line)`` followed, if the victim was
-        dirty, by a ``fill(victim_line, dirty=True)`` — the exact
-        operation sequence the device's per-line miss service replays
-        against the L3, with the per-event call overhead folded into one
-        loop. Returns ``(missed_lines, access_dirty_victims,
-        fill_dirty_victims, writebacks)``: the lines that missed (in
-        order), the dirty lines this cache evicted during the accesses
-        and during the fills respectively (callers attribute the two
-        differently), and the number of victim writebacks performed.
-        """
-        ns = self.num_sets
-        assoc = self.assoc
-        sets = self._sets
-        hits = 0
-        evictions = 0
-        dirty_evictions = 0
-        writebacks = 0
-        missed: List[int] = []
-        access_devs: List[int] = []
-        fill_devs: List[int] = []
-        resident = self._resident
-        for line, victim, victim_dirty in events:
-            cset = sets.get(line % ns)
-            if cset is None:
-                cset = OrderedDict()
-                sets[line % ns] = cset
-            prev = cset.pop(line, None)
-            if prev is not None:
-                hits += 1
-                cset[line] = prev
-            else:
-                missed.append(line)
-                if len(cset) >= assoc:
-                    v, vd = cset.popitem(last=False)
-                    evictions += 1
-                    if vd:
-                        dirty_evictions += 1
-                        access_devs.append(v)
-                else:
-                    resident += 1
-                cset[line] = False
-            if victim_dirty:
-                writebacks += 1
-                cset = sets.get(victim % ns)
-                if cset is None:
-                    cset = OrderedDict()
-                    sets[victim % ns] = cset
-                prev = cset.pop(victim, None)
-                if prev is None:
-                    if len(cset) >= assoc:
-                        v, vd = cset.popitem(last=False)
-                        evictions += 1
-                        if vd:
-                            dirty_evictions += 1
-                            fill_devs.append(v)
-                    else:
-                        resident += 1
-                cset[victim] = True
-        self._resident = resident
-        stats = self.stats
-        n_miss = len(missed)
-        stats.hits += hits
-        stats.read_hits += hits
-        stats.misses += n_miss
-        stats.read_misses += n_miss
-        stats.evictions += evictions
-        stats.dirty_evictions += dirty_evictions
-        return missed, access_devs, fill_devs, writebacks
-
-    def _flush_run(self, start: int, count: int) -> List[int]:
-        """Bulk :meth:`flush_line` over ``[start, start + count)``.
-
-        Returns the written-back lines in ascending order — the order a
-        per-line ascending walk would write them back in.
-        """
-        end = start + count
-        flushed: List[int] = []
-        if count >= self.num_sets:
-            for cset in self._sets.values():
-                for line, dirty in cset.items():
-                    if dirty and start <= line < end:
-                        flushed.append(line)
-            flushed.sort()
-            for line in flushed:
-                self._sets[line % self.num_sets][line] = False
-        else:
-            for line in range(start, end):
-                cset = self._sets.get(line % self.num_sets)
-                if cset is not None and cset.get(line, False):
-                    cset[line] = False
-                    flushed.append(line)
-        self.stats.lines_flushed += len(flushed)
-        return flushed
-
-    def _invalidate_run(self, start: int, count: int) -> Tuple[int, List[int]]:
-        """Bulk :meth:`invalidate_line` over ``[start, start + count)``.
-
-        Returns ``(lines_dropped, dirty_lines)`` with the dirty lines in
-        ascending order so the caller can write them back in the same
-        sequence a per-line walk would.
-        """
-        end = start + count
-        dropped = 0
-        dirty_lines: List[int] = []
-        if count >= self.num_sets:
-            found: List[Tuple[int, bool]] = []
-            for cset in self._sets.values():
-                for line, dirty in cset.items():
-                    if start <= line < end:
-                        found.append((line, dirty))
-            for line, dirty in found:
-                del self._sets[line % self.num_sets][line]
-                if dirty:
-                    dirty_lines.append(line)
-            dropped = len(found)
-            dirty_lines.sort()
-        else:
-            for line in range(start, end):
-                cset = self._sets.get(line % self.num_sets)
-                if cset is None:
-                    continue
-                dirty = cset.pop(line, None)
-                if dirty is None:
-                    continue
-                dropped += 1
-                if dirty:
-                    dirty_lines.append(line)
-        self._resident -= dropped
-        self.stats.lines_invalidated += dropped
-        return dropped, dirty_lines
-
-    # ------------------------------------------------------------------
-    # Unified bulk-op API
+    # Bulk operations
     # ------------------------------------------------------------------
     #
     # One keyword-only signature shape per operation, all returning a
-    # shared :class:`BulkResult`. This is the documented protocol both
-    # cache cores (this dict-backed reference and the numpy core in
-    # :mod:`repro.memory.npcache`) implement; the historical five-shape
-    # methods below survive as deprecated shims.
+    # shared :class:`BulkResult`. The public methods validate their
+    # arguments and hand the work to a private helper. Here each helper
+    # is a plain loop over the per-line primitives, in the order the
+    # docstrings give, so this core *is* the per-line semantics the bulk
+    # API promises; :class:`~repro.memory.npcache.NumpyCacheCore`
+    # overrides the helpers with array sweeps and is held to this
+    # reference by tests/test_np_cache_lockstep.py,
+    # tests/test_cache_runs.py and the differential oracle.
 
     def bulk_access(self, *, start: int, count: int, load: bool,
                     store: bool) -> BulkResult:
@@ -746,26 +278,58 @@ class SetAssocCache:
         Per line, in ascending order: an ``access(line, False)`` if
         ``load``, then an ``access(line, True)`` if ``store`` (the
         read-modify-write composition ``lines_for_arg`` traces produce).
+        Lines in a run are distinct, so a run's second (store) access
+        always hits; :attr:`BulkResult.hits`/:attr:`~BulkResult.misses`
+        count first accesses only.
         """
-        res = self._access_run(start, count, load, store)
-        return BulkResult(hits=res.hits, misses=res.misses,
-                          events=res.events, uniform_miss=res.uniform_miss)
+        if count <= 0:
+            return BulkResult(events=[])
+        if not (load or store):
+            raise ValueError("bulk_access requires load and/or store")
+        return self._access_run(start, count, load, store)
+
+    def _access_run(self, start: int, count: int, load: bool,
+                    store: bool) -> BulkResult:
+        hits = 0
+        events: List[Tuple[int, Optional[int], bool]] = []
+        for line in range(start, start + count):
+            hit, evicted = self.access(line, is_write=not load)
+            if load and store:
+                self.access(line, is_write=True)
+            if hit:
+                hits += 1
+            elif evicted is None:
+                events.append((line, None, False))
+            else:
+                events.append((line, evicted.line, evicted.dirty))
+        if hits == 0 and all(victim is None for _, victim, _ in events):
+            return BulkResult(misses=count, uniform_miss=True)
+        return BulkResult(hits=hits, misses=count - hits, events=events)
 
     def bulk_fill(self, *, lines, dirty: bool = False) -> BulkResult:
-        """Bulk :meth:`fill` over an iterable of lines, in order.
+        """:meth:`fill` every line of an iterable, in order.
 
         :attr:`BulkResult.evictions` holds the capacity evictions in
         occurrence order.
         """
         return BulkResult(evictions=self._fill_many(lines, dirty))
 
+    def _fill_many(self, lines, dirty: bool) -> List[Eviction]:
+        evictions: List[Eviction] = []
+        for line in lines:
+            evicted = self.fill(line, dirty)
+            if evicted is not None:
+                evictions.append(evicted)
+        return evictions
+
     def bulk_serve(self, *, events) -> BulkResult:
         """Apply an ordered L2 miss/victim event stream to this cache.
 
         For each ``(line, victim_line, victim_dirty)`` event: a read
         ``access(line)`` followed, if the victim was dirty, by a
-        ``fill(victim_line, dirty=True)``. :attr:`BulkResult.lines` holds
-        the missed lines in order; :attr:`BulkResult.evictions` /
+        ``fill(victim_line, dirty=True)`` — the operations the device's
+        per-line miss service issues to the L3. :attr:`BulkResult.lines`
+        holds the missed lines in order; :attr:`BulkResult.evictions` /
         :attr:`BulkResult.fill_evictions` the dirty victims of the
         accesses and of the victim fills respectively (callers attribute
         the two differently); :attr:`BulkResult.writebacks` the victim
@@ -780,14 +344,36 @@ class SetAssocCache:
             fill_evictions=[Eviction(line, True) for line in fill_devs],
             writebacks=writebacks)
 
+    def _serve_miss_seq(self, events) -> Tuple[List[int], List[int],
+                                               List[int], int]:
+        """Returns ``(missed_lines, access_dirty_victims,
+        fill_dirty_victims, writebacks)``."""
+        missed: List[int] = []
+        access_devs: List[int] = []
+        fill_devs: List[int] = []
+        writebacks = 0
+        for line, victim, victim_dirty in events:
+            hit, evicted = self.access(line, is_write=False)
+            if not hit:
+                missed.append(line)
+                if evicted is not None and evicted.dirty:
+                    access_devs.append(evicted.line)
+            if victim_dirty:
+                writebacks += 1
+                evicted = self.fill(victim, dirty=True)
+                if evicted is not None and evicted.dirty:
+                    fill_devs.append(evicted.line)
+        return missed, access_devs, fill_devs, writebacks
+
     def bulk_flush(self, *, start: Optional[int] = None,
                    count: Optional[int] = None) -> BulkResult:
         """Write back dirty lines, retaining clean copies.
 
         With no arguments this is the whole-cache implicit release
-        (:meth:`flush_dirty`); with ``start``/``count`` it flushes only
-        ``[start, start + count)``. :attr:`BulkResult.lines` holds the
-        written-back lines in the order a per-line walk would emit them.
+        (:meth:`flush_dirty`); with ``start``/``count`` it is a
+        :meth:`flush_line` over ``[start, start + count)`` in ascending
+        order. :attr:`BulkResult.lines` holds the written-back lines in
+        that walk's order.
         """
         if start is None:
             if count is not None:
@@ -799,12 +385,17 @@ class SetAssocCache:
             flushed = self._flush_run(start, count)
         return BulkResult(lines=flushed, writebacks=len(flushed))
 
+    def _flush_run(self, start: int, count: int) -> List[int]:
+        return [line for line in range(start, start + count)
+                if self.flush_line(line)]
+
     def bulk_invalidate(self, *, start: Optional[int] = None,
                         count: Optional[int] = None) -> BulkResult:
         """Drop resident lines (implicit acquire).
 
         With no arguments this drops everything (:meth:`invalidate_all`);
-        with ``start``/``count`` only ``[start, start + count)``.
+        with ``start``/``count`` it is an :meth:`invalidate_line` over
+        ``[start, start + count)`` in ascending order.
         :attr:`BulkResult.dropped` counts the dropped lines;
         :attr:`BulkResult.lines` holds the dirty ones (ascending for
         ranges, walk order for the whole cache) that the caller must
@@ -819,6 +410,17 @@ class SetAssocCache:
                 raise ValueError("bulk_invalidate: start requires count")
             dropped, dirty_lines = self._invalidate_run(start, count)
         return BulkResult(dropped=dropped, lines=dirty_lines)
+
+    def _invalidate_run(self, start: int, count: int
+                        ) -> Tuple[int, List[int]]:
+        dropped = 0
+        dirty_lines: List[int] = []
+        for line in range(start, start + count):
+            present, dirty = self.invalidate_line(line)
+            dropped += present
+            if dirty:
+                dirty_lines.append(line)
+        return dropped, dirty_lines
 
     # ------------------------------------------------------------------
     # Synchronization operations (implicit acquire / release)

@@ -3,11 +3,13 @@
 :class:`NumpyCacheCore` re-implements :class:`~repro.memory.cache.
 SetAssocCache` storage on flat tag/dirty/stamp matrices so the bulk
 operations the run and memo trace paths live on become array sweeps
-instead of per-line dict work. The dict-backed base class remains the
-reference implementation (and the backend of the per-line ``line`` trace
-path); the cross-path differential oracle (``python -m repro check``)
-and the lockstep property tests (tests/test_np_cache_lockstep.py)
-enforce bit-identity between the two cores.
+instead of per-line dict work. The dict-backed base class is the
+per-line reference: its bulk operations are plain loops over its
+per-line calls, and it backs the per-line ``line`` trace path. The
+cross-path differential oracle (``python -m repro check``, which
+compares ordered cache state) and the lockstep property tests
+(tests/test_np_cache_lockstep.py, tests/test_cache_runs.py) hold this
+core to that reference.
 
 Layout
 ------
@@ -33,8 +35,8 @@ Per cache, with ``ns = num_sets`` and ``A = assoc``:
 Bulk sweeps classify each touched set by its pre-state into all-hit
 (vector stamp refresh), cold-fit (vector scatter into free ways), spill
 (no hit, fill overflows the free ways: closed-form victim sequence), or
-mixed (scalar per-line replay) — the same decomposition the dict core
-makes, lifted to whole-array operations across sets.
+mixed (scalar per-line replay), each handled by whole-array operations
+across sets.
 """
 
 from __future__ import annotations
@@ -42,19 +44,14 @@ from __future__ import annotations
 import hashlib
 from typing import List, Optional, Tuple
 
+import numpy as _np
+
 from repro.memory.cache import (
+    BulkResult,
     Eviction,
-    RunResult,
     SetAssocCache,
     WritePolicy,
 )
-
-try:  # Gate the hard dependency: fall back to the dict core when absent.
-    import numpy as _np
-except ImportError:  # pragma: no cover - the toolchain ships numpy
-    _np = None
-
-NUMPY_AVAILABLE = _np is not None
 
 #: Stamp sentinel for invalid ways — larger than any live stamp so free
 #: ways sort after every resident line and never win a victim ``argmin``.
@@ -67,19 +64,16 @@ def make_cache_core(backend: str, *, size_bytes: int, assoc: int,
                     name: str = "cache") -> SetAssocCache:
     """Build a cache with the requested storage backend.
 
-    ``"dict"`` is the reference :class:`SetAssocCache`; ``"numpy"`` the
-    vectorized :class:`NumpyCacheCore` (silently degrading to the dict
-    core when numpy is unavailable — the two are bit-identical, only
-    speed differs).
+    ``"dict"`` is the per-line reference :class:`SetAssocCache` (the
+    ``line`` trace path); ``"numpy"`` the vectorized
+    :class:`NumpyCacheCore` (the run and memo paths).
     """
-    if backend not in ("dict", "numpy"):
+    cores = {"dict": SetAssocCache, "numpy": NumpyCacheCore}
+    if backend not in cores:
         raise ValueError(f"unknown cache core {backend!r} "
                          "(expected 'dict' or 'numpy')")
-    if backend == "numpy" and NUMPY_AVAILABLE:
-        return NumpyCacheCore(size_bytes=size_bytes, assoc=assoc,
-                              line_size=line_size, policy=policy, name=name)
-    return SetAssocCache(size_bytes=size_bytes, assoc=assoc,
-                         line_size=line_size, policy=policy, name=name)
+    return cores[backend](size_bytes=size_bytes, assoc=assoc,
+                          line_size=line_size, policy=policy, name=name)
 
 
 class NumpyCacheCore(SetAssocCache):
@@ -95,8 +89,6 @@ class NumpyCacheCore(SetAssocCache):
     def __init__(self, size_bytes: int, assoc: int, line_size: int = 64,
                  policy: WritePolicy = WritePolicy.WRITE_BACK,
                  name: str = "cache") -> None:
-        if _np is None:  # pragma: no cover - guarded by make_cache_core
-            raise RuntimeError("NumpyCacheCore requires numpy")
         super().__init__(size_bytes, assoc, line_size, policy, name)
         del self._sets  # storage lives in the arrays; fail fast on leaks
         ns, assoc = self.num_sets, self.assoc
@@ -279,8 +271,8 @@ class NumpyCacheCore(SetAssocCache):
         spill_g = (hit_per == 0) & (kk > free_per)
         mixed_g = ~(allhit_g | cold_g | spill_g)
 
-        # Set creation mirrors the dict core: rank every newly touched
-        # set by the input position of its first line.
+        # Set creation follows the per-line walk: rank every newly
+        # touched set by the input position of its first line.
         uncreated = self._created[uniq] < 0
         if uncreated.any():
             first_pos = order[gstart[uncreated]]
@@ -436,7 +428,7 @@ class NumpyCacheCore(SetAssocCache):
                           mixed_g, store_dirty: bool, base: int):
         """Scalar per-line replay for mixed-residency sets: an earlier
         miss may displace a later swept line before its access, so there
-        is no closed form (same fallback the dict core takes)."""
+        is no closed form."""
         tags = self._tags
         dirty = self._dirty
         stamp = self._stamp
@@ -504,11 +496,7 @@ class NumpyCacheCore(SetAssocCache):
     # ------------------------------------------------------------------
 
     def _access_run(self, start: int, count: int, do_load: bool,
-                    do_store: bool) -> RunResult:
-        if count <= 0:
-            return RunResult(0, 0, [])
-        if not (do_load or do_store):
-            raise ValueError("access_run requires do_load and/or do_store")
+                    do_store: bool) -> BulkResult:
         ns = self.num_sets
         assoc = self.assoc
         end = start + count
@@ -516,8 +504,7 @@ class NumpyCacheCore(SetAssocCache):
         if (self._resident == 0 and count >= ns
                 and (count + ns - 1) // ns <= assoc):
             # Totally cold cache — whole-array fill, uniform miss by
-            # construction. Set creation order is set-index order,
-            # matching the dict core's cold path.
+            # construction.
             idxs = _np.arange(ns, dtype=_np.int64)
             first = start + ((idxs - start) % ns)
             k = 1 + (end - 1 - first) // ns
@@ -531,14 +518,16 @@ class NumpyCacheCore(SetAssocCache):
             self._tick += assoc
             self._occ[...] = k
             fresh = self._created < 0
-            nfresh = int(fresh.sum())
-            if nfresh:
-                self._created[fresh] = (self._next_rank
-                                        + _np.arange(nfresh))
-                self._next_rank += nfresh
+            if fresh.any():
+                # Rank new sets in first-touch order, as the per-line
+                # walk creates them: set ``start % ns`` first.
+                touched = (start + idxs) % ns
+                new = touched[fresh[touched]]
+                self._created[new] = self._next_rank + _np.arange(new.size)
+                self._next_rank += int(new.size)
             self._resident = count
             self._run_stats(0, count, 0, 0, do_load, do_store, count)
-            return RunResult(0, count, None, uniform_miss=True)
+            return BulkResult(misses=count, uniform_miss=True)
         lines = _np.arange(start, end, dtype=_np.int64)
         hits, evictions, dirty_evictions, chunks = self._demand_sweep(
             lines, store_dirty)
@@ -547,15 +536,36 @@ class NumpyCacheCore(SetAssocCache):
         self._run_stats(hits, misses, evictions, dirty_evictions,
                         do_load, do_store, count)
         if hits == 0 and evictions == 0:
-            return RunResult(0, misses, None, uniform_miss=True)
+            return BulkResult(misses=misses, uniform_miss=True)
         events: List[Tuple[int, Optional[int], bool]] = []
         if chunks:
             ls, vs, ds = self._merge_chunks(chunks)
             events = [(l, None if v < 0 else v, d) for l, v, d in
                       zip(ls.tolist(), vs.tolist(), ds.tolist())]
-        return RunResult(hits, misses, events)
+        return BulkResult(hits=hits, misses=misses, events=events)
 
-    def _fill_many(self, lines, dirty: bool = False) -> List[Eviction]:
+    def _run_stats(self, hits: int, misses: int, evictions: int,
+                   dirty_evictions: int, do_load: bool, do_store: bool,
+                   count: int) -> None:
+        """Fold one run's aggregate outcome into :attr:`stats`."""
+        stats = self.stats
+        if do_load:
+            stats.read_hits += hits
+            stats.read_misses += misses
+        else:
+            stats.write_hits += hits
+            stats.write_misses += misses
+        total_hits = hits
+        if do_load and do_store:
+            # The store after each load hits the just-filled line.
+            stats.write_hits += count
+            total_hits += count
+        stats.hits += total_hits
+        stats.misses += misses
+        stats.evictions += evictions
+        stats.dirty_evictions += dirty_evictions
+
+    def _fill_many(self, lines, dirty: bool) -> List[Eviction]:
         arr = _np.fromiter(lines, dtype=_np.int64)
         if arr.size == 0:
             return []
@@ -609,7 +619,7 @@ class NumpyCacheCore(SetAssocCache):
 
     def _serve_events_scalar(self, events) -> Tuple[List[int], List[int],
                                                     List[int], int]:
-        """Exact per-event replay of a miss/victim stream (dict-core
+        """Exact per-event replay of a miss/victim stream (per-line
         semantics: read access, then a dirty fill of any dirty victim)."""
         ns = self.num_sets
         assoc = self.assoc

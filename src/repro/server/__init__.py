@@ -9,15 +9,13 @@ into a priority queue, then execute on worker threads against the
 shared result cache — so any number of concurrent clients asking for
 overlapping cells trigger exactly one computation per cell.
 
-Pure stdlib: the built-in asyncio HTTP server needs nothing installed;
-when uvicorn happens to be present the same app serves through its
-ASGI adapter instead. Start it with ``python -m repro serve`` or
-:func:`repro.api.serve`.
+Pure stdlib: the built-in asyncio HTTP server needs nothing installed.
+Start it with ``python -m repro serve`` or :func:`repro.api.serve`.
 """
 
 from repro.server.admission import AdmissionController, AdmissionDecision
 from repro.server.app import DEFAULT_HOST, DEFAULT_PORT, ReproServer, run
-from repro.server.http import AsgiAdapter, Request, Response, StreamResponse
+from repro.server.http import Request, Response, StreamResponse
 from repro.server.queue import Job, JobQueue
 from repro.server.schemas import (
     MAX_CELLS_PER_JOB,
@@ -29,7 +27,6 @@ from repro.server.schemas import (
 __all__ = [
     "AdmissionController",
     "AdmissionDecision",
-    "AsgiAdapter",
     "DEFAULT_HOST",
     "DEFAULT_PORT",
     "Job",

@@ -51,7 +51,6 @@ from repro.engine.runner import SweepRunner
 from repro.errors import ConfigError, JobCancelled
 from repro.obs.metrics import MetricRegistry
 from repro.server.http import (
-    AsgiAdapter,
     Request,
     Response,
     StreamResponse,
@@ -117,7 +116,6 @@ class ReproServer:
         self.queue = JobQueue()
         self.jobs: Dict[str, Job] = {}
         self.metrics = MetricRegistry("server")
-        self.asgi = AsgiAdapter(self.dispatch, app=self)
         self._executor = ThreadPoolExecutor(
             max_workers=self.admission.max_inflight,
             thread_name_prefix="repro-job")
@@ -147,7 +145,7 @@ class ReproServer:
 
     async def dispatch(self, request: Request,
                        ) -> "Response | StreamResponse":
-        """Route one request; shared by the stdlib and ASGI faces."""
+        """Route one request to its handler."""
         path_known = False
         for method, pattern, name in self._ROUTES:
             match = pattern.match(request.path)
@@ -387,7 +385,7 @@ class ReproServer:
             with self._stats_lock:
                 self.cache.stats.merge(cache.stats.snapshot())
 
-    # ---- network faces ---------------------------------------------------
+    # ---- network face ----------------------------------------------------
 
     async def start(self, host: str = DEFAULT_HOST,
                     port: int = DEFAULT_PORT) -> asyncio.AbstractServer:
@@ -426,34 +424,13 @@ class ReproServer:
 def run(host: str = DEFAULT_HOST, port: int = DEFAULT_PORT,
         cache: Union[SharedResultCache, str, None] = None,
         max_inflight: int = 2, max_queue_depth: int = 64,
-        client_quota: int = 8, use_uvicorn: Optional[bool] = None,
+        client_quota: int = 8,
         ready: Optional[Callable[[str], None]] = None) -> None:
-    """Build a :class:`ReproServer` and serve it until interrupted.
-
-    ``use_uvicorn=None`` auto-detects: when uvicorn happens to be
-    installed the app runs through its ASGI face, otherwise (the normal
-    case — the package needs nothing beyond the stdlib) through the
-    built-in asyncio server. ``True`` requires uvicorn; ``False`` forces
-    the stdlib path.
-    """
+    """Build a :class:`ReproServer` and serve it on the built-in asyncio
+    server until interrupted; ``ready`` is called with the bound URL."""
     server = ReproServer(cache=cache, max_inflight=max_inflight,
                          max_queue_depth=max_queue_depth,
                          client_quota=client_quota)
-    uvicorn = None
-    if use_uvicorn is not False:
-        try:
-            import uvicorn  # type: ignore[no-redef]
-        except ImportError:
-            uvicorn = None
-            if use_uvicorn is True:
-                raise ConfigError(
-                    "use_uvicorn=True but uvicorn is not installed; "
-                    "install it or pass use_uvicorn=False for the "
-                    "stdlib server")
-    if uvicorn is not None:
-        uvicorn.run(server.asgi, host=host, port=port,
-                    log_level="warning")
-        return
     try:
         asyncio.run(server.serve(host, port, ready=ready))
     except KeyboardInterrupt:

@@ -1,17 +1,12 @@
-"""Minimal HTTP layer: stdlib asyncio server + optional ASGI adapter.
+"""Minimal HTTP layer on the stdlib asyncio server.
 
-The service carries no hard web-framework dependency. This module
-supplies the two ways its request handlers can face the network:
-
-* :func:`serve_connection` — an ``asyncio.start_server`` callback that
-  speaks just enough HTTP/1.1 for the API: one request per connection
-  (every response carries ``Connection: close``; streaming responses are
-  close-delimited, which is what SSE clients expect), a bounded header
-  block, and a ``Content-Length``-framed body.
-* :class:`AsgiAdapter` — wraps the same dispatcher as an ASGI 3
-  application, so ``repro.api.serve()`` can hand the app to uvicorn
-  when it happens to be installed (never required, never imported
-  here).
+The service carries no web-framework dependency. Its request handlers
+face the network through :func:`serve_connection`, an
+``asyncio.start_server`` callback that speaks just enough HTTP/1.1 for
+the API: one request per connection (every response carries
+``Connection: close``; streaming responses are close-delimited, which
+is what SSE clients expect), a bounded header block, and a
+``Content-Length``-framed body.
 
 Handlers exchange plain dataclasses: a :class:`Request` in, a
 :class:`Response` (buffered) or :class:`StreamResponse` (async byte
@@ -26,8 +21,8 @@ from dataclasses import dataclass, field
 from typing import Any, AsyncIterator, Awaitable, Callable, Dict, Optional
 from urllib.parse import parse_qs, unquote, urlsplit
 
-__all__ = ["AsgiAdapter", "HttpError", "Request", "Response",
-           "StreamResponse", "json_response", "serve_connection"]
+__all__ = ["HttpError", "Request", "Response", "StreamResponse",
+           "json_response", "serve_connection"]
 
 #: Upper bounds keeping one bad client from ballooning server memory.
 MAX_HEADER_BYTES = 32 * 1024
@@ -103,7 +98,7 @@ def json_response(payload: Any, status: int = 200,
     return Response(status=status, headers=merged, body=body)
 
 
-#: The dispatcher signature both network faces drive.
+#: The dispatcher signature :func:`serve_connection` drives.
 Dispatcher = Callable[[Request], "Awaitable[Response | StreamResponse]"]
 
 
@@ -204,88 +199,3 @@ async def serve_connection(dispatch: Dispatcher,
             await writer.wait_closed()
         except (ConnectionResetError, BrokenPipeError):
             pass
-
-
-# ---------------------------------------------------------------------------
-# ASGI adapter (optional uvicorn front)
-# ---------------------------------------------------------------------------
-
-
-class AsgiAdapter:
-    """The same dispatcher as an ASGI 3 application.
-
-    ``lifespan`` startup/shutdown map onto the app's background
-    scheduler (``start_background``/``stop_background`` when the
-    wrapped object provides them), so ``uvicorn repro_app`` runs the
-    job queue exactly like the stdlib server does.
-    """
-
-    def __init__(self, dispatch: Dispatcher,
-                 app: Optional[Any] = None) -> None:
-        self.dispatch = dispatch
-        self.app = app
-
-    async def __call__(self, scope: Dict[str, Any],
-                       receive: Callable[[], Awaitable[Dict[str, Any]]],
-                       send: Callable[[Dict[str, Any]], Awaitable[None]],
-                       ) -> None:
-        if scope["type"] == "lifespan":
-            await self._lifespan(receive, send)
-            return
-        if scope["type"] != "http":
-            return
-        body = b""
-        while True:
-            message = await receive()
-            body += message.get("body", b"")
-            if not message.get("more_body"):
-                break
-        headers = {name.decode("latin-1").lower(): value.decode("latin-1")
-                   for name, value in scope.get("headers", [])}
-        query = {key: values[-1] for key, values in parse_qs(
-            scope.get("query_string", b"").decode("latin-1"),
-            keep_blank_values=True).items()}
-        request = Request(method=scope["method"].upper(),
-                          path=scope["path"], query=query,
-                          headers=headers, body=body)
-        try:
-            response = await self.dispatch(request)
-        except HttpError as exc:
-            response = json_response({"error": exc.message},
-                                     status=exc.status)
-        if isinstance(response, StreamResponse):
-            await send({"type": "http.response.start",
-                        "status": response.status,
-                        "headers": self._headers(response.headers)})
-            async for chunk in response.chunks:
-                await send({"type": "http.response.body", "body": chunk,
-                            "more_body": True})
-            await send({"type": "http.response.body", "body": b""})
-        else:
-            headers = {"content-length": str(len(response.body)),
-                       **response.headers}
-            await send({"type": "http.response.start",
-                        "status": response.status,
-                        "headers": self._headers(headers)})
-            await send({"type": "http.response.body",
-                        "body": response.body})
-
-    async def _lifespan(self, receive, send) -> None:
-        while True:
-            message = await receive()
-            if message["type"] == "lifespan.startup":
-                if self.app is not None and \
-                        hasattr(self.app, "start_background"):
-                    await self.app.start_background()
-                await send({"type": "lifespan.startup.complete"})
-            elif message["type"] == "lifespan.shutdown":
-                if self.app is not None and \
-                        hasattr(self.app, "stop_background"):
-                    await self.app.stop_background()
-                await send({"type": "lifespan.shutdown.complete"})
-                return
-
-    @staticmethod
-    def _headers(headers: Dict[str, str]):
-        return [(name.lower().encode("latin-1"), value.encode("latin-1"))
-                for name, value in headers.items()]

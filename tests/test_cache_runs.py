@@ -1,11 +1,13 @@
-"""Differential tests: SetAssocCache bulk run ops vs the per-line primitives.
+"""Differential tests: bulk run ops vs the per-line primitives.
 
 `bulk_access` / `bulk_flush` / `bulk_invalidate` promise bit-exact
 equivalence with issuing the per-line calls in ascending line order:
-identical residency, LRU order, dirty flags, `CacheStats`, and (for
-accesses) an identical ordered miss/victim event stream. These tests
-drive both implementations from the same randomized pre-state and compare
-everything.
+identical residency, set-creation order, LRU order, dirty flags,
+`CacheStats`, and (for accesses) an identical ordered miss/victim event
+stream. The differential tests drive the vectorized `NumpyCacheCore`
+and per-line calls on the dict-backed `SetAssocCache` from the same
+randomized pre-state and compare everything, including the order a
+whole-cache flush writes lines back in afterwards.
 """
 
 import pytest
@@ -13,18 +15,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.memory.cache import SetAssocCache, WritePolicy
+from repro.memory.npcache import NumpyCacheCore
 
 
-def make_cache(num_lines, assoc, policy=WritePolicy.WRITE_BACK):
-    return SetAssocCache(size_bytes=num_lines * 64, assoc=assoc,
-                         policy=policy, name="t")
+def make_cache(num_lines, assoc, policy=WritePolicy.WRITE_BACK,
+               core=SetAssocCache):
+    return core(size_bytes=num_lines * 64, assoc=assoc, policy=policy,
+                name="t")
 
 
 def snapshot(cache):
-    """Full observable state: per-set (line, dirty) in LRU order + stats."""
-    sets = {idx: list(cset.items()) for idx, cset in cache._sets.items()
-            if cset}
-    return sets, vars(cache.stats).copy()
+    """Full observable state: the sets in creation order, each set's
+    (line, dirty) pairs in LRU order, plus the stats."""
+    return cache.memo_state(), vars(cache.stats).copy()
+
+
+def assert_same_flush(bulk, ref):
+    """A whole-cache flush writes back the same lines in the same order
+    (set-creation order, then LRU order) and leaves the same state."""
+    assert bulk.flush_dirty() == ref.flush_dirty()
+    assert snapshot(bulk) == snapshot(ref)
 
 
 def reference_access_run(cache, start, count, do_load, do_store):
@@ -69,7 +79,7 @@ kind_strategy = st.sampled_from([(True, False), (False, True), (True, True)])
 def test_access_run_matches_per_line(num_lines, assoc, policy, warmup,
                                      start, count, kind):
     do_load, do_store = kind
-    bulk = make_cache(num_lines, assoc, policy)
+    bulk = make_cache(num_lines, assoc, policy, core=NumpyCacheCore)
     ref = make_cache(num_lines, assoc, policy)
     prepopulate(bulk, warmup)
     prepopulate(ref, warmup)
@@ -89,6 +99,7 @@ def test_access_run_matches_per_line(num_lines, assoc, policy, warmup,
                               for line in range(start, start + count)]
     else:
         assert res.events == ref_events
+    assert_same_flush(bulk, ref)
 
 
 @settings(max_examples=150, deadline=None)
@@ -102,7 +113,7 @@ def test_access_run_matches_per_line(num_lines, assoc, policy, warmup,
 )
 def test_flush_and_invalidate_run_match_per_line(num_lines, assoc, warmup,
                                                  start, count):
-    bulk = make_cache(num_lines, assoc)
+    bulk = make_cache(num_lines, assoc, core=NumpyCacheCore)
     ref = make_cache(num_lines, assoc)
     prepopulate(bulk, warmup)
     prepopulate(ref, warmup)
@@ -125,6 +136,24 @@ def test_flush_and_invalidate_run_match_per_line(num_lines, assoc, warmup,
             ref_dirty.append(line)
     assert (dropped, dirty) == (ref_dropped, ref_dirty)
     assert snapshot(bulk) == snapshot(ref)
+    assert_same_flush(bulk, ref)
+
+
+def test_cold_access_run_creates_sets_in_first_touch_order():
+    """On a cold cache, a run creates sets in the order its lines first
+    touch them, as per-line accesses do (minimal case: set 1, then set
+    0). That order is the order a whole-cache flush writes back in."""
+    bulk = make_cache(4, 2, core=NumpyCacheCore)
+    ref = make_cache(4, 2)
+    res = bulk.bulk_access(start=1, count=2, load=True, store=False)
+    assert res.uniform_miss
+    reference_access_run(ref, 1, 2, True, False)
+    assert [idx for idx, _ in bulk.memo_state()[0]] == [1, 0]
+    assert snapshot(bulk) == snapshot(ref)
+
+    bulk = make_cache(16, 4, core=NumpyCacheCore)  # 4 sets
+    bulk.bulk_access(start=1, count=8, load=True, store=True)
+    assert bulk.flush_dirty() == [1, 5, 2, 6, 3, 7, 4, 8]
 
 
 def test_access_run_uniform_miss_on_cold_cache():

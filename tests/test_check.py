@@ -20,7 +20,11 @@ from types import SimpleNamespace
 import pytest
 
 from repro.check import CheckError, SyncSanitizer, checks_enabled
-from repro.check.oracle import diff_paths, run_oracle
+from repro.check.oracle import (
+    diff_paths,
+    final_state_fingerprint,
+    run_oracle,
+)
 from repro.core.elision import ElisionEngine
 from repro.core.states import ChipletState
 from repro.cp.local_cp import SyncOpKind
@@ -29,6 +33,7 @@ from repro.gpu.config import GPUConfig
 from repro.gpu.device import Device
 from repro.gpu.sim import Simulator
 from repro.memory.address import AddressSpace
+from repro.memory.cache import SetAssocCache
 from repro.workloads.base import Kernel, KernelArg, PatternKind, Workload
 from repro.workloads.suite import build_workload
 
@@ -269,6 +274,29 @@ class TestOracle:
         assert divergence.kernel_index == 2
         assert any("cycles" in line for line in divergence.details)
         assert "square / cpelide" in divergence.describe()
+
+    def test_fingerprint_sees_set_creation_order(self):
+        """Two L2s holding the same lines with their sets created in a
+        different order are different machine states (a whole-cache
+        flush writes them back in a different order), so the final-state
+        fingerprints must differ."""
+        sim = Simulator(CONFIG, "cpelide")
+        sim.run(producer_consumer_workload())
+        l2s = []
+        for order in ((1, 2), (2, 1)):  # two sets: line 1 -> set 1
+            l2 = SetAssocCache(size_bytes=4 * 64, assoc=2, name="L2")
+            for line in order:
+                l2.access(line, is_write=True)
+            l2s.append(l2)
+        assert sorted(l2s[0].iter_lines()) == sorted(l2s[1].iter_lines())
+        assert l2s[0].flush_dirty() != l2s[1].flush_dirty()
+        prints = []
+        for l2 in l2s:
+            sim.last_device.chiplets[0].l2 = l2
+            prints.append(final_state_fingerprint(sim))
+        assert prints[0]["l2[0]"] != prints[1]["l2[0]"]
+        del prints[0]["l2[0]"], prints[1]["l2[0]"]
+        assert prints[0] == prints[1]
 
     def test_diff_paths_pinpoints_leaves(self):
         a = {"x": {"y": 1, "z": [1, 2]}, "only_a": 0}

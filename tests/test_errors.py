@@ -56,8 +56,8 @@ class TestApiSurface:
     def test_api_version(self):
         import repro as repro_pkg
 
-        assert repro.api.__api_version__ == "5.0"
-        assert repro_pkg.__api_version__ == "5.0"
+        assert repro.api.__api_version__ == "6.0"
+        assert repro_pkg.__api_version__ == "6.0"
 
     def test_simulate_rejects_cache_with_workload_instance(self):
         config = GPUConfig(num_chiplets=4, scale=TEST_SCALE)
@@ -67,12 +67,15 @@ class TestApiSurface:
                                cache=True)
 
     def test_cache_takes_a_bool_or_a_shared_cache(self, tmp_path):
-        from repro.engine.cache import ResultCache
-
+        """The exported ``ResultCache`` is the shared cache, so every
+        ``cache=`` accepts it; anything else (a path) is rejected."""
+        cache = repro.ResultCache(root=tmp_path / "c")
+        repro.api.sweep(workloads=("square",), protocols=("cpelide",),
+                        scale=TEST_SCALE, cache=cache)
+        assert len(cache) > 0
         with pytest.raises(ConfigError, match="SharedResultCache"):
             repro.api.sweep(workloads=("square",), protocols=("cpelide",),
-                            scale=TEST_SCALE,
-                            cache=ResultCache(root=tmp_path / "c"))
+                            scale=TEST_SCALE, cache=str(tmp_path / "c"))
 
     def test_simulate_options_are_keyword_only(self):
         config = GPUConfig(num_chiplets=4, scale=TEST_SCALE)

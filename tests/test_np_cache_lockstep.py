@@ -2,13 +2,15 @@
 
 The numpy core (:class:`repro.memory.npcache.NumpyCacheCore`) must be
 *bit-identical* in behavior to the dict-backed
-:class:`~repro.memory.cache.SetAssocCache` it subclasses — same hits,
-same evictions in the same order, same dirty sets, same LRU victim
-order, same stats, same canonical ``memo_state()``. These tests drive
-random operation sequences through both cores in lockstep (hypothesis
-shrinks any divergence to a minimal counterexample) and also pin the
-unified bulk-op API surface: ``bulk_*`` returns :class:`BulkResult`
-without warning, the five legacy names still work but warn.
+:class:`~repro.memory.cache.SetAssocCache` it subclasses, whose bulk
+operations are loops over its per-line calls — same hits, same
+evictions in the same order, same dirty sets, same LRU victim order,
+same set-creation order, same stats, same canonical ``memo_state()``.
+These tests drive random operation sequences through both cores in
+lockstep (hypothesis shrinks any divergence to a minimal
+counterexample) and also pin the unified bulk-op API surface:
+``bulk_*`` returns :class:`BulkResult` without warning, and the five
+legacy names are gone.
 """
 
 import warnings
@@ -22,14 +24,7 @@ from repro.memory.cache import (
     SetAssocCache,
     WritePolicy,
 )
-from repro.memory.npcache import (
-    NUMPY_AVAILABLE,
-    NumpyCacheCore,
-    make_cache_core,
-)
-
-pytestmark = pytest.mark.skipif(not NUMPY_AVAILABLE,
-                                reason="numpy not installed")
+from repro.memory.npcache import NumpyCacheCore, make_cache_core
 
 LINE_SPACE = 96  # larger than every generated capacity, to force spills
 

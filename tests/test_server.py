@@ -21,6 +21,11 @@ from __future__ import annotations
 
 import asyncio
 import json
+import os
+import pathlib
+import re
+import subprocess
+import sys
 
 import pytest
 
@@ -572,51 +577,30 @@ class TestHttpFace:
 
 
 # ---------------------------------------------------------------------------
-# ASGI adapter (the optional-uvicorn face, driven directly)
+# CLI: ``python -m repro serve`` announces its address
 # ---------------------------------------------------------------------------
 
 
-class TestAsgiAdapter:
-    def test_http_scope_roundtrip(self, tmp_path):
-        async def scenario():
-            srv = ReproServer(cache=str(tmp_path / "c"))
-            sent = []
-
-            async def receive():
-                return {"type": "http.request",
-                        "body": json.dumps(SIMULATE_BODY).encode(),
-                        "more_body": False}
-
-            async def send(message):
-                sent.append(message)
-
-            await srv.asgi({"type": "http", "method": "POST",
-                            "path": "/v1/simulate", "query_string": b"",
-                            "headers": []}, receive, send)
-            start = sent[0]
-            assert start["type"] == "http.response.start"
-            assert start["status"] == 202
-            body = json.loads(sent[1]["body"])
-            assert body["state"] == "queued"
-
-        run_async(scenario())
-
-    def test_lifespan_starts_and_stops_scheduler(self, tmp_path):
-        async def scenario():
-            srv = ReproServer(cache=str(tmp_path / "c"))
-            messages = iter([{"type": "lifespan.startup"},
-                             {"type": "lifespan.shutdown"}])
-            acks = []
-
-            async def receive():
-                return next(messages)
-
-            async def send(message):
-                acks.append(message["type"])
-
-            await srv.asgi({"type": "lifespan"}, receive, send)
-            assert acks == ["lifespan.startup.complete",
-                            "lifespan.shutdown.complete"]
-            assert srv._scheduler_task is None
-
-        run_async(scenario())
+def test_cli_serve_announces_address_with_uvicorn_importable(tmp_path):
+    """The CLI always serves on the stdlib server and prints the bound
+    URL first thing, even when some ``uvicorn`` module is importable:
+    clients started with ``--port 0`` read the port off that line."""
+    stub = tmp_path / "stub"
+    stub.mkdir()
+    (stub / "uvicorn.py").write_text(
+        "def run(*args, **kwargs):\n"
+        "    raise SystemExit('the stdlib server must be used')\n")
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONUNBUFFERED="1",
+               PYTHONPATH=os.pathsep.join([str(src), str(stub)]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--port", "0",
+         "--cache-dir", str(tmp_path / "c")],
+        stdout=subprocess.PIPE, text=True, env=env)
+    try:
+        line = proc.stdout.readline()
+    finally:
+        proc.terminate()
+        proc.wait(timeout=30)
+        proc.stdout.close()
+    assert re.search(r"http://127\.0\.0\.1:\d+", line), line
