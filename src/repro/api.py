@@ -101,7 +101,12 @@ from repro.workloads.suite import (
     build_workload,
 )
 
-#: Version of the documented :mod:`repro.api` surface. Bumped to ``6.0``
+#: Version of the documented :mod:`repro.api` surface. Bumped to ``7.0``
+#: when :class:`~repro.coherence.base.CoherenceProtocol` took over the
+#: demand-access skeleton: ``access`` and ``access_run`` are defined
+#: there only, and a registered factory's direct subclass implements
+#: ``_route(chiplet, line, home, is_write)`` (and may override
+#: ``_route_segment``) instead of ``access``. ``6.0`` came
 #: when :func:`serve` lost ``use_uvicorn`` (the server is the stdlib
 #: asyncio one only; the ASGI adapter is gone) and
 #: :class:`ResultCache` became another name of
@@ -137,7 +142,7 @@ from repro.workloads.suite import (
 #: keyword-only ``simulate``/``sweep`` signatures, the
 #: ``trace_path=``/``tracer=`` parameters, and the :mod:`repro.errors`
 #: hierarchy.
-__api_version__ = "6.0"
+__api_version__ = "7.0"
 
 __all__ = [
     "CacheError",

@@ -15,6 +15,7 @@ from repro.cp.local_cp import SyncOp
 from repro.cp.packets import KernelPacket
 from repro.cp.wg_scheduler import Placement
 from repro.memory.cache import WritePolicy
+from repro.metrics.stats import SyncCounts
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only imports
     from repro.gpu.config import GPUConfig
@@ -35,6 +36,8 @@ class CoherenceProtocol(abc.ABC):
     def __init__(self, config: "GPUConfig", device: "Device") -> None:
         self.config = config
         self.device = device
+        #: Per-kernel sync counters, harvested by :meth:`drain_sync_counts`.
+        self._sync = SyncCounts()
 
     @property
     def tracer(self):
@@ -66,10 +69,18 @@ class CoherenceProtocol(abc.ABC):
                 for c in range(self.config.num_chiplets)]
 
     # ---- demand access path ---------------------------------------------
+    #
+    # `access` (the line path) and `access_run` (the run path) are defined
+    # here once: they count the L1 traffic and resolve page homes. A
+    # protocol decides only where one line goes (`_route`) and, if it can
+    # batch, how a same-home segment of a run goes (`_route_segment`).
 
-    @abc.abstractmethod
     def access(self, chiplet: int, line: int, is_write: bool) -> None:
         """Route one L2-visible demand access from ``chiplet``."""
+        device = self.device
+        device.traffic.l1_request()
+        device.traffic.l1_data()
+        self._route(chiplet, line, device.home_of(line, chiplet), is_write)
 
     def access_run(self, chiplet: int, start: int, count: int,
                    do_load: bool, do_store: bool) -> int:
@@ -77,29 +88,57 @@ class CoherenceProtocol(abc.ABC):
 
         Semantically identical to, per line in ascending order: an
         ``access(chiplet, line, False)`` if ``do_load`` then an
-        ``access(chiplet, line, True)`` if ``do_store``. Returns how many
-        of the run's lines ended up homed at ``chiplet`` (the simulator's
-        L1-repeat split needs the local share, and the run path already
-        knows the homes). This default is that reference loop; protocols
-        override it with bulk fast paths that must stay bit-identical
-        (tests/test_batched_equivalence.py is the referee).
+        ``access(chiplet, line, True)`` if ``do_store``. The run's L1
+        traffic is counted once, the run is split into same-home
+        segments (unplaced pages go to ``chiplet`` in walk order, as the
+        per-line walk would place them), and each segment goes to
+        :meth:`_route_segment` in ascending order. Returns how many of
+        the run's lines are homed at ``chiplet`` (the simulator's
+        L1-repeat split needs the local share).
         """
-        access = self.access
-        peek = self.device.home_map.peek_home_of_line
+        device = self.device
+        ops = 2 * count if do_load and do_store else count
+        device.traffic.l1_request(ops)
+        device.traffic.l1_data(ops)
+        route_segment = self._route_segment
         local = 0
+        for seg_start, seg_end, home in device.home_map.home_segments(
+                start, start + count, chiplet):
+            n = seg_end - seg_start
+            if home == chiplet:
+                local += n
+            route_segment(chiplet, home, seg_start, n, do_load, do_store)
+        return local
+
+    @abc.abstractmethod
+    def _route(self, chiplet: int, line: int, home: int,
+               is_write: bool) -> None:
+        """Route one access from ``chiplet`` to ``line``, homed at
+        ``home`` (the L1 traffic is already counted)."""
+
+    def _route_segment(self, chiplet: int, home: int, start: int,
+                       count: int, do_load: bool, do_store: bool) -> None:
+        """Route ``count`` lines from ``start``, all homed at ``home``.
+
+        Protocols override this with bulk cache/L3 operations where they
+        can; an override must leave every cache, counter and table
+        exactly as :meth:`_route_lines` does
+        (``tests/test_protocol_runs.py`` is the referee).
+        """
+        self._route_lines(chiplet, home, start, count, do_load, do_store)
+
+    def _route_lines(self, chiplet: int, home: int, start: int,
+                     count: int, do_load: bool, do_store: bool) -> None:
+        """The per-line reference for a segment: each line's load, then
+        its store."""
+        route = self._route
         if do_load and do_store:
             for line in range(start, start + count):
-                access(chiplet, line, False)
-                access(chiplet, line, True)
-                if peek(line) == chiplet:
-                    local += 1
+                route(chiplet, line, home, False)
+                route(chiplet, line, home, True)
         else:
-            is_write = do_store
             for line in range(start, start + count):
-                access(chiplet, line, is_write)
-                if peek(line) == chiplet:
-                    local += 1
-        return local
+                route(chiplet, line, home, do_store)
 
     # ---- overheads ---------------------------------------------------------
 
@@ -107,12 +146,13 @@ class CoherenceProtocol(abc.ABC):
         """Protocol-specific CP-side cycles added at this launch."""
         return 0.0
 
-    def drain_sync_counts(self):
-        """Harvest protocol-internal per-kernel sync counters (e.g. HMG's
-        directory activity). Returns a fresh
-        :class:`~repro.metrics.stats.SyncCounts`."""
-        from repro.metrics.stats import SyncCounts
-        return SyncCounts()
+    def drain_sync_counts(self) -> SyncCounts:
+        """Harvest the protocol-internal sync counters of the kernel just
+        run (HMG's directory activity, the lease protocols'
+        self-invalidations) and start a fresh set."""
+        counts = self._sync
+        self._sync = SyncCounts()
+        return counts
 
     # ---- memoization support (src/repro/gpu/memo.py) -------------------
     #

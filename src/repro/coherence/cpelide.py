@@ -5,12 +5,13 @@ keeps Baseline's forwarding and write policies and only changes *when and
 where* the implicit acquires and releases happen, as decided by the
 elision engine over the Chiplet Coherence Table housed in the global CP.
 
-That inheritance covers the demand path wholesale: both the per-line
-``access`` and the batched ``access_run`` fast path (and the bulk sync-op
-execution underneath ``on_kernel_launch``/``complete``'s acquire/release
-ops) come straight from :class:`~repro.coherence.viper.BaselineProtocol`
-and the device, so CPElide runs at full run-trace speed with no code of
-its own.
+That inheritance covers the demand path wholesale: the per-line
+``_route`` and the bulk ``_route_segment`` hooks under the shared
+``access``/``access_run`` skeleton come straight from
+:class:`~repro.coherence.viper.BaselineProtocol`, and the bulk sync-op
+execution underneath ``on_kernel_launch``'s acquires and releases from
+the device, so CPElide runs at full run-trace speed with no code of its
+own.
 """
 
 from __future__ import annotations

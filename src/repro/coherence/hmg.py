@@ -35,7 +35,6 @@ from repro.cp.local_cp import SyncOp
 from repro.cp.packets import KernelPacket
 from repro.cp.wg_scheduler import Placement
 from repro.memory.cache import WritePolicy
-from repro.metrics.stats import SyncCounts
 
 #: Cache lines covered by one directory entry (Sec. IV-C footnote 4).
 LINES_PER_REGION = 4
@@ -146,7 +145,6 @@ class HMGProtocol(CoherenceProtocol):
         entries = max(16, int(self.PAPER_DIR_ENTRIES * config.scale))
         self.directories = [L2Directory(entries)
                             for _ in range(config.num_chiplets)]
-        self._sync = SyncCounts()
 
     # ---- kernel boundaries --------------------------------------------------
 
@@ -159,12 +157,6 @@ class HMGProtocol(CoherenceProtocol):
                            placement: Placement) -> List[SyncOp]:
         """Writes are already at their home (WT) or tracked (WB)."""
         return []
-
-    def drain_sync_counts(self) -> SyncCounts:
-        """Harvest per-kernel directory activity (sim calls per kernel)."""
-        counts = self._sync
-        self._sync = SyncCounts()
-        return counts
 
     # ---- memoization support ------------------------------------------------
 
@@ -198,60 +190,27 @@ class HMGProtocol(CoherenceProtocol):
 
     # ---- demand access path ----------------------------------------------------
 
-    def access(self, chiplet: int, line: int, is_write: bool) -> None:
+    def _route(self, chiplet: int, line: int, home: int,
+               is_write: bool) -> None:
         """Locally-caching access with directory-tracked remote sharing."""
-        device = self.device
-        home = device.home_of(line, chiplet)
-        device.traffic.l1_request()
-        device.traffic.l1_data()
         if is_write:
             self._store(chiplet, line, home)
         else:
             self._load(chiplet, line, home)
 
-    def access_run(self, chiplet: int, start: int, count: int,
-                   do_load: bool, do_store: bool) -> int:
-        """Bulk path: a fully-resident load run is one aggregate L2 hit
-        sweep (the hit path touches neither home nor directory), and
-        everything else replays per line with the page-home lookups
-        hoisted and the L1 traffic batched — bit-identical to the
-        per-line sweep either way. Returns the number of lines homed at
-        ``chiplet``.
-        """
-        device = self.device
-        ops = count * (2 if do_load and do_store else 1)
-        device.traffic.l1_request(ops)
-        device.traffic.l1_data(ops)
-        end = start + count
-        home_map = device.home_map
-        if not do_store:
-            l2 = device.l2s[chiplet]
-            if l2.run_fully_resident(start, count):
-                # First-touch pages are still claimed in walk order.
-                local = sum(s_end - s_start
-                            for s_start, s_end, home
-                            in home_map.home_segments(start, end, chiplet)
-                            if home == chiplet)
-                res = l2.bulk_access(start=start, count=count,
-                                     load=True, store=False)
-                device.counts[chiplet].l2_local_hits += res.hits
-                return local
-        local = 0
-        for seg_start, seg_end, home in home_map.home_segments(start, end,
-                                                               chiplet):
-            if home == chiplet:
-                local += seg_end - seg_start
-            if do_load and do_store:
-                for line in range(seg_start, seg_end):
-                    self._load(chiplet, line, home)
-                    self._store(chiplet, line, home)
-            elif do_store:
-                for line in range(seg_start, seg_end):
-                    self._store(chiplet, line, home)
-            else:
-                for line in range(seg_start, seg_end):
-                    self._load(chiplet, line, home)
-        return local
+    def _route_segment(self, chiplet: int, home: int, start: int,
+                       count: int, do_load: bool, do_store: bool) -> None:
+        """A load segment fully resident in the requester's L2 is one
+        bulk hit sweep (the hit path touches neither home nor
+        directory); anything else goes per line."""
+        l2 = self.device.l2s[chiplet]
+        if not do_store and l2.run_fully_resident(start, count):
+            res = l2.bulk_access(start=start, count=count, load=True,
+                                 store=False)
+            self.device.counts[chiplet].l2_local_hits += res.hits
+        else:
+            self._route_lines(chiplet, home, start, count, do_load,
+                              do_store)
 
     # ---- loads -------------------------------------------------------------
 

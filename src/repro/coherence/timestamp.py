@@ -45,7 +45,6 @@ from repro.cp.local_cp import SyncOp, SyncOpKind
 from repro.cp.packets import KernelPacket
 from repro.cp.wg_scheduler import Placement
 from repro.memory.cache import WritePolicy
-from repro.metrics.stats import SyncCounts
 
 __all__ = ["CPElideTimestampProtocol", "LeaseLedger", "TimestampProtocol"]
 
@@ -186,7 +185,6 @@ class TimestampProtocol(CoherenceProtocol):
         super().__init__(config, device)
         device.set_l2_policy(WritePolicy.WRITE_THROUGH)
         self.leases = LeaseLedger(config.num_chiplets, config.lease_kernels)
-        self._sync = SyncCounts()
         #: Sanitizer hook: called as ``observer(chiplet, line)`` for
         #: every lease-validated local L2 serve (never read by protocol
         #: logic). When set, the bulk fast path is disabled so every
@@ -206,69 +204,34 @@ class TimestampProtocol(CoherenceProtocol):
         """Writes already went through to home and memory."""
         return []
 
-    def drain_sync_counts(self) -> SyncCounts:
-        """Harvest per-kernel self-invalidation counters."""
-        counts = self._sync
-        self._sync = SyncCounts()
-        return counts
-
     # ---- demand access path ---------------------------------------------
 
-    def access(self, chiplet: int, line: int, is_write: bool) -> None:
-        device = self.device
-        home = device.home_of(line, chiplet)
-        device.traffic.l1_request()
-        device.traffic.l1_data()
+    def _route(self, chiplet: int, line: int, home: int,
+               is_write: bool) -> None:
+        """Locally-caching access, with leases in place of a directory."""
         if is_write:
             self._store(chiplet, line, home)
         else:
             self._load(chiplet, line, home)
 
-    def access_run(self, chiplet: int, start: int, count: int,
-                   do_load: bool, do_store: bool) -> int:
-        """Bulk path: a pure-load run that is fully resident with every
-        lease valid is one aggregate hit-and-renew sweep; everything
-        else replays per line with homes hoisted and L1 traffic batched.
-        Bit-identical to the per-line sweep either way (renewing line
+    def _route_segment(self, chiplet: int, home: int, start: int,
+                       count: int, do_load: bool, do_store: bool) -> None:
+        """A load segment fully resident in the requester's L2 with
+        every lease valid is one bulk hit-and-renew sweep (renewing line
         ``i`` never changes line ``j``'s validity, so checking the whole
-        run up front equals checking line by line)."""
-        device = self.device
-        end = start + count
-        home_map = device.home_map
-        if not do_store and self.lease_observer is None:
-            l2 = device.l2s[chiplet]
-            if (l2.run_fully_resident(start, count)
-                    and self.leases.run_valid(chiplet, start, count)):
-                device.traffic.l1_request(count)
-                device.traffic.l1_data(count)
-                local = sum(seg_end - seg_start
-                            for seg_start, seg_end, home
-                            in home_map.home_segments(start, end, chiplet)
-                            if home == chiplet)
-                res = l2.bulk_access(start=start, count=count,
-                                     load=True, store=False)
-                device.counts[chiplet].l2_local_hits += res.hits
-                self.leases.renew_run(chiplet, start, count)
-                return local
-        ops = count * (2 if do_load and do_store else 1)
-        device.traffic.l1_request(ops)
-        device.traffic.l1_data(ops)
-        local = 0
-        for seg_start, seg_end, home in home_map.home_segments(start, end,
-                                                               chiplet):
-            if home == chiplet:
-                local += seg_end - seg_start
-            if do_load and do_store:
-                for line in range(seg_start, seg_end):
-                    self._load(chiplet, line, home)
-                    self._store(chiplet, line, home)
-            elif do_store:
-                for line in range(seg_start, seg_end):
-                    self._store(chiplet, line, home)
-            else:
-                for line in range(seg_start, seg_end):
-                    self._load(chiplet, line, home)
-        return local
+        segment up front equals checking line by line); anything else
+        goes per line."""
+        l2 = self.device.l2s[chiplet]
+        if (not do_store and self.lease_observer is None
+                and l2.run_fully_resident(start, count)
+                and self.leases.run_valid(chiplet, start, count)):
+            res = l2.bulk_access(start=start, count=count, load=True,
+                                 store=False)
+            self.device.counts[chiplet].l2_local_hits += res.hits
+            self.leases.renew_run(chiplet, start, count)
+        else:
+            self._route_lines(chiplet, home, start, count, do_load,
+                              do_store)
 
     # ---- loads ----------------------------------------------------------
 
@@ -346,7 +309,9 @@ class TimestampProtocol(CoherenceProtocol):
     def _self_invalidate(self, chiplet: int, line: int, reason: str) -> None:
         present, dirty = self.device.l2s[chiplet].invalidate_line(line)
         if dirty:
-            # Unreachable under WT; keep the model loss-free anyway.
+            # Unreachable under WT. Under cpelide-ts's write-back home
+            # copies, an expired dirty line is an early partial release,
+            # never a loss.
             self.device.writeback_line(chiplet, line)
         self.leases.drop(chiplet, line)
         if reason == "expiry":
@@ -404,7 +369,6 @@ class CPElideTimestampProtocol(CPElideProtocol):
     def __init__(self, config, device) -> None:
         super().__init__(config, device)
         self.leases = LeaseLedger(config.num_chiplets, config.lease_kernels)
-        self._sync = SyncCounts()
         #: Sanitizer hook, as on :class:`TimestampProtocol` (here the
         #: serving chiplet is the line's home).
         self.lease_observer: Optional[Callable[[int, int], None]] = None
@@ -418,29 +382,24 @@ class CPElideTimestampProtocol(CPElideProtocol):
         ops = super().on_kernel_launch(packet, placement)
         return [op for op in ops if op.kind is not SyncOpKind.ACQUIRE]
 
-    def drain_sync_counts(self) -> SyncCounts:
-        counts = self._sync
-        self._sync = SyncCounts()
-        return counts
-
     # ---- demand access path ---------------------------------------------
 
-    def access(self, chiplet: int, line: int, is_write: bool) -> None:
+    def _route(self, chiplet: int, line: int, home: int,
+               is_write: bool) -> None:
         """Baseline's forward-to-home routing with a lease check on the
         home copy before every use.
 
         Reimplemented rather than wrapped: the ledger must see every
         fill and every eviction the home L2 performs, which
-        ``BaselineProtocol.access`` handles internally.
+        ``BaselineProtocol._route`` handles internally.
         """
         device = self.device
-        home = device.home_of(line, chiplet)
         counts = device.counts[chiplet]
-        device.traffic.l1_request()
-        device.traffic.l1_data()
-        self._lease_check(home, line)
-        home_l2 = device.l2s[home]
         leases = self.leases
+        reason = leases.invalid_reason(home, line)
+        if reason is not None:
+            self._self_invalidate(home, line, reason)
+        home_l2 = device.l2s[home]
         if home == chiplet:
             hit, evicted = home_l2.access(line, is_write)
             if hit:
@@ -453,7 +412,7 @@ class CPElideTimestampProtocol(CPElideProtocol):
             leases.grant(home, line)
             if is_write:
                 leases.stamp_write(line)
-            self._absorb_home_eviction(home, evicted)
+            self._absorb_eviction(home, evicted)
             return
         device.traffic.remote_request()
         device.traffic.remote_data()
@@ -482,74 +441,28 @@ class CPElideTimestampProtocol(CPElideProtocol):
             counts.l2_remote_misses += 1
             device.fetch_from_l3(chiplet, line)
         leases.grant(home, line)
-        self._absorb_home_eviction(home, evicted)
+        self._absorb_eviction(home, evicted)
 
-    def access_run(self, chiplet: int, start: int, count: int,
-                   do_load: bool, do_store: bool) -> int:
-        """Bulk path: per home segment, a pure-load run that is fully
-        resident at the home L2 with every lease valid is one aggregate
-        hit-and-renew sweep; anything else replays per line through
-        :meth:`access`. Bit-identical to the per-line sweep."""
-        device = self.device
-        segments = device.home_map.home_segments(start, start + count,
-                                                 chiplet)
-        leases = self.leases
-        local = 0
-        for seg_start, seg_end, home in segments:
-            n = seg_end - seg_start
-            if home == chiplet:
-                local += n
-            if (not do_store and self.lease_observer is None
-                    and device.l2s[home].run_fully_resident(seg_start, n)
-                    and leases.run_valid(home, seg_start, n)):
-                device.traffic.l1_request(n)
-                device.traffic.l1_data(n)
-                counts = device.counts[chiplet]
-                if home == chiplet:
-                    counts.l2_local_hits += n
-                else:
-                    device.traffic.remote_request(n)
-                    device.traffic.remote_data(n)
-                    counts.l2_remote_hits += n
-                device.l2s[home].bulk_access(start=seg_start, count=n,
-                                             load=True, store=False)
-                leases.renew_run(home, seg_start, n)
-            elif do_load and do_store:
-                for line in range(seg_start, seg_end):
-                    self.access(chiplet, line, is_write=False)
-                    self.access(chiplet, line, is_write=True)
-            else:
-                for line in range(seg_start, seg_end):
-                    self.access(chiplet, line, do_store)
-        return local
-
-    # ---- lease mechanics ------------------------------------------------
-
-    def _lease_check(self, home: int, line: int) -> None:
-        """Self-invalidate the home copy if its lease no longer covers
-        it (writing dirty data back first — an expired dirty line is an
-        early partial release, never a loss)."""
-        reason = self.leases.invalid_reason(home, line)
-        if reason is None:
-            return
-        present, dirty = self.device.l2s[home].invalidate_line(line)
-        if dirty:
-            self.device.writeback_line(home, line)
-        self.leases.drop(home, line)
-        if reason == "expiry":
-            self._sync.lease_expiries += 1
+    def _route_segment(self, chiplet: int, home: int, start: int,
+                       count: int, do_load: bool, do_store: bool) -> None:
+        """A load segment fully resident at the home L2 with every lease
+        valid is all hits: Baseline's bulk path serves it and the leases
+        renew in bulk. Anything else goes per line, so the ledger sees
+        every fill and eviction."""
+        if (not do_store and self.lease_observer is None
+                and self.device.l2s[home].run_fully_resident(start, count)
+                and self.leases.run_valid(home, start, count)):
+            super()._route_segment(chiplet, home, start, count, do_load,
+                                   do_store)
+            self.leases.renew_run(home, start, count)
         else:
-            self._sync.lease_stale_refetches += 1
-        tracer = self.device.tracer
-        if tracer.enabled:
-            tracer.lease_event(action=reason, chiplet=home)
+            self._route_lines(chiplet, home, start, count, do_load,
+                              do_store)
 
-    def _absorb_home_eviction(self, home: int, evicted) -> None:
-        if evicted is None:
-            return
-        self.leases.drop(home, evicted.line)
-        if evicted.dirty:
-            self.device.writeback_line(home, evicted.line)
+    # ---- lease mechanics: timestamp's, applied to the home copy ---------
+
+    _self_invalidate = TimestampProtocol._self_invalidate
+    _absorb_eviction = TimestampProtocol._absorb_eviction
 
     # ---- memoization support --------------------------------------------
 

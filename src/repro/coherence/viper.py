@@ -44,13 +44,11 @@ class BaselineProtocol(CoherenceProtocol):
 
     # ---- demand access path --------------------------------------------------
 
-    def access(self, chiplet: int, line: int, is_write: bool) -> None:
+    def _route(self, chiplet: int, line: int, home: int,
+               is_write: bool) -> None:
         """Forward-to-home routing with WB-local / WT-remote stores."""
         device = self.device
-        home = device.home_of(line, chiplet)
         counts = device.counts[chiplet]
-        device.traffic.l1_request()
-        device.traffic.l1_data()
         if home == chiplet:
             hit, evicted = device.l2s[chiplet].access(line, is_write)
             if hit:
@@ -94,45 +92,26 @@ class BaselineProtocol(CoherenceProtocol):
         if evicted is not None and evicted.dirty:
             device.writeback_line(home, evicted.line)
 
-    # ---- bulk (run) access path ------------------------------------------
-
-    def access_run(self, chiplet: int, start: int, count: int,
-                   do_load: bool, do_store: bool) -> int:
-        """Per-run fast path: split on page homes, then go through the
-        bulk cache/L3 operations segment-wise. Bit-identical to the
-        per-line :meth:`access` sweep (the differential tests enforce
-        it); only the order-insensitive bookkeeping is folded. Returns
-        the number of lines homed at ``chiplet``.
-        """
-        device = self.device
-        segments = device.home_map.home_segments(start, start + count,
-                                                 chiplet)
-        local = 0
-        for seg_start, seg_end, home in segments:
-            n = seg_end - seg_start
-            if home == chiplet:
-                local += n
-                self._local_run(chiplet, seg_start, n, do_load, do_store)
-            elif do_load and do_store:
-                # A remote read-modify-write interleaves a home-L2 read
-                # with an invalidation of the same line; replay per line.
-                for line in range(seg_start, seg_end):
-                    self.access(chiplet, line, is_write=False)
-                    self.access(chiplet, line, is_write=True)
-            elif do_store:
-                self._remote_store_run(chiplet, home, seg_start, n)
-            else:
-                self._remote_load_run(chiplet, home, seg_start, n)
-        return local
+    def _route_segment(self, chiplet: int, home: int, start: int,
+                       count: int, do_load: bool, do_store: bool) -> None:
+        """Bulk cache/L3 operations per same-home segment; only the
+        order-insensitive bookkeeping is folded."""
+        if home == chiplet:
+            self._local_run(chiplet, start, count, do_load, do_store)
+        elif do_load and do_store:
+            # A remote read-modify-write interleaves a home-L2 read
+            # with an invalidation of the same line; replay per line.
+            self._route_lines(chiplet, home, start, count, do_load, do_store)
+        elif do_store:
+            self._remote_store_run(chiplet, home, start, count)
+        else:
+            self._remote_load_run(chiplet, home, start, count)
 
     def _local_run(self, chiplet: int, start: int, count: int,
                    do_load: bool, do_store: bool) -> None:
         """Home-local segment: bulk L2 access, misses served in order."""
         device = self.device
         counts = device.counts[chiplet]
-        ops = count * (2 if do_load and do_store else 1)
-        device.traffic.l1_request(ops)
-        device.traffic.l1_data(ops)
         res = device.l2s[chiplet].bulk_access(start=start, count=count,
                                               load=do_load, store=do_store)
         counts.l2_local_hits += res.hits
@@ -151,8 +130,6 @@ class BaselineProtocol(CoherenceProtocol):
         attributed counts, home-attributed victim writebacks."""
         device = self.device
         counts = device.counts[chiplet]
-        device.traffic.l1_request(count)
-        device.traffic.l1_data(count)
         device.traffic.remote_request(count)
         device.traffic.remote_data(count)
         res = device.l2s[home].bulk_access(start=start, count=count,
@@ -171,8 +148,6 @@ class BaselineProtocol(CoherenceProtocol):
         forces the exact per-line L3 op order instead."""
         device = self.device
         counts = device.counts[chiplet]
-        device.traffic.l1_request(count)
-        device.traffic.l1_data(count)
         device.traffic.remote_request(count)
         device.traffic.remote_data(count)
         inv = device.l2s[home].bulk_invalidate(start=start, count=count)

@@ -169,7 +169,7 @@ class Device:
     # Bulk (run) L3 / DRAM paths
     #
     # Bit-exact batched forms of the per-line helpers above, used by the
-    # protocols' `access_run` fast paths. Each replays the same L3
+    # protocols' bulk `_route_segment` hooks. Each replays the same L3
     # operations in the same order a per-line sweep would issue them;
     # only the Python-level looping and traffic-counter arithmetic are
     # folded.

@@ -27,7 +27,6 @@ match this core bit for bit.
 from __future__ import annotations
 
 import enum
-import hashlib
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
@@ -520,57 +519,23 @@ class SetAssocCache:
         return self.num_sets * self.assoc
 
     # ------------------------------------------------------------------
-    # Memoization support (state digest + snapshot/restore)
+    # Canonical state
     # ------------------------------------------------------------------
     #
-    # The memo trace path (src/repro/gpu/memo.py) keys kernel outcomes on
-    # the *behavioral* cache state: which sets exist (in creation order —
+    # The *behavioral* cache state: which sets exist (in creation order —
     # `flush_dirty`/`invalidate_all` iterate `_sets` in that order, which
     # fixes writeback order and hence L3 fill order), each set's lines in
     # LRU order, and their dirty flags. `CacheStats` is cumulative
-    # diagnostics, not behavior, so it is carried as a counter delta
-    # instead of being part of the digest.
+    # diagnostics, not behavior. The differential oracle compares this
+    # state across cache cores; the memo path's digest and
+    # snapshot/restore hooks live on the numpy core, the only core that
+    # path builds.
 
     def memo_state(self) -> tuple:
         """The behavioral state as an immutable canonical structure."""
         return (tuple((idx, tuple(cset.items()))
                       for idx, cset in self._sets.items()),
                 self._resident)
-
-    def memo_digest(self) -> bytes:
-        """A 128-bit digest of :meth:`memo_state`.
-
-        Deterministic across processes (no reliance on ``hash()``), and a
-        pure function of the behavioral state: equal states hash equal.
-        """
-        return hashlib.blake2b(repr(self.memo_state()).encode(),
-                               digest_size=16).digest()
-
-    def memo_snapshot(self) -> tuple:
-        """A snapshot suitable for :meth:`memo_restore`.
-
-        The snapshot shares no structure with the cache and is treated
-        as immutable by all holders (restore copies, never installs), so
-        it can be stored in a cross-run memo table and restored any
-        number of times. Sets are kept as ``OrderedDict`` copies rather
-        than item tuples: ``OrderedDict.copy`` makes restore a C-level
-        copy per set, which is what puts memo-hit replay ahead of
-        re-walking the trace.
-        """
-        return ({idx: cset.copy() for idx, cset in self._sets.items()},
-                self._resident)
-
-    def memo_restore(self, snapshot: tuple) -> None:
-        """Restore the behavioral state captured by :meth:`memo_snapshot`.
-
-        Copies the set dictionaries (plain dict insertion order
-        reproduces the recorded creation order; each ``OrderedDict``
-        copy reproduces the recorded LRU order), leaving :attr:`stats`
-        alone — counters are replayed separately as deltas.
-        """
-        sets_state, resident = snapshot
-        self._sets = {idx: cset.copy() for idx, cset in sets_state.items()}
-        self._resident = resident
 
     def __repr__(self) -> str:
         return (f"SetAssocCache({self.name}, {self.capacity_lines} lines, "

@@ -80,7 +80,8 @@ class NumpyCacheCore(SetAssocCache):
     """Array-native :class:`SetAssocCache` with identical behavior.
 
     Implements the same public protocol (unified ``bulk_*`` API,
-    per-line primitives, sync ops, memo hooks) on numpy matrices. Every
+    per-line primitives, sync ops, ``memo_state``) on numpy matrices,
+    plus the memo path's digest and snapshot/restore hooks. Every
     observable — residency, LRU victim order, dirty flags,
     :class:`~repro.memory.cache.CacheStats`, event streams, writeback
     order — is bit-identical to the dict reference.

@@ -202,7 +202,8 @@ def test_traces_deterministic_across_calls_and_processes():
         out = subprocess.run(
             _digest_cmd("bfs"), capture_output=True, text=True, check=True,
             cwd=__file__.rsplit("/tests/", 1)[0],
-            env={"PYTHONHASHSEED": seed, "PATH": "/usr/bin:/bin"},
+            env={"PYTHONHASHSEED": seed, "PATH": "/usr/bin:/bin",
+                 "PYTHONDONTWRITEBYTECODE": "1"},
         )
         digests.add(out.stdout.strip())
     assert len(digests) == 1

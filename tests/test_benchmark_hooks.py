@@ -7,8 +7,12 @@ escapes the wrapper, so its spans silently read zero while the rest of
 the suite still passes.
 """
 
+from repro.coherence.base import CoherenceProtocol
+from repro.coherence.registry import protocols
 from repro.engine.cache import ResultCache, SharedResultCache
 from repro.engine.dist import DistSweepRunner
+from repro.gpu.config import GPUConfig, monolithic_equivalent
+from repro.gpu.device import Device
 from repro.memory.cache import SetAssocCache
 from repro.memory.npcache import NumpyCacheCore
 
@@ -34,3 +38,19 @@ def test_result_cache_methods():
 
 def test_sweep_runner_run():
     assert "run" in vars(DistSweepRunner)
+
+
+def test_demand_access_is_defined_on_the_protocol_base_only():
+    """``access`` and ``access_run`` are the one skeleton every protocol
+    shares: a renamed one zeroes the ``coherence.*`` spans, and a
+    re-defined one escapes the wrapper on the base."""
+    for name in ("access", "access_run"):
+        assert name in vars(CoherenceProtocol), name
+    config = GPUConfig(num_chiplets=2, scale=1 / 4096)
+    for spec in protocols():
+        cfg = (monolithic_equivalent(config) if spec.name == "monolithic"
+               else config)
+        mro = type(spec.build(cfg, Device(cfg))).__mro__
+        for cls in mro[:mro.index(CoherenceProtocol)]:
+            for name in ("access", "access_run"):
+                assert name not in vars(cls), (spec.name, cls, name)

@@ -24,7 +24,7 @@ from repro.gpu.memo import (
     store_for,
 )
 from repro.gpu.sim import Simulator
-from repro.memory.cache import SetAssocCache
+from repro.memory.npcache import NumpyCacheCore
 from repro.workloads.base import (
     clear_trace_cache,
     interned_runs_for_arg,
@@ -55,8 +55,8 @@ def _config(**kw) -> GPUConfig:
 # Cache digest / snapshot / stats delta
 
 
-def _touched_cache() -> SetAssocCache:
-    cache = SetAssocCache(size_bytes=64 * 64, assoc=4, name="L2")
+def _touched_cache() -> NumpyCacheCore:
+    cache = NumpyCacheCore(size_bytes=64 * 64, assoc=4, name="L2")
     cache.bulk_access(start=0, count=100, load=True, store=True)
     cache.bulk_access(start=50, count=30, load=True, store=False)
     return cache
