@@ -205,16 +205,16 @@ def run_bench(scale: float = FULL_SCALE, chiplets: int = 4,
 
 def _time_cell_memo(config: GPUConfig, workload_name: str,
                     protocol: str) -> Tuple[float, int, dict,
-                                            Tuple[int, int, int]]:
+                                            Tuple[int, int]]:
     """Simulate one cell on the memo path; also return its
-    (hits, misses, bypasses) counters."""
+    (hits, misses) counters."""
     sim = Simulator(config, protocol=protocol, trace_path=TracePath.MEMO)
     workload = build_workload(workload_name, config)
     t0 = time.perf_counter()
     result = sim.run(workload)
     dt = time.perf_counter() - t0
     return (dt, sim.last_trace_lines, result.to_dict(),
-            (result.memo_hits, result.memo_misses, result.memo_bypasses))
+            (result.memo_hits, result.memo_misses))
 
 
 def run_memo_bench(scale: float = FULL_SCALE, chiplets: int = 4,
@@ -230,10 +230,9 @@ def run_memo_bench(scale: float = FULL_SCALE, chiplets: int = 4,
     ``repeats`` timed repetitions that replay from it (hit-runs) —
     exactly the bench/engine repeat pattern the memo path exists for.
     Timing the recording rep would leave the memo side one warm sample
-    short of the run side under best-of-``repeats``, skewing
-    bypass-heavy cells where warm memo and run are near-equal. Every
-    repetition, including the untimed one, re-asserts bit-identity
-    against the run path.
+    short of the run side under best-of-``repeats``. Every repetition,
+    including the untimed one, re-asserts bit-identity against the run
+    path.
     """
     from repro.gpu.memo import clear_memo_stores
 
@@ -254,7 +253,7 @@ def run_memo_bench(scale: float = FULL_SCALE, chiplets: int = 4,
         for workload in workloads:
             run_best = memo_best = float("inf")
             lines = 0
-            counters = (0, 0, 0)
+            counters = (0, 0)
             # Untimed recording rep: populates the memo store so every
             # timed rep below measures the warm (replay) path.
             _, n_w, d_w, _ = _time_cell_memo(config, workload, protocol)
@@ -275,7 +274,7 @@ def run_memo_bench(scale: float = FULL_SCALE, chiplets: int = 4,
                 run_best = min(run_best, dt_r)
                 memo_best = min(memo_best, dt_m)
                 lines = n_r
-            hits, misses, bypasses = counters
+            hits, misses = counters
             cells.append({
                 "workload": workload,
                 "protocol": protocol,
@@ -285,7 +284,6 @@ def run_memo_bench(scale: float = FULL_SCALE, chiplets: int = 4,
                 "speedup": round(run_best / memo_best, 3),
                 "memo_hits": hits,
                 "memo_misses": misses,
-                "memo_bypasses": bypasses,
                 "identical": True,
             })
             agg_run += run_best
@@ -295,7 +293,7 @@ def run_memo_bench(scale: float = FULL_SCALE, chiplets: int = 4,
                 progress(f"  {workload}/{protocol}: run {run_best:.3f}s, "
                          f"memo {memo_best:.3f}s "
                          f"({run_best / memo_best:.1f}x; "
-                         f"{hits}h/{misses}m/{bypasses}b)")
+                         f"{hits}h/{misses}m)")
     report = {
         "benchmark": "kernel-outcome memoization vs batched run path",
         "sweep": "iterative" if workloads == ITERATIVE_SWEEP else "custom",
@@ -483,8 +481,7 @@ def summarize_memo(report: Dict) -> str:
                     f"run {cell['run_seconds']:7.3f}s  "
                     f"memo {cell['memo_seconds']:7.3f}s  "
                     f"{cell['speedup']:5.1f}x  "
-                    f"({cell['memo_hits']}h/{cell['memo_misses']}m/"
-                    f"{cell['memo_bypasses']}b)")
+                    f"({cell['memo_hits']}h/{cell['memo_misses']}m)")
     agg = report["aggregate"]
     meta = report["meta"]
     rows.append(

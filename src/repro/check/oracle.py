@@ -139,8 +139,8 @@ def final_state_fingerprint(sim: Simulator) -> Dict[str, str]:
     protocol = sim.last_protocol
     assert device is not None and protocol is not None
     state: Dict[str, str] = {}
-    for chiplet, l2 in enumerate(device.l2s):
-        state[f"l2[{chiplet}]"] = repr(l2.memo_state())
+    for chiplet in device.chiplets:
+        state[f"l2[{chiplet.chiplet_id}]"] = repr(chiplet.l2.memo_state())
     state["l3"] = repr(device.l3.memo_state())
     state["page_homes"] = repr(device.home_map.page_homes())
     snapshot = protocol.memo_snapshot()

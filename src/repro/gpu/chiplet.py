@@ -9,9 +9,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.memory.cache import WritePolicy
+from repro.memory.cache import SetAssocCache, WritePolicy
 from repro.memory.lds import LocalDataShare
-from repro.memory.npcache import make_cache_core
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only imports
     from repro.gpu.config import GPUConfig
@@ -21,12 +20,10 @@ class Chiplet:
     """Hardware state of one chiplet."""
 
     def __init__(self, chiplet_id: int, config: "GPUConfig",
-                 l2_policy: WritePolicy = WritePolicy.WRITE_BACK,
-                 cache_core: str = "dict") -> None:
+                 l2_policy: WritePolicy = WritePolicy.WRITE_BACK) -> None:
         self.chiplet_id = chiplet_id
         self.config = config
-        self.l2 = make_cache_core(
-            cache_core,
+        self.l2 = SetAssocCache(
             size_bytes=config.scaled_l2_size,
             assoc=config.l2_assoc,
             line_size=config.line_size,

@@ -17,7 +17,6 @@ from repro.interconnect.noc import TrafficMeter
 from repro.memory.address import HomeMap
 from repro.memory.cache import SetAssocCache, WritePolicy
 from repro.memory.dram import DRAMModel
-from repro.memory.npcache import make_cache_core
 from repro.memory.l1 import L1Filter
 from repro.memory.translation import AddressTranslator
 from repro.metrics.stats import AccessCounts
@@ -33,16 +32,15 @@ class Device:
     """All hardware state of one simulated MCM-GPU."""
 
     def __init__(self, config: "GPUConfig",
-                 l2_policy: WritePolicy = WritePolicy.WRITE_BACK,
-                 cache_core: str = "dict") -> None:
+                 l2_policy: WritePolicy = WritePolicy.WRITE_BACK) -> None:
         self.config = config
-        self.cache_core = cache_core
         self.chiplets: List[Chiplet] = [
-            Chiplet(i, config, l2_policy, cache_core)
+            Chiplet(i, config, l2_policy)
             for i in range(config.num_chiplets)
         ]
-        self.l3 = make_cache_core(
-            cache_core,
+        #: Per-chiplet L2 caches, in chiplet order.
+        self.l2s: List[SetAssocCache] = [c.l2 for c in self.chiplets]
+        self.l3 = SetAssocCache(
             size_bytes=config.scaled_l3_size,
             assoc=config.l3_assoc,
             line_size=config.line_size,
@@ -99,11 +97,6 @@ class Device:
     # ------------------------------------------------------------------
     # Address / placement helpers
     # ------------------------------------------------------------------
-
-    @property
-    def l2s(self) -> List[SetAssocCache]:
-        """Per-chiplet L2 caches."""
-        return [c.l2 for c in self.chiplets]
 
     def home_of(self, line: int, toucher: int) -> int:
         """Home chiplet of ``line`` under first-touch placement."""

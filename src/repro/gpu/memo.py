@@ -9,9 +9,10 @@ cumulative counter, and the :class:`~repro.metrics.stats.KernelMetrics`
 it produced — is a pure function of:
 
 * the kernel (its packet contents, minus the dynamic ``kernel_id``),
-* the pre-kernel *behavioral state* of every stateful component, and
+* the pre-kernel *behavioral state* of every stateful component,
 * a few launch-position facts (is this the first launch? does CPElide's
-  first-launch overhead still apply?).
+  first-launch overhead still apply?), and
+* for a kernel whose trace depends on the dynamic kernel id, that id.
 
 This module records that transition once (a *miss*) and replays it on
 every later occurrence (a *hit*) instead of re-walking the trace. The
@@ -24,15 +25,10 @@ memo path bit-identical to the ``run`` path.
 
 Kernels whose trace depends on the dynamic kernel id — RANDOM/INDIRECT
 arguments with a nonzero *roam* share draw from an RNG seeded with the
-kernel id — are **bypassed**: they run the normal path (their outcome
-would not replay at a different launch index). The carried digests are
-not discarded at a bypass, though: the simulator is deterministic, so
-the post-bypass state is itself a pure function of (pre-state, kernel,
-launch index), and the memoizer *chains* each carried digest with the
-bypassed kernel's identity instead of re-hashing the full live state.
-Deterministic repeats reproduce the same chain, so the kernels *after*
-a bypass still hit — this is what keeps bypass-heavy workloads (BFS,
-SSSP) from paying a full-state digest on every iteration.
+kernel id — carry their launch index in the key: their outcome replays
+exactly at the same launch index and never at another, so a repeated
+run of a roaming workload (BFS, SSSP frontier loops) replays every
+kernel.
 
 Memo stores are module-level and keyed by the simulation context
 (config repr, protocol name, scheduler), so hits flow across
@@ -44,7 +40,6 @@ the parent's warmed store copy-on-write).
 from __future__ import annotations
 
 from collections import OrderedDict
-from hashlib import blake2b
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -189,10 +184,10 @@ def kernel_is_bypassed(kernel) -> bool:
     RANDOM/INDIRECT arguments split their sample into a *stable* part
     (seeded per logical chiplet only) and a *roam* part (seeded with the
     kernel id). Any nonzero roam share makes the trace a function of the
-    launch index, which the memo key deliberately excludes — so such
-    kernels are simulated normally. The check is conservative on the
-    bypass side: a roam share that rounds to zero lines still bypasses
-    (costing a memo opportunity, never correctness).
+    launch index, so :meth:`KernelMemoizer.lookup_key` adds the launch
+    index to such a kernel's key. The check is conservative: a roam
+    share that rounds to zero lines still counts (costing replays at
+    other launch indices, never correctness).
     """
     for arg in kernel.args:
         if arg.pattern in (PatternKind.RANDOM, PatternKind.INDIRECT):
@@ -202,21 +197,6 @@ def kernel_is_bypassed(kernel) -> bool:
             if share < 1.0:
                 return True
     return False
-
-
-def workload_is_all_bypass(workload) -> bool:
-    """Whether *every* kernel of ``workload`` is memo-bypassed.
-
-    The cheap pre-scan the simulator runs before building a
-    :class:`KernelMemoizer`: pure-roam workloads (BFS/SSSP frontier
-    loops) bypass every kernel, so the memoizer would only ever pay
-    digest-chaining and snapshot bookkeeping without a single replay.
-    Classification reads static argument metadata only — no trace is
-    sampled and no state is hashed — so the scan costs microseconds
-    against the milliseconds it saves per run.
-    """
-    kernels = workload.kernels
-    return bool(kernels) and all(kernel_is_bypassed(k) for k in kernels)
 
 
 class KernelMemoizer:
@@ -241,7 +221,7 @@ class KernelMemoizer:
                           and hasattr(wg_scheduler, "memo_digest")
                           else None)
         #: L2s in chiplet order, then the L3 — digest/snapshot order.
-        self.caches = list(device.l2s) + [device.l3]
+        self.caches = device.l2s + [device.l3]
         device.home_map.memo_enable()
         #: Carried component digests (``None`` = stale, recompute).
         self._digests: Optional[Tuple[bytes, ...]] = None
@@ -256,7 +236,6 @@ class KernelMemoizer:
         self._sched_slot = len(self.caches) + 2
         self.hits = 0
         self.misses = 0
-        self.bypasses = 0
 
     # -- key ------------------------------------------------------------
 
@@ -271,42 +250,23 @@ class KernelMemoizer:
     def lookup_key(self, kernel) -> tuple:
         """The transition key for launching ``kernel`` from the current
         state: pre-state digests, the kernel's full (id-free) identity,
-        and the launch-position flags that gate one-time overheads."""
+        the launch-position flags that gate one-time overheads, and —
+        only when the kernel's trace depends on it — the kernel id the
+        launch will get."""
         if self._digests is None:
             self._digests = self._compute_digests()
         flags = ((self.global_cp.kernels_launched == 0,)
                  + self.protocol.memo_key_flags())
-        return (self._digests, repr(kernel), flags)
-
-    def note_bypass(self, kernel) -> None:
-        """``kernel`` is about to run outside the memo machinery: bring
-        the live state current and *chain* the carried digests.
-
-        The simulation is deterministic, so the state after the bypassed
-        kernel is a pure function of (pre-state, kernel, launch index) —
-        hashing each carried digest together with that kernel identity
-        yields a fingerprint that uniquely identifies the post-bypass
-        state without reading it. Chained digests only ever match keys
-        recorded via the same chain, which deterministic repeats
-        reproduce exactly; re-hashing the full live state here instead
-        made bypass-heavy workloads slower than the plain run path.
-        """
-        self.flush_pending()
-        self.bypasses += 1
-        if self._digests is None:
-            self._digests = self._compute_digests()
-        tag = repr((repr(kernel), self.global_cp.kernels_launched,
-                    self.protocol.memo_key_flags())).encode()
-        self._digests = tuple(
-            blake2b(digest + tag, digest_size=16).digest()
-            for digest in self._digests)
+        kernel_id = (self.driver.kernels_enqueued
+                     if kernel_is_bypassed(kernel) else None)
+        return (self._digests, repr(kernel), flags, kernel_id)
 
     def flush_pending(self) -> None:
         """Materialize deferred hit restores into the live components.
 
         Must run before anything reads simulated state directly: a miss
-        (the real kernel run), a bypass, or the simulator's end-of-run
-        release. Idempotent and cheap when nothing is pending.
+        (the real kernel run) or the simulator's end-of-run release.
+        Idempotent and cheap when nothing is pending.
         """
         if not self._pending:
             return

@@ -63,7 +63,8 @@ class SimulationResult:
     protocol: str
     num_chiplets: int
     #: Memo trace-path diagnostics (kernels replayed from / recorded
-    #: into / excluded from the memo store). ``None`` whenever the run
+    #: into the memo store; ``memo_bypasses`` is always 0 on the memo
+    #: path, since every kernel is keyed). ``None`` whenever the run
     #: was not memoized — the line and run paths, and results rebuilt
     #: from a serialized dump (the counters are deliberately *not* part
     #: of :meth:`to_dict`: the dump must stay bit-identical across trace
@@ -156,12 +157,9 @@ class Simulator:
         #: Observability tracepoint sink; :data:`~repro.obs.tracer
         #: .NULL_TRACER` (free) unless a tracer was attached.
         self.tracer: Tracer = tracer if tracer is not None else NULL_TRACER
-        #: Memo outcome ("hit"/"miss"/"bypass") of the kernel currently
-        #: executing, consumed by the kernel-complete tracepoint.
+        #: Memo outcome ("hit"/"miss") of the kernel currently executing,
+        #: consumed by the kernel-complete tracepoint.
         self._memo_outcome: Optional[str] = None
-        #: Whether the current memo-path run skipped the memoizer
-        #: because every kernel is bypassed (set per run).
-        self._memo_all_bypass = False
         self.energy_model = energy_model or EnergyModel()
         #: Trace lines swept by the most recent :meth:`run` (all kernels);
         #: the bench harness reads this for its lines/sec figures.
@@ -182,11 +180,7 @@ class Simulator:
     def run(self, workload: Workload) -> SimulationResult:
         """Simulate ``workload`` end to end and return its metrics."""
         config = self.config
-        # The per-line reference path keeps the dict-backed cache core;
-        # the batched paths run on the vectorized numpy core. Both are
-        # bit-identical (the differential oracle compares across them).
-        device = Device(config, cache_core=(
-            "dict" if self.trace_path is TracePath.LINE else "numpy"))
+        device = Device(config)
         # Installed before protocol construction so components built by
         # the protocol (e.g. the coherence table) share the tracer.
         tracer = self.tracer
@@ -210,7 +204,7 @@ class Simulator:
                            if self.check_enabled else None)
         self.last_sanitizer = self._sanitizer
         memoizer = self._make_memoizer(device, protocol, global_cp, driver,
-                                       wg_scheduler, workload)
+                                       wg_scheduler)
         metrics = RunMetrics(workload=workload.name,
                              protocol=protocol.name,
                              num_chiplets=config.num_chiplets)
@@ -229,13 +223,8 @@ class Simulator:
                 km = self._run_kernel_memo(kernel, driver, device, protocol,
                                            global_cp, timing, memoizer)
             else:
-                if self._memo_all_bypass:
-                    self._memo_outcome = "bypass"
                 km = self._run_kernel(kernel, driver, device, protocol,
                                       global_cp, timing)
-                if self._memo_all_bypass and tracer.enabled:
-                    tracer.memo_event(outcome="bypass", name=km.kernel_name,
-                                      index=km.kernel_index)
             metrics.add_kernel(km)
             stream_clocks[kernel.stream_id] += km.cycles
             if tracer.enabled:
@@ -273,11 +262,7 @@ class Simulator:
         if memoizer is not None:
             result.memo_hits = memoizer.hits
             result.memo_misses = memoizer.misses
-            result.memo_bypasses = memoizer.bypasses
-        elif self._memo_all_bypass:
-            result.memo_hits = 0
-            result.memo_misses = 0
-            result.memo_bypasses = len(workload.kernels)
+            result.memo_bypasses = 0
         if tracer.enabled:
             tracer.run_end(wall_cycles=wall, kernels=len(workload.kernels))
             result.obs = self._harvest_obs(tracer)
@@ -296,29 +281,15 @@ class Simulator:
         return registry.aggregate().to_dict(include_children=False)
 
     def _make_memoizer(self, device, protocol, global_cp, driver,
-                       wg_scheduler, workload):
+                       wg_scheduler):
         """Build the run's :class:`~repro.gpu.memo.KernelMemoizer`, or
         ``None`` off the memo path. Custom protocol factories have no
         stable registry name to key the shared store by, so they run
-        unmemoized even under ``trace_path='memo'``.
-
-        When *every* kernel in the workload is memo-bypassed (pure roam
-        workloads such as bfs/sssp), the memoizer would be pure
-        overhead: each bypass still forces pending restores to
-        materialize and chains the workload digest. The cheap pre-scan
-        below skips the machinery entirely; :meth:`run` still reports
-        the bypass counters and tracepoints, so the memo path can never
-        lose to the run path on all-bypass workloads.
-        """
-        self._memo_all_bypass = False
+        unmemoized even under ``trace_path='memo'``."""
         if self.trace_path is not TracePath.MEMO or callable(
                 self.protocol_name):
             return None
-        from repro.gpu.memo import (KernelMemoizer, store_for,
-                                    workload_is_all_bypass)
-        if workload_is_all_bypass(workload):
-            self._memo_all_bypass = True
-            return None
+        from repro.gpu.memo import KernelMemoizer, store_for
         context = (repr(self.config), protocol.name, self.scheduler)
         return KernelMemoizer(store_for(context), device, protocol,
                               global_cp, driver, wg_scheduler)
@@ -385,20 +356,8 @@ class Simulator:
                          memoizer) -> KernelMetrics:
         """Memo trace path: replay a recorded outcome when this exact
         (kernel, pre-state, launch position) transition has been seen,
-        otherwise run the kernel for real and record it. Kernels whose
-        trace depends on the dynamic kernel id bypass memoization."""
-        from repro.gpu.memo import kernel_is_bypassed
-
+        otherwise run the kernel for real and record it."""
         tracer = self.tracer
-        if kernel_is_bypassed(kernel):
-            memoizer.note_bypass(kernel)
-            self._memo_outcome = "bypass"
-            km = self._run_kernel(kernel, driver, device, protocol,
-                                  global_cp, timing)
-            if tracer.enabled:
-                tracer.memo_event(outcome="bypass", name=km.kernel_name,
-                                  index=km.kernel_index)
-            return km
         key = memoizer.lookup_key(kernel)
         entry = memoizer.store.get(key)
         if entry is not None:

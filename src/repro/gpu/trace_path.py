@@ -4,9 +4,9 @@ The simulator can drive a workload through three bit-identical trace
 representations (tests/test_batched_equivalence.py and the differential
 oracle enforce the identity):
 
-* :attr:`TracePath.LINE` — the per-line dict-backed reference path;
-* :attr:`TracePath.RUN` — the batched interval-run path on the
-  vectorized numpy cache core (the fast default);
+* :attr:`TracePath.LINE` — the per-line reference path;
+* :attr:`TracePath.RUN` — the batched interval-run path (the fast
+  default);
 * :attr:`TracePath.MEMO` — kernel-outcome memoization layered on the
   run path (:mod:`repro.gpu.memo`).
 

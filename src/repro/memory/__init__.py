@@ -31,7 +31,6 @@ from repro.memory.cache import (
 from repro.memory.dram import DRAMModel
 from repro.memory.l1 import L1Filter
 from repro.memory.lds import LocalDataShare
-from repro.memory.npcache import NumpyCacheCore, make_cache_core
 from repro.memory.translation import AddressTranslator, PageSpan
 
 __all__ = [
@@ -47,10 +46,8 @@ __all__ = [
     "BulkResult",
     "CacheStats",
     "Eviction",
-    "NumpyCacheCore",
     "SetAssocCache",
     "WritePolicy",
-    "make_cache_core",
     "DRAMModel",
     "L1Filter",
     "LocalDataShare",

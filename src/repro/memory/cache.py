@@ -15,18 +15,21 @@ Supported behaviours needed by the three evaluated protocols:
   back, the cache retains a clean copy of the line"),
 * per-line invalidation (HMG directory-eviction invalidations).
 
-:class:`SetAssocCache` is the per-line reference. Its ``bulk_*``
-operations are plain loops over its per-line primitives, so the
-behaviour they define (residency, dirty flags, LRU order within a set,
-set-creation order, stats) is exactly that of the per-line calls. It
-backs the per-line ``line`` trace path. The run and memo paths use the
-vectorized :class:`~repro.memory.npcache.NumpyCacheCore`, which must
-match this core bit for bit.
+:class:`SetAssocCache` backs every cache on all three trace paths. Its
+per-line primitives (``access``, ``fill``, ``flush_line``,
+``invalidate_line``) are the reference semantics. Its ``bulk_*``
+operations are loops over them, except :meth:`SetAssocCache.bulk_access`,
+the bulk op the run path calls most: it inlines ``access`` into one loop
+over the sets. Either way the behaviour a bulk op defines (residency,
+dirty flags, LRU order within a set, set-creation order, stats) is
+exactly that of the per-line calls.
 """
 
 from __future__ import annotations
 
 import enum
+import hashlib
+import marshal
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
@@ -262,13 +265,11 @@ class SetAssocCache:
     #
     # One keyword-only signature shape per operation, all returning a
     # shared :class:`BulkResult`. The public methods validate their
-    # arguments and hand the work to a private helper. Here each helper
-    # is a plain loop over the per-line primitives, in the order the
-    # docstrings give, so this core *is* the per-line semantics the bulk
-    # API promises; :class:`~repro.memory.npcache.NumpyCacheCore`
-    # overrides the helpers with array sweeps and is held to this
-    # reference by tests/test_np_cache_lockstep.py,
-    # tests/test_cache_runs.py and the differential oracle.
+    # arguments and hand the work to a private helper, which issues the
+    # per-line operations in the order the docstrings give.
+    # tests/test_cache_runs.py holds each helper to the per-line calls,
+    # and the differential oracle holds the run and memo paths to the
+    # line path.
 
     def bulk_access(self, *, start: int, count: int, load: bool,
                     store: bool) -> BulkResult:
@@ -289,21 +290,55 @@ class SetAssocCache:
 
     def _access_run(self, start: int, count: int, load: bool,
                     store: bool) -> BulkResult:
-        hits = 0
+        # `access` inlined: a hit re-inserts the line at the MRU end, a
+        # miss pops the LRU victim of a full set first. Of a load+store
+        # pair the store hits the line the load just placed, so the pair
+        # leaves the dirty flag a lone store would; only the stats tell
+        # the two apart, and they are added once for the whole run.
+        sets = self._sets
+        num_sets = self.num_sets
+        assoc = self.assoc
+        store_dirty = store and self.policy is WritePolicy.WRITE_BACK
+        hits = evictions = dirty_evictions = 0
         events: List[Tuple[int, Optional[int], bool]] = []
+        append = events.append
         for line in range(start, start + count):
-            hit, evicted = self.access(line, is_write=not load)
-            if load and store:
-                self.access(line, is_write=True)
-            if hit:
+            cset = sets.get(line % num_sets)
+            if cset is None:
+                cset = sets[line % num_sets] = OrderedDict()
+            dirty = cset.pop(line, None)
+            if dirty is not None:
                 hits += 1
-            elif evicted is None:
-                events.append((line, None, False))
+                cset[line] = dirty or store_dirty
+                continue
+            if len(cset) >= assoc:
+                victim, victim_dirty = cset.popitem(last=False)
+                evictions += 1
+                dirty_evictions += victim_dirty
+                append((line, victim, victim_dirty))
             else:
-                events.append((line, evicted.line, evicted.dirty))
-        if hits == 0 and all(victim is None for _, victim, _ in events):
+                append((line, None, False))
+            cset[line] = store_dirty
+        misses = count - hits
+        stats = self.stats
+        stats.evictions += evictions
+        stats.dirty_evictions += dirty_evictions
+        self._resident += misses - evictions
+        if load:
+            stats.hits += hits
+            stats.read_hits += hits
+            stats.read_misses += misses
+            if store:
+                stats.hits += count
+                stats.write_hits += count
+        else:
+            stats.hits += hits
+            stats.write_hits += hits
+            stats.write_misses += misses
+        stats.misses += misses
+        if hits == 0 and evictions == 0:
             return BulkResult(misses=count, uniform_miss=True)
-        return BulkResult(hits=hits, misses=count - hits, events=events)
+        return BulkResult(hits=hits, misses=misses, events=events)
 
     def bulk_fill(self, *, lines, dirty: bool = False) -> BulkResult:
         """:meth:`fill` every line of an iterable, in order.
@@ -526,16 +561,54 @@ class SetAssocCache:
     # `flush_dirty`/`invalidate_all` iterate `_sets` in that order, which
     # fixes writeback order and hence L3 fill order), each set's lines in
     # LRU order, and their dirty flags. `CacheStats` is cumulative
-    # diagnostics, not behavior. The differential oracle compares this
-    # state across cache cores; the memo path's digest and
-    # snapshot/restore hooks live on the numpy core, the only core that
-    # path builds.
+    # diagnostics, not behavior, so the memo trace path
+    # (src/repro/gpu/memo.py) carries it as a counter delta instead of
+    # keying on it. The differential oracle compares this state across
+    # trace paths.
 
     def memo_state(self) -> tuple:
         """The behavioral state as an immutable canonical structure."""
         return (tuple((idx, tuple(cset.items()))
                       for idx, cset in self._sets.items()),
                 self._resident)
+
+    def memo_digest(self) -> bytes:
+        """A 128-bit digest of :meth:`memo_state`.
+
+        Deterministic across processes (no reliance on ``hash()``), and a
+        pure function of the behavioral state: equal states hash equal.
+        Each set contributes its lines and its flags as two tuples;
+        marshal format 2 writes no back-references, so the bytes depend
+        on the values alone, never on which int objects are shared.
+        """
+        return hashlib.blake2b(
+            marshal.dumps([(idx, tuple(cset), tuple(cset.values()))
+                           for idx, cset in self._sets.items()], 2),
+            digest_size=16).digest()
+
+    def memo_snapshot(self) -> tuple:
+        """A snapshot suitable for :meth:`memo_restore`.
+
+        The snapshot shares no structure with the cache and is treated
+        as immutable by all holders (restore copies, never installs), so
+        it can be stored in a cross-run memo table and restored any
+        number of times. Sets are kept as ``OrderedDict`` copies, so a
+        restore is one C-level copy per set.
+        """
+        return ({idx: cset.copy() for idx, cset in self._sets.items()},
+                self._resident)
+
+    def memo_restore(self, snapshot: tuple) -> None:
+        """Restore the behavioral state captured by :meth:`memo_snapshot`.
+
+        Copies the set dictionaries (plain dict insertion order
+        reproduces the recorded creation order; each ``OrderedDict``
+        copy reproduces the recorded LRU order), leaving :attr:`stats`
+        alone — counters are replayed separately as deltas.
+        """
+        sets_state, resident = snapshot
+        self._sets = {idx: cset.copy() for idx, cset in sets_state.items()}
+        self._resident = resident
 
     def __repr__(self) -> str:
         return (f"SetAssocCache({self.name}, {self.capacity_lines} lines, "

@@ -1,15 +1,15 @@
 """Vectorized numpy cache core, bit-identical to the dict reference.
 
 :class:`NumpyCacheCore` re-implements :class:`~repro.memory.cache.
-SetAssocCache` storage on flat tag/dirty/stamp matrices so the bulk
-operations the run and memo trace paths live on become array sweeps
-instead of per-line dict work. The dict-backed base class is the
-per-line reference: its bulk operations are plain loops over its
-per-line calls, and it backs the per-line ``line`` trace path. The
-cross-path differential oracle (``python -m repro check``, which
-compares ordered cache state) and the lockstep property tests
-(tests/test_np_cache_lockstep.py, tests/test_cache_runs.py) hold this
-core to that reference.
+SetAssocCache` storage on flat tag/dirty/stamp matrices, so bulk
+operations become array sweeps instead of per-line dict work. The
+simulator does not build it: at every scale the benchmark and the
+experiments use, the dict core is faster (numpy's per-call overhead
+outweighs the sweeps on runs of a few dozen lines). Nothing in the
+package imports this module. The repository benchmark's per-layer
+tracer (perfbench/layers.py) still wraps its ``access`` and ``lookup``,
+and the lockstep property tests (tests/test_np_cache_lockstep.py,
+tests/test_cache_runs.py) hold it to the dict core.
 
 Layout
 ------
@@ -58,30 +58,12 @@ from repro.memory.cache import (
 _FREE = 1 << 62
 
 
-def make_cache_core(backend: str, *, size_bytes: int, assoc: int,
-                    line_size: int = 64,
-                    policy: WritePolicy = WritePolicy.WRITE_BACK,
-                    name: str = "cache") -> SetAssocCache:
-    """Build a cache with the requested storage backend.
-
-    ``"dict"`` is the per-line reference :class:`SetAssocCache` (the
-    ``line`` trace path); ``"numpy"`` the vectorized
-    :class:`NumpyCacheCore` (the run and memo paths).
-    """
-    cores = {"dict": SetAssocCache, "numpy": NumpyCacheCore}
-    if backend not in cores:
-        raise ValueError(f"unknown cache core {backend!r} "
-                         "(expected 'dict' or 'numpy')")
-    return cores[backend](size_bytes=size_bytes, assoc=assoc,
-                          line_size=line_size, policy=policy, name=name)
-
-
 class NumpyCacheCore(SetAssocCache):
     """Array-native :class:`SetAssocCache` with identical behavior.
 
     Implements the same public protocol (unified ``bulk_*`` API,
-    per-line primitives, sync ops, ``memo_state``) on numpy matrices,
-    plus the memo path's digest and snapshot/restore hooks. Every
+    per-line primitives, sync ops, memo state, digest and
+    snapshot/restore hooks) on numpy matrices. Every
     observable — residency, LRU victim order, dirty flags,
     :class:`~repro.memory.cache.CacheStats`, event streams, writeback
     order — is bit-identical to the dict reference.
@@ -830,10 +812,7 @@ class NumpyCacheCore(SetAssocCache):
         return h.digest()
 
     def memo_snapshot(self) -> tuple:
-        """Array copies — a handful of C-level memcpys, which is what
-        makes memo snapshot/restore cheap enough to never lose to the
-        run path (the dict core's per-set ``OrderedDict.copy`` walk was
-        the bfs/sssp memo regression)."""
+        """Array copies — a handful of C-level memcpys."""
         return (self._tags.copy(), self._dirty.copy(), self._stamp.copy(),
                 self._occ.copy(), self._created.copy(), self._tick,
                 self._next_rank, self._resident)

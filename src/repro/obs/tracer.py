@@ -124,7 +124,7 @@ class Tracer:
     # ---- memoization ----------------------------------------------------
 
     def memo_event(self, *, outcome: str, name: str, index: int) -> None:
-        """Memo trace path: ``hit``, ``miss``, or ``bypass``."""
+        """Memo trace path: ``hit`` or ``miss``."""
 
     # ---- HMG directory ---------------------------------------------------
 

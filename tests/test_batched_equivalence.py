@@ -9,6 +9,7 @@ fast paths are written against.
 
 from __future__ import annotations
 
+import json
 import subprocess
 import sys
 from types import SimpleNamespace
@@ -119,16 +120,63 @@ def test_memo_counters_second_run_hits():
     assert second.memo_misses == 0
 
 
-def test_memo_bypasses_roaming_random_kernels():
-    """bfs's frontier kernels roam (kernel-id-seeded sample), so they
-    must bypass memoization — and the bypass must be counted."""
+def test_memo_replays_roaming_kernels_at_their_launch_index():
+    """bfs's frontier kernels roam (kernel-id-seeded sample), so their
+    memo key carries the launch index: a second run launches each at the
+    same index and replays all of them, byte for byte the run path's
+    result."""
     config = GPUConfig(num_chiplets=4, scale=SCALE)
-    workload = build_workload("bfs", config)
-    result = Simulator(config, protocol="cpelide",
-                       trace_path="memo").run(workload)
-    assert result.memo_bypasses > 0
-    assert (result.memo_hits + result.memo_misses
-            + result.memo_bypasses) == len(workload.kernels)
+    first = Simulator(config, protocol="cpelide", trace_path="memo").run(
+        build_workload("bfs", config))
+    second = Simulator(config, protocol="cpelide", trace_path="memo").run(
+        build_workload("bfs", config))
+    run = Simulator(config, protocol="cpelide", trace_path="run").run(
+        build_workload("bfs", config))
+    kernels = len(build_workload("bfs", config).kernels)
+    assert kernels == 24
+    assert first.memo_bypasses == second.memo_bypasses == 0
+    assert first.memo_hits + first.memo_misses == kernels
+    assert (second.memo_hits, second.memo_misses) == (kernels, 0)
+    dump = json.dumps(run.to_dict(), sort_keys=True)
+    assert json.dumps(first.to_dict(), sort_keys=True) == dump
+    assert json.dumps(second.to_dict(), sort_keys=True) == dump
+
+
+def test_roaming_kernel_never_replays_at_another_launch_index():
+    """A transition recorded for a roaming kernel at one launch index is
+    not found at another from the same state; an id-free kernel's key
+    ignores the index."""
+    from repro.coherence.base import make_protocol
+    from repro.cp.driver import GPUDriver
+    from repro.cp.global_cp import GlobalCP
+    from repro.gpu.memo import KernelMemoizer, MemoStore, kernel_is_bypassed
+
+    config = GPUConfig(num_chiplets=4, scale=SCALE)
+    roam = next(k for k in build_workload("bfs", config).kernels
+                if kernel_is_bypassed(k))
+    steady = build_workload("hotspot", config).kernels[0]
+    assert not kernel_is_bypassed(steady)
+    device = Device(config)
+    protocol = make_protocol("cpelide", config, device)
+    driver = GPUDriver(config)
+    memoizer = KernelMemoizer(MemoStore(), device, protocol,
+                              GlobalCP(config, device, protocol), driver)
+    memoizer.store.put(memoizer.lookup_key(roam), "recorded at 0")
+    steady_key = memoizer.lookup_key(steady)
+    assert memoizer.store.get(memoizer.lookup_key(roam)) == "recorded at 0"
+    driver.enqueue_kernel(steady)  # the next launch gets kernel id 1
+    assert memoizer.store.get(memoizer.lookup_key(roam)) is None
+    assert memoizer.lookup_key(steady) == steady_key
+
+
+@pytest.mark.parametrize("trace_path", ["line", "run", "memo"])
+def test_every_trace_path_builds_dict_caches(trace_path):
+    config = GPUConfig(num_chiplets=4, scale=SCALE)
+    sim = Simulator(config, protocol="hmg", trace_path=trace_path)
+    sim.run(build_workload("square", config))
+    device = sim.last_device
+    assert {type(cache) for cache in device.l2s + [device.l3]} == {
+        SetAssocCache}
 
 
 def test_memo_counters_not_serialized():

@@ -4,10 +4,12 @@
 equivalence with issuing the per-line calls in ascending line order:
 identical residency, set-creation order, LRU order, dirty flags,
 `CacheStats`, and (for accesses) an identical ordered miss/victim event
-stream. The differential tests drive the vectorized `NumpyCacheCore`
-and per-line calls on the dict-backed `SetAssocCache` from the same
-randomized pre-state and compare everything, including the order a
-whole-cache flush writes lines back in afterwards.
+stream. The differential tests drive each core's bulk ops — the dict
+`SetAssocCache` (whose `bulk_access` inlines `access` into one loop) and
+the vectorized `NumpyCacheCore` — and per-line calls on a second
+`SetAssocCache` from the same randomized pre-state, and compare
+everything, including the order a whole-cache flush writes lines back in
+afterwards.
 """
 
 import pytest
@@ -16,6 +18,9 @@ from hypothesis import strategies as st
 
 from repro.memory.cache import SetAssocCache, WritePolicy
 from repro.memory.npcache import NumpyCacheCore
+
+#: The bulk implementations held to the per-line reference.
+CORES = (SetAssocCache, NumpyCacheCore)
 
 
 def make_cache(num_lines, assoc, policy=WritePolicy.WRITE_BACK,
@@ -79,27 +84,28 @@ kind_strategy = st.sampled_from([(True, False), (False, True), (True, True)])
 def test_access_run_matches_per_line(num_lines, assoc, policy, warmup,
                                      start, count, kind):
     do_load, do_store = kind
-    bulk = make_cache(num_lines, assoc, policy, core=NumpyCacheCore)
-    ref = make_cache(num_lines, assoc, policy)
-    prepopulate(bulk, warmup)
-    prepopulate(ref, warmup)
+    for core in CORES:
+        bulk = make_cache(num_lines, assoc, policy, core=core)
+        ref = make_cache(num_lines, assoc, policy)
+        prepopulate(bulk, warmup)
+        prepopulate(ref, warmup)
 
-    res = bulk.bulk_access(start=start, count=count,
-                           load=do_load, store=do_store)
-    ref_hits, ref_events = reference_access_run(ref, start, count,
-                                                do_load, do_store)
+        res = bulk.bulk_access(start=start, count=count,
+                               load=do_load, store=do_store)
+        ref_hits, ref_events = reference_access_run(ref, start, count,
+                                                    do_load, do_store)
 
-    assert snapshot(bulk) == snapshot(ref)
-    assert res.hits == ref_hits
-    assert res.misses == count - ref_hits
-    if res.uniform_miss:
-        assert res.events is None
-        assert ref_hits == 0
-        assert ref_events == [(line, None, False)
-                              for line in range(start, start + count)]
-    else:
-        assert res.events == ref_events
-    assert_same_flush(bulk, ref)
+        assert snapshot(bulk) == snapshot(ref), core
+        assert res.hits == ref_hits
+        assert res.misses == count - ref_hits
+        if res.uniform_miss:
+            assert res.events is None
+            assert ref_hits == 0
+            assert ref_events == [(line, None, False)
+                                  for line in range(start, start + count)]
+        else:
+            assert res.events == ref_events
+        assert_same_flush(bulk, ref)
 
 
 @settings(max_examples=150, deadline=None)
@@ -113,47 +119,49 @@ def test_access_run_matches_per_line(num_lines, assoc, policy, warmup,
 )
 def test_flush_and_invalidate_run_match_per_line(num_lines, assoc, warmup,
                                                  start, count):
-    bulk = make_cache(num_lines, assoc, core=NumpyCacheCore)
-    ref = make_cache(num_lines, assoc)
-    prepopulate(bulk, warmup)
-    prepopulate(ref, warmup)
+    for core in CORES:
+        bulk = make_cache(num_lines, assoc, core=core)
+        ref = make_cache(num_lines, assoc)
+        prepopulate(bulk, warmup)
+        prepopulate(ref, warmup)
 
-    flushed = bulk.bulk_flush(start=start, count=count).lines
-    ref_flushed = [line for line in range(start, start + count)
-                   if ref.flush_line(line)]
-    assert flushed == ref_flushed
-    assert snapshot(bulk) == snapshot(ref)
+        flushed = bulk.bulk_flush(start=start, count=count).lines
+        ref_flushed = [line for line in range(start, start + count)
+                       if ref.flush_line(line)]
+        assert flushed == ref_flushed
+        assert snapshot(bulk) == snapshot(ref), core
 
-    inv = bulk.bulk_invalidate(start=start, count=count)
-    dropped, dirty = inv.dropped, inv.lines
-    ref_dropped = 0
-    ref_dirty = []
-    for line in range(start, start + count):
-        present, was_dirty = ref.invalidate_line(line)
-        if present:
-            ref_dropped += 1
-        if was_dirty:
-            ref_dirty.append(line)
-    assert (dropped, dirty) == (ref_dropped, ref_dirty)
-    assert snapshot(bulk) == snapshot(ref)
-    assert_same_flush(bulk, ref)
+        inv = bulk.bulk_invalidate(start=start, count=count)
+        dropped, dirty = inv.dropped, inv.lines
+        ref_dropped = 0
+        ref_dirty = []
+        for line in range(start, start + count):
+            present, was_dirty = ref.invalidate_line(line)
+            if present:
+                ref_dropped += 1
+            if was_dirty:
+                ref_dirty.append(line)
+        assert (dropped, dirty) == (ref_dropped, ref_dirty)
+        assert snapshot(bulk) == snapshot(ref), core
+        assert_same_flush(bulk, ref)
 
 
 def test_cold_access_run_creates_sets_in_first_touch_order():
     """On a cold cache, a run creates sets in the order its lines first
     touch them, as per-line accesses do (minimal case: set 1, then set
     0). That order is the order a whole-cache flush writes back in."""
-    bulk = make_cache(4, 2, core=NumpyCacheCore)
-    ref = make_cache(4, 2)
-    res = bulk.bulk_access(start=1, count=2, load=True, store=False)
-    assert res.uniform_miss
-    reference_access_run(ref, 1, 2, True, False)
-    assert [idx for idx, _ in bulk.memo_state()[0]] == [1, 0]
-    assert snapshot(bulk) == snapshot(ref)
+    for core in CORES:
+        bulk = make_cache(4, 2, core=core)
+        ref = make_cache(4, 2)
+        res = bulk.bulk_access(start=1, count=2, load=True, store=False)
+        assert res.uniform_miss
+        reference_access_run(ref, 1, 2, True, False)
+        assert [idx for idx, _ in bulk.memo_state()[0]] == [1, 0]
+        assert snapshot(bulk) == snapshot(ref)
 
-    bulk = make_cache(16, 4, core=NumpyCacheCore)  # 4 sets
-    bulk.bulk_access(start=1, count=8, load=True, store=True)
-    assert bulk.flush_dirty() == [1, 5, 2, 6, 3, 7, 4, 8]
+        bulk = make_cache(16, 4, core=core)  # 4 sets
+        bulk.bulk_access(start=1, count=8, load=True, store=True)
+        assert bulk.flush_dirty() == [1, 5, 2, 6, 3, 7, 4, 8]
 
 
 def test_access_run_uniform_miss_on_cold_cache():

@@ -9,7 +9,10 @@ store's LRU bound, and run-trace interning.
 
 from __future__ import annotations
 
+from collections import OrderedDict
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.coherence.cpelide import CPElideProtocol
 from repro.coherence.hmg import HMGProtocol
@@ -24,7 +27,7 @@ from repro.gpu.memo import (
     store_for,
 )
 from repro.gpu.sim import Simulator
-from repro.memory.npcache import NumpyCacheCore
+from repro.memory.cache import SetAssocCache
 from repro.workloads.base import (
     clear_trace_cache,
     interned_runs_for_arg,
@@ -55,8 +58,8 @@ def _config(**kw) -> GPUConfig:
 # Cache digest / snapshot / stats delta
 
 
-def _touched_cache() -> NumpyCacheCore:
-    cache = NumpyCacheCore(size_bytes=64 * 64, assoc=4, name="L2")
+def _touched_cache() -> SetAssocCache:
+    cache = SetAssocCache(size_bytes=64 * 64, assoc=4, name="L2")
     cache.bulk_access(start=0, count=100, load=True, store=True)
     cache.bulk_access(start=50, count=30, load=True, store=False)
     return cache
@@ -87,6 +90,82 @@ def test_cache_snapshot_restore_round_trip():
     cache.bulk_access(start=0, count=10, load=True, store=False)
     cache.memo_restore(snapshot)
     assert cache.memo_digest() == digest
+
+
+def _apply_cache_ops(cache: SetAssocCache, ops) -> None:
+    for op in ops:
+        if op[0] == "access":
+            cache.access(op[1], is_write=op[2])
+        elif op[0] == "fill":
+            cache.fill(op[1], dirty=op[2])
+        elif op[0] == "run":
+            cache.bulk_access(start=op[1], count=op[2], load=op[3],
+                              store=op[4] or not op[3])
+        elif op[0] == "flush":
+            cache.flush_dirty()
+        else:
+            cache.invalidate_line(op[1])
+
+
+# Lines up to 1000 so most are not small-int singletons: the digest must
+# not depend on which int objects the state happens to share.
+_line = st.integers(0, 1000)
+_cache_ops = st.lists(st.one_of(
+    st.tuples(st.just("access"), _line, st.booleans()),
+    st.tuples(st.just("fill"), _line, st.booleans()),
+    st.tuples(st.just("run"), _line, st.integers(1, 40), st.booleans(),
+              st.booleans()),
+    st.tuples(st.just("flush")),
+    st.tuples(st.just("invalidate"), _line),
+), max_size=40)
+
+
+def _rebuilt(cache: SetAssocCache, sets) -> SetAssocCache:
+    """A cache of ``cache``'s geometry holding ``sets`` (set index ->
+    ``(line, dirty)`` pairs, both in order), built from fresh ints."""
+    twin = SetAssocCache(size_bytes=cache.capacity_lines * 64,
+                         assoc=cache.assoc, name="twin")
+    twin.memo_restore((
+        {int(str(idx)): OrderedDict((int(str(line)), dirty)
+                                    for line, dirty in pairs)
+         for idx, pairs in sets},
+        sum(len(pairs) for _, pairs in sets)))
+    return twin
+
+
+@settings(max_examples=200, deadline=None)
+@given(before=_cache_ops, after=_cache_ops)
+def test_dict_cache_memo_hooks(before, after):
+    """Snapshot, then any operations, then restore reproduces the
+    ordered state; equal states digest equal; swapping two lines' LRU
+    order or two sets' creation order changes the digest."""
+    cache = SetAssocCache(size_bytes=32 * 64, assoc=4, name="L2")
+    _apply_cache_ops(cache, before)
+    state = cache.memo_state()
+    digest = cache.memo_digest()
+    snapshot = cache.memo_snapshot()
+    _apply_cache_ops(cache, after)
+    cache.memo_restore(snapshot)
+    assert cache.memo_state() == state
+    assert cache.memo_digest() == digest
+    # The snapshot is copied on restore, never installed.
+    _apply_cache_ops(cache, after)
+    cache.memo_restore(snapshot)
+    assert cache.memo_state() == state
+
+    sets = [(idx, list(pairs)) for idx, pairs in state[0]]
+    twin = _rebuilt(cache, sets)
+    assert twin.memo_state() == state
+    assert twin.memo_digest() == digest
+    for idx, pairs in sets:
+        if len(pairs) >= 2:
+            swapped = [(i, [p[1], p[0]] + p[2:] if i == idx else p)
+                       for i, p in sets]
+            assert _rebuilt(cache, swapped).memo_digest() != digest
+            break
+    if len(sets) >= 2:
+        reordered = [sets[1], sets[0]] + sets[2:]
+        assert _rebuilt(cache, reordered).memo_digest() != digest
 
 
 def test_cache_stats_delta_round_trip():

@@ -24,7 +24,7 @@ from repro.memory.cache import (
     SetAssocCache,
     WritePolicy,
 )
-from repro.memory.npcache import NumpyCacheCore, make_cache_core
+from repro.memory.npcache import NumpyCacheCore
 
 LINE_SPACE = 96  # larger than every generated capacity, to force spills
 
@@ -213,20 +213,6 @@ def test_bulk_range_argument_validation():
         cache.bulk_invalidate(count=4)
     with pytest.raises(ValueError):
         cache.bulk_invalidate(start=0)
-
-
-def test_make_cache_core_backends():
-    dict_core = make_cache_core("dict", size_bytes=1024, assoc=2,
-                                line_size=64, policy=WritePolicy.WRITE_BACK,
-                                name="t")
-    np_core = make_cache_core("numpy", size_bytes=1024, assoc=2,
-                              line_size=64, policy=WritePolicy.WRITE_BACK,
-                              name="t")
-    assert type(dict_core) is SetAssocCache
-    assert isinstance(np_core, NumpyCacheCore)
-    with pytest.raises(ValueError):
-        make_cache_core("redis", size_bytes=1024, assoc=2, line_size=64,
-                        policy=WritePolicy.WRITE_BACK, name="t")
 
 
 def test_eviction_dataclass_shape():

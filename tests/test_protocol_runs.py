@@ -4,12 +4,13 @@
 ``access_run`` once. A protocol supplies ``_route`` and may override
 ``_route_segment`` with bulk forms, which must leave the machine exactly
 as the per-line ``_route_lines`` loop does. Here hypothesis drives, for
-every registered protocol, one device through ``access_run`` on the
-numpy cache core and a twin device through the per-line ``access`` loop
-on the dict reference core, with lease ticks in between. The caches are
-tiny (scale 1/4096: 32-line L2s, a 64-line L3, 16-entry HMG directories,
-1-line pages), so runs spill, evict, cross page homes and outlive their
-leases. After every operation the whole machine is compared.
+every registered protocol, one device through ``access_run`` (whose
+cache runs take the inlined ``bulk_access`` loop) and a twin device
+through the per-line ``access`` loop, with lease ticks in between. The
+caches are tiny (scale 1/4096: 32-line L2s, a 64-line L3, 16-entry HMG
+directories, 1-line pages), so runs spill, evict, cross page homes and
+outlive their leases. After every operation the whole machine is
+compared.
 """
 
 from __future__ import annotations
@@ -36,9 +37,9 @@ traces = st.lists(st.one_of(runs, st.just(("tick",))),
                   min_size=1, max_size=30)
 
 
-def _twin(name: str, core: str):
+def _twin(name: str):
     config = monolithic_equivalent(CONFIG) if name == "monolithic" else CONFIG
-    device = Device(config, cache_core=core)
+    device = Device(config)
     return device, make_protocol(name, config, device)
 
 
@@ -74,8 +75,8 @@ def _per_line(device: Device, protocol, chiplet: int, start: int,
 
 
 def _check_lockstep(name: str, trace) -> None:
-    run_device, run_protocol = _twin(name, "numpy")
-    line_device, line_protocol = _twin(name, "dict")
+    run_device, run_protocol = _twin(name)
+    line_device, line_protocol = _twin(name)
     chiplets = run_device.config.num_chiplets
     for step, op in enumerate(trace):
         if op[0] == "tick":
