@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING, List
 from repro.cp.local_cp import SyncOp
 from repro.cp.packets import KernelPacket
 from repro.cp.wg_scheduler import Placement
-from repro.memory.cache import WritePolicy
+from repro.memory.cache import BulkResult, WritePolicy
 from repro.metrics.stats import SyncCounts
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only imports
@@ -139,6 +139,35 @@ class CoherenceProtocol(abc.ABC):
         else:
             for line in range(start, start + count):
                 route(chiplet, line, home, do_store)
+
+    def _local_run(self, chiplet: int, start: int, count: int,
+                   do_load: bool, do_store: bool) -> BulkResult:
+        """A home-local segment as one bulk L2 access.
+
+        Load misses (and, under a write-back L2, store misses) are
+        served from the L3 in order. Under a write-through L2 (hmg,
+        timestamp) a store miss fetches nothing and every store goes
+        through to the L3 and DRAM. Returns the L2's result, whose
+        miss events the lease protocols replay into their ledgers.
+        """
+        device = self.device
+        counts = device.counts[chiplet]
+        res = device.l2s[chiplet].bulk_access(start=start, count=count,
+                                              load=do_load, store=do_store)
+        counts.l2_local_hits += res.hits
+        counts.l2_local_misses += res.misses
+        if do_load and do_store:
+            # The store following each load hits the just-filled line.
+            counts.l2_local_hits += count
+        if do_store and self.l2_policy is WritePolicy.WRITE_THROUGH:
+            counts.l2_writethroughs += count
+            device.write_through_run(chiplet, start, count,
+                                     res if do_load else None)
+        elif res.uniform_miss:
+            device.fetch_run_from_l3(chiplet, start, count)
+        elif res.events:
+            device.serve_l2_miss_events(chiplet, chiplet, res.events)
+        return res
 
     # ---- overheads ---------------------------------------------------------
 

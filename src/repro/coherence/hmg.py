@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import List, Optional, Set
 
 from repro.coherence.base import CoherenceProtocol
@@ -96,6 +97,12 @@ class L2Directory:
     def drop(self, region: int) -> None:
         """Remove a region whose sharer set became empty."""
         self._entries.pop(region, None)
+
+    def lru_entries(self, n: int):
+        """The ``n`` least recently used ``(region, entry)`` pairs, LRU
+        first, without refreshing them: the entries the next ``n``
+        insertions could evict."""
+        return islice(self._entries.items(), n)
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -200,9 +207,29 @@ class HMGProtocol(CoherenceProtocol):
 
     def _route_segment(self, chiplet: int, home: int, start: int,
                        count: int, do_load: bool, do_store: bool) -> None:
-        """A load segment fully resident in the requester's L2 is one
-        bulk hit sweep (the hit path touches neither home nor
-        directory); anything else goes per line."""
+        """Write-through HMG batches every home-local segment, and a
+        remote load segment when :meth:`_remote_loads_batch` proves the
+        directory cannot reach into it. A load segment fully resident
+        in the requester's L2 is one bulk hit sweep (the hit path
+        touches neither home nor directory). Anything else — remote
+        stores, every ``hmg-wb`` miss — goes per line."""
+        if not self.write_back:
+            if home == chiplet:
+                self._local_run(chiplet, start, count, do_load, do_store)
+                if do_store:
+                    # Per line, each store invalidates the other sharers
+                    # of its region; after the first line of a region
+                    # none are left and the entry is already MRU.
+                    step = LINES_PER_REGION
+                    for line in range(start - start % step, start + count,
+                                      step):
+                        self._invalidate_other_sharers(home, line,
+                                                       keeper=chiplet)
+                return
+            if not do_store and self._remote_loads_batch(chiplet, home,
+                                                         start, count):
+                self._remote_load_run(chiplet, home, start, count)
+                return
         l2 = self.device.l2s[chiplet]
         if not do_store and l2.run_fully_resident(start, count):
             res = l2.bulk_access(start=start, count=count, load=True,
@@ -211,6 +238,75 @@ class HMGProtocol(CoherenceProtocol):
         else:
             self._route_lines(chiplet, home, start, count, do_load,
                               do_store)
+
+    def _remote_loads_batch(self, chiplet: int, home: int, start: int,
+                            count: int) -> bool:
+        """Whether a remote load segment may run as bulk operations.
+
+        The batch registers the requester at the home directory after
+        all of the segment's L2 accesses rather than between them, so
+        a directory eviction must not be able to drop a line the
+        segment's L2 accesses see. The segment spans ``span`` regions,
+        so it inserts at most ``span`` entries; with room for them
+        nothing is evicted. Otherwise every eviction takes one of the
+        ``span`` least recently used entries, and it is harmless unless
+        that entry lists the requester and covers a segment line or a
+        line resident in the requester's L2.
+        """
+        directory = self.directories[home]
+        first = start // LINES_PER_REGION
+        last = (start + count - 1) // LINES_PER_REGION
+        span = last - first + 1
+        if len(directory) + span <= directory.num_entries:
+            return True
+        if span > len(directory):
+            return False
+        lookup = self.device.l2s[chiplet].lookup
+        for region, entry in directory.lru_entries(span):
+            if chiplet in entry.sharers and (
+                    first <= region <= last
+                    or any(map(lookup, range(
+                        region * LINES_PER_REGION,
+                        (region + 1) * LINES_PER_REGION)))):
+                return False
+        return True
+
+    def _remote_load_run(self, chiplet: int, home: int, start: int,
+                         count: int) -> None:
+        """A remote load segment as the per-line path's four steps, each
+        in line order: the requester's L2 access, a home-L2 lookup (or
+        fill) per miss, the L3 fetches of lines that missed both L2s,
+        and the requester's sharer registration per region. Write-
+        through L2s hold no dirty lines, so no victim writes back."""
+        device = self.device
+        counts = device.counts[chiplet]
+        res = device.l2s[chiplet].bulk_access(start=start, count=count,
+                                              load=True, store=False)
+        counts.l2_local_hits += res.hits
+        if not res.misses:
+            return
+        missed = (range(start, start + count) if res.uniform_miss
+                  else [line for line, _, _ in res.events])
+        device.traffic.remote_request(len(missed))
+        device.traffic.remote_data(len(missed))
+        home_l2 = device.l2s[home]
+        fetched = []
+        for line in missed:
+            if not home_l2.lookup(line):
+                fetched.append(line)
+                home_l2.fill(line, dirty=False)
+        counts.l2_remote_hits += len(missed) - len(fetched)
+        counts.l2_remote_misses += len(fetched)
+        if len(fetched) == count:
+            device.fetch_run_from_l3(chiplet, start, count)
+        elif fetched:
+            device.serve_l2_miss_events(
+                chiplet, chiplet, [(line, None, False) for line in fetched])
+        region = None
+        for line in missed:
+            if line // LINES_PER_REGION != region:
+                region = line // LINES_PER_REGION
+                self._register_sharer(home, line, chiplet)
 
     # ---- loads -------------------------------------------------------------
 

@@ -36,6 +36,7 @@ restore) while staying bit-identical to the line and run paths.
 
 from __future__ import annotations
 
+import marshal
 from hashlib import blake2b
 from typing import Callable, Dict, List, Optional
 
@@ -70,6 +71,10 @@ class LeaseLedger:
         self.clock = 0
         self.fills: List[Dict[int, int]] = [{} for _ in range(num_chiplets)]
         self.stamps: Dict[int, int] = {}
+        #: :meth:`canonical` of the current state, kept from the last
+        #: build until the next mutation (the memo path digests a
+        #: recorded kernel's post-state, then snapshots the same state).
+        self._canonical: Optional[tuple] = None
 
     # ---- mutation -------------------------------------------------------
 
@@ -77,20 +82,24 @@ class LeaseLedger:
         """Advance one kernel epoch (live launches only — never on a
         memo replay, where state jumps via :meth:`restore` instead)."""
         self.clock += 1
+        self._canonical = None
 
     def grant(self, chiplet: int, line: int) -> None:
         """Lease (or renew) ``chiplet``'s copy of ``line`` at the
         current epoch."""
         self.fills[chiplet][line] = self.clock
+        self._canonical = None
 
     def drop(self, chiplet: int, line: int) -> None:
         """Forget ``chiplet``'s lease on ``line`` (eviction or
         self-invalidation)."""
         self.fills[chiplet].pop(line, None)
+        self._canonical = None
 
     def stamp_write(self, line: int) -> None:
         """Record a write to ``line`` at the current epoch."""
         self.stamps[line] = self.clock
+        self._canonical = None
 
     def renew_run(self, chiplet: int, start: int, count: int) -> None:
         """Bulk :meth:`grant` for a run of consecutive lines."""
@@ -98,6 +107,36 @@ class LeaseLedger:
         clock = self.clock
         for line in range(start, start + count):
             fills[line] = clock
+        self._canonical = None
+
+    def replay_run(self, chiplet: int, start: int, count: int, events,
+                   stores: bool) -> None:
+        """Replay the ledger side of one bulk L2 access by ``chiplet``.
+
+        Per line of ``[start, start + count)`` in ascending order, as
+        the per-line path does: grant the line, stamp it if ``stores``,
+        and drop the lease of the victim its miss evicted. ``events`` is
+        the access's :attr:`~repro.memory.cache.BulkResult.events`
+        (``None`` when every line missed without an eviction). The
+        order matters: a victim may be a later line of the same run,
+        which its own access then leases again.
+        """
+        fills = self.fills[chiplet]
+        clock = self.clock
+        pos = start
+        for line, victim, _dirty in events or ():
+            if victim is not None:
+                for granted in range(pos, line + 1):
+                    fills[granted] = clock
+                pos = line + 1
+                fills.pop(victim, None)
+        for granted in range(pos, start + count):
+            fills[granted] = clock
+        if stores:
+            stamps = self.stamps
+            for line in range(start, start + count):
+                stamps[line] = clock
+        self._canonical = None
 
     # ---- validity -------------------------------------------------------
 
@@ -126,6 +165,27 @@ class LeaseLedger:
                 return False
         return True
 
+    def run_clear(self, chiplet: int, start: int, count: int) -> bool:
+        """Whether no line of the run holds an expired or stale lease.
+
+        Unleased lines pass (they miss and are granted), so a run that
+        passes never self-invalidates under its own accesses: a grant
+        makes a line valid, and only the line's own eviction changes it
+        again. A zero lease expires even a fresh grant, so then no run
+        passes.
+        """
+        if self.lease <= 0:
+            return False
+        fills = self.fills[chiplet]
+        stamps = self.stamps
+        oldest = self.clock - self.lease
+        for line in range(start, start + count):
+            fill = fills.get(line)
+            if fill is not None and (fill <= oldest
+                                     or fill < stamps.get(line, fill)):
+                return False
+        return True
+
     # ---- memoization support --------------------------------------------
 
     def canonical(self) -> tuple:
@@ -138,6 +198,8 @@ class LeaseLedger:
         they behave identically — the memo path's cross-launch-index
         sharing and the oracle's path-independent fingerprints both rely
         on this."""
+        if self._canonical is not None:
+            return self._canonical
         clock = self.clock
         lease = self.lease
         fills = tuple(
@@ -147,11 +209,14 @@ class LeaseLedger:
         stamps = tuple(sorted((line, clock - stamp)
                               for line, stamp in self.stamps.items()
                               if clock - stamp < lease))
-        return (fills, stamps)
+        self._canonical = (fills, stamps)
+        return self._canonical
 
     def digest(self) -> bytes:
-        """128-bit digest of :meth:`canonical`."""
-        return blake2b(repr(self.canonical()).encode(),
+        """128-bit digest of :meth:`canonical` (marshal format 2, as
+        :meth:`~repro.memory.cache.SetAssocCache.memo_digest` hashes:
+        the bytes depend on the values alone)."""
+        return blake2b(marshal.dumps(self.canonical(), 2),
                        digest_size=16).digest()
 
     def restore(self, snapshot: tuple) -> None:
@@ -163,6 +228,7 @@ class LeaseLedger:
         self.fills = [{line: clock - age for line, age in per_chiplet}
                       for per_chiplet in fills_snap]
         self.stamps = {line: clock - age for line, age in stamps_snap}
+        self._canonical = None
 
 
 class TimestampProtocol(CoherenceProtocol):
@@ -216,22 +282,37 @@ class TimestampProtocol(CoherenceProtocol):
 
     def _route_segment(self, chiplet: int, home: int, start: int,
                        count: int, do_load: bool, do_store: bool) -> None:
-        """A load segment fully resident in the requester's L2 with
-        every lease valid is one bulk hit-and-renew sweep (renewing line
-        ``i`` never changes line ``j``'s validity, so checking the whole
-        segment up front equals checking line by line); anything else
-        goes per line."""
-        l2 = self.device.l2s[chiplet]
-        if (not do_store and self.lease_observer is None
-                and l2.run_fully_resident(start, count)
-                and self.leases.run_valid(chiplet, start, count)):
-            res = l2.bulk_access(start=start, count=count, load=True,
-                                 store=False)
-            self.device.counts[chiplet].l2_local_hits += res.hits
-            self.leases.renew_run(chiplet, start, count)
-        else:
-            self._route_lines(chiplet, home, start, count, do_load,
-                              do_store)
+        """Batch what the ledger proves cannot self-invalidate.
+
+        A home-local segment with no expired or stale lease on it
+        (:meth:`LeaseLedger.run_clear`) is the write-through
+        :meth:`_local_run` hmg also takes (the ledger tracks exactly the
+        resident lines, so a valid lease is an L2 hit and an unleased
+        line a miss) plus one ledger replay. A remote load segment fully
+        resident in the requester's L2 with every lease valid is one
+        bulk hit-and-renew sweep (renewing line ``i`` never changes
+        line ``j``'s validity). Anything else, and every segment while
+        a lease observer is set, goes per line.
+        """
+        leases = self.leases
+        if self.lease_observer is None:
+            if home == chiplet:
+                if leases.run_clear(chiplet, start, count):
+                    res = self._local_run(chiplet, start, count, do_load,
+                                          do_store)
+                    leases.replay_run(chiplet, start, count, res.events,
+                                      do_store)
+                    return
+            elif (not do_store
+                  and self.device.l2s[chiplet].run_fully_resident(
+                      start, count)
+                  and leases.run_valid(chiplet, start, count)):
+                res = self.device.l2s[chiplet].bulk_access(
+                    start=start, count=count, load=True, store=False)
+                self.device.counts[chiplet].l2_local_hits += res.hits
+                leases.renew_run(chiplet, start, count)
+                return
+        self._route_lines(chiplet, home, start, count, do_load, do_store)
 
     # ---- loads ----------------------------------------------------------
 
@@ -445,19 +526,29 @@ class CPElideTimestampProtocol(CPElideProtocol):
 
     def _route_segment(self, chiplet: int, home: int, start: int,
                        count: int, do_load: bool, do_store: bool) -> None:
-        """A load segment fully resident at the home L2 with every lease
-        valid is all hits: Baseline's bulk path serves it and the leases
-        renew in bulk. Anything else goes per line, so the ledger sees
-        every fill and eviction."""
-        if (not do_store and self.lease_observer is None
-                and self.device.l2s[home].run_fully_resident(start, count)
-                and self.leases.run_valid(home, start, count)):
-            super()._route_segment(chiplet, home, start, count, do_load,
-                                   do_store)
-            self.leases.renew_run(home, start, count)
-        else:
-            self._route_lines(chiplet, home, start, count, do_load,
-                              do_store)
+        """A home-local segment with no expired or stale lease on it is
+        the inherited bulk :meth:`_local_run` plus one ledger replay. A
+        remote load segment fully resident at the home L2 with every
+        lease valid is all hits: Baseline's bulk path serves it and the
+        leases renew in bulk. Anything else, and every segment while a
+        lease observer is set, goes per line, so the ledger sees every
+        self-invalidation."""
+        leases = self.leases
+        if self.lease_observer is None:
+            if home == chiplet:
+                if leases.run_clear(home, start, count):
+                    res = self._local_run(chiplet, start, count, do_load,
+                                          do_store)
+                    leases.replay_run(home, start, count, res.events,
+                                      do_store)
+                    return
+            elif (not do_store
+                  and self.device.l2s[home].run_fully_resident(start, count)
+                  and leases.run_valid(home, start, count)):
+                self._remote_load_run(chiplet, home, start, count)
+                leases.renew_run(home, start, count)
+                return
+        self._route_lines(chiplet, home, start, count, do_load, do_store)
 
     # ---- lease mechanics: timestamp's, applied to the home copy ---------
 

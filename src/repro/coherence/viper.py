@@ -107,23 +107,6 @@ class BaselineProtocol(CoherenceProtocol):
         else:
             self._remote_load_run(chiplet, home, start, count)
 
-    def _local_run(self, chiplet: int, start: int, count: int,
-                   do_load: bool, do_store: bool) -> None:
-        """Home-local segment: bulk L2 access, misses served in order."""
-        device = self.device
-        counts = device.counts[chiplet]
-        res = device.l2s[chiplet].bulk_access(start=start, count=count,
-                                              load=do_load, store=do_store)
-        counts.l2_local_hits += res.hits
-        counts.l2_local_misses += res.misses
-        if do_load and do_store:
-            # The store following each load hits the just-filled line.
-            counts.l2_local_hits += count
-        if res.uniform_miss:
-            device.fetch_run_from_l3(chiplet, start, count)
-        elif res.events:
-            device.serve_l2_miss_events(chiplet, chiplet, res.events)
-
     def _remote_load_run(self, chiplet: int, home: int, start: int,
                          count: int) -> None:
         """Remote read segment: bulk access at the home L2, requester-

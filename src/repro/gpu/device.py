@@ -9,13 +9,13 @@ relevant accounting so protocols stay declarative.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from repro.interconnect.crossbar import CPCrossbar
 from repro.interconnect.links import InterChipletLinks
 from repro.interconnect.noc import TrafficMeter
 from repro.memory.address import HomeMap
-from repro.memory.cache import SetAssocCache, WritePolicy
+from repro.memory.cache import BulkResult, SetAssocCache, WritePolicy
 from repro.memory.dram import DRAMModel
 from repro.memory.l1 import L1Filter
 from repro.memory.translation import AddressTranslator
@@ -229,13 +229,7 @@ class Device:
                 line for line, _, _ in res.events)
             for stack, n in hist.items():
                 self.dram.record_read(stack, n)
-            victims = [victim for _, victim, victim_dirty in res.events
-                       if victim_dirty]
-            if victims:
-                counts.dram_writes += len(victims)
-                for stack, n in self.home_map.home_histogram(
-                        victims).items():
-                    self.dram.record_write(stack, n)
+            self._absorb_l3_victims(requester, res.events)
 
     def l3_write_run(self, requester: int, start: int, count: int) -> None:
         """Bulk form of :meth:`l3_write` (write-through, not to DRAM)
@@ -244,14 +238,64 @@ class Device:
         res = self.l3.bulk_access(start=start, count=count,
                                   load=False, store=True)
         if res.events:
-            victims = [victim for _, victim, victim_dirty in res.events
-                       if victim_dirty]
-            if victims:
-                counts = self.counts[requester]
-                counts.dram_writes += len(victims)
-                for stack, n in self.home_map.home_histogram(
-                        victims).items():
-                    self.dram.record_write(stack, n)
+            self._absorb_l3_victims(requester, res.events)
+
+    def write_through_run(self, requester: int, start: int, count: int,
+                          loads: Optional[BulkResult] = None) -> None:
+        """The L3 side of a home-local write-through store segment.
+
+        Per line in ascending order, the per-line path issues a
+        :meth:`fetch_from_l3` if the line's load missed the requester's
+        L2 (``loads`` is that L2's load+store result; ``None`` for a
+        store-only segment), then an :meth:`l3_write` through to DRAM.
+        Both are L3 reads and the second hits the line the first just
+        placed, so one ascending L3 read sweep leaves the same L3 state;
+        each fetched line's second access is added as a read hit. The
+        segment's lines share one home and so one DRAM stack.
+        """
+        counts = self.counts[requester]
+        l3 = self.l3
+        res = l3.bulk_access(start=start, count=count, load=True,
+                             store=False)
+        if loads is None or not loads.misses:
+            fetched = fetched_misses = 0
+        elif loads.uniform_miss:
+            fetched, fetched_misses = count, res.misses
+        else:
+            fetched = len(loads.events)
+            if res.uniform_miss:
+                fetched_misses = fetched
+            elif res.misses:
+                l3_missed = {line for line, _, _ in res.events}
+                fetched_misses = sum(line in l3_missed
+                                     for line, _, _ in loads.events)
+            else:
+                fetched_misses = 0
+        stack = self._stack_of(start)
+        if fetched:
+            l3.stats.hits += fetched
+            l3.stats.read_hits += fetched
+            counts.l3_hits += fetched - fetched_misses
+            counts.l3_misses += fetched_misses
+            counts.dram_reads += fetched_misses
+            if fetched_misses:
+                self.dram.record_read(stack, fetched_misses)
+            self.traffic.l2_request(fetched)
+        self.traffic.l2_data(fetched + count)
+        counts.dram_writes += count
+        self.dram.record_write(stack, count)
+        if res.events:
+            self._absorb_l3_victims(requester, res.events)
+
+    def _absorb_l3_victims(self, requester: int, events) -> None:
+        """:meth:`_absorb_l3_eviction` over an L3 ``bulk_access`` miss
+        stream: each dirty victim is one DRAM write."""
+        victims = [victim for _, victim, victim_dirty in events
+                   if victim_dirty]
+        if victims:
+            self.counts[requester].dram_writes += len(victims)
+            for stack, n in self.home_map.home_histogram(victims).items():
+                self.dram.record_write(stack, n)
 
     def _record_dram_reads_run(self, start: int, count: int) -> None:
         """Per-stack DRAM read accounting for a whole run (page-wise:

@@ -17,12 +17,16 @@ Supported behaviours needed by the three evaluated protocols:
 
 :class:`SetAssocCache` backs every cache on all three trace paths. Its
 per-line primitives (``access``, ``fill``, ``flush_line``,
-``invalidate_line``) are the reference semantics. Its ``bulk_*``
-operations are loops over them, except :meth:`SetAssocCache.bulk_access`,
-the bulk op the run path calls most: it inlines ``access`` into one loop
-over the sets. Either way the behaviour a bulk op defines (residency,
-dirty flags, LRU order within a set, set-creation order, stats) is
-exactly that of the per-line calls.
+``invalidate_line``) are the reference semantics. The three bulk ops
+that insert lines inline them into one loop over the sets:
+:meth:`SetAssocCache.bulk_access` inlines ``access``,
+:meth:`~SetAssocCache.bulk_fill` inlines ``fill``, and
+:meth:`~SetAssocCache.bulk_serve` (the L3 side of an L2 miss stream)
+inlines a read ``access`` plus the dirty victim's ``fill`` per event.
+``bulk_flush`` and ``bulk_invalidate`` over a range stay loops over
+``flush_line`` and ``invalidate_line``. Either way the behaviour a bulk
+op defines (residency, dirty flags, LRU order within a set, set-creation
+order, stats) is exactly that of the per-line calls.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ import hashlib
 import marshal
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 
 class WritePolicy(enum.Enum):
@@ -86,8 +90,7 @@ class CacheStats:
                 setattr(self, name, getattr(self, name) + diff)
 
 
-@dataclass(frozen=True)
-class Eviction:
+class Eviction(NamedTuple):
     """A line evicted by an insertion: ``(line, was_dirty)``."""
 
     line: int
@@ -349,11 +352,35 @@ class SetAssocCache:
         return BulkResult(evictions=self._fill_many(lines, dirty))
 
     def _fill_many(self, lines, dirty: bool) -> List[Eviction]:
+        # `fill` inlined: a resident line moves to the MRU end and keeps
+        # its dirty flag (or gains ``dirty``); a new one pops the LRU
+        # victim of a full set first.
+        sets = self._sets
+        num_sets = self.num_sets
+        assoc = self.assoc
+        dirty = bool(dirty)
         evictions: List[Eviction] = []
+        append = evictions.append
+        added = dirty_evictions = 0
         for line in lines:
-            evicted = self.fill(line, dirty)
-            if evicted is not None:
-                evictions.append(evicted)
+            cset = sets.get(line % num_sets)
+            if cset is None:
+                cset = sets[line % num_sets] = OrderedDict()
+            prev = cset.pop(line, None)
+            if prev is not None:
+                cset[line] = dirty or prev
+                continue
+            if len(cset) >= assoc:
+                victim, victim_dirty = cset.popitem(last=False)
+                append(Eviction(victim, victim_dirty))
+                dirty_evictions += victim_dirty
+            else:
+                added += 1
+            cset[line] = dirty
+        stats = self.stats
+        stats.evictions += len(evictions)
+        stats.dirty_evictions += dirty_evictions
+        self._resident += added
         return evictions
 
     def bulk_serve(self, *, events) -> BulkResult:
@@ -382,21 +409,57 @@ class SetAssocCache:
                                                List[int], int]:
         """Returns ``(missed_lines, access_dirty_victims,
         fill_dirty_victims, writebacks)``."""
+        # `access` and `fill` inlined into one loop over the events: a
+        # read hit keeps the line's dirty flag, a read miss inserts it
+        # clean, and a victim fill leaves the victim dirty either way.
+        sets = self._sets
+        num_sets = self.num_sets
+        assoc = self.assoc
         missed: List[int] = []
         access_devs: List[int] = []
         fill_devs: List[int] = []
-        writebacks = 0
+        evictions = writebacks = added = 0
         for line, victim, victim_dirty in events:
-            hit, evicted = self.access(line, is_write=False)
-            if not hit:
+            cset = sets.get(line % num_sets)
+            if cset is None:
+                cset = sets[line % num_sets] = OrderedDict()
+            dirty = cset.pop(line, None)
+            if dirty is not None:
+                cset[line] = dirty
+            else:
                 missed.append(line)
-                if evicted is not None and evicted.dirty:
-                    access_devs.append(evicted.line)
+                if len(cset) >= assoc:
+                    out, out_dirty = cset.popitem(last=False)
+                    evictions += 1
+                    if out_dirty:
+                        access_devs.append(out)
+                else:
+                    added += 1
+                cset[line] = False
             if victim_dirty:
                 writebacks += 1
-                evicted = self.fill(victim, dirty=True)
-                if evicted is not None and evicted.dirty:
-                    fill_devs.append(evicted.line)
+                cset = sets.get(victim % num_sets)
+                if cset is None:
+                    cset = sets[victim % num_sets] = OrderedDict()
+                if cset.pop(victim, None) is None:
+                    if len(cset) >= assoc:
+                        out, out_dirty = cset.popitem(last=False)
+                        evictions += 1
+                        if out_dirty:
+                            fill_devs.append(out)
+                    else:
+                        added += 1
+                cset[victim] = True
+        misses = len(missed)
+        hits = len(events) - misses
+        stats = self.stats
+        stats.hits += hits
+        stats.read_hits += hits
+        stats.misses += misses
+        stats.read_misses += misses
+        stats.evictions += evictions
+        stats.dirty_evictions += len(access_devs) + len(fill_devs)
+        self._resident += added
         return missed, access_devs, fill_devs, writebacks
 
     def bulk_flush(self, *, start: Optional[int] = None,

@@ -1,15 +1,17 @@
 """Differential tests: bulk run ops vs the per-line primitives.
 
 `bulk_access` / `bulk_flush` / `bulk_invalidate` promise bit-exact
-equivalence with issuing the per-line calls in ascending line order:
-identical residency, set-creation order, LRU order, dirty flags,
-`CacheStats`, and (for accesses) an identical ordered miss/victim event
-stream. The differential tests drive each core's bulk ops — the dict
-`SetAssocCache` (whose `bulk_access` inlines `access` into one loop) and
-the vectorized `NumpyCacheCore` — and per-line calls on a second
-`SetAssocCache` from the same randomized pre-state, and compare
-everything, including the order a whole-cache flush writes lines back in
-afterwards.
+equivalence with issuing the per-line calls in ascending line order,
+`bulk_fill` with per-line `fill` calls, and `bulk_serve` with a read
+`access` plus, for a dirty victim, a `fill` per event: identical
+residency, set-creation order, LRU order, dirty flags, `CacheStats`,
+and identical returned lines, evictions and event streams. The
+differential tests drive each core's bulk ops — the dict
+`SetAssocCache` (whose `bulk_access`, `bulk_fill` and `bulk_serve`
+inline the per-line calls into one loop) and the vectorized
+`NumpyCacheCore` — and per-line calls on a second `SetAssocCache` from
+the same randomized pre-state, and compare everything, including the
+order a whole-cache flush writes lines back in afterwards.
 """
 
 import pytest
@@ -143,6 +145,85 @@ def test_flush_and_invalidate_run_match_per_line(num_lines, assoc, warmup,
                 ref_dirty.append(line)
         assert (dropped, dirty) == (ref_dropped, ref_dirty)
         assert snapshot(bulk) == snapshot(ref), core
+        assert_same_flush(bulk, ref)
+
+
+lines = st.integers(0, 127)
+#: ``(line, victim_line, victim_dirty)`` events: a miss with no victim,
+#: or one whose victim is clean or dirty.
+serve_events = st.lists(
+    st.one_of(st.tuples(lines, st.none(), st.just(False)),
+              st.tuples(lines, lines, st.booleans())),
+    max_size=60)
+
+
+def reference_serve(cache, events):
+    """The per-line semantics bulk_serve must reproduce."""
+    missed, access_devs, fill_devs, writebacks = [], [], [], 0
+    for line, victim, victim_dirty in events:
+        hit, evicted = cache.access(line, is_write=False)
+        if not hit:
+            missed.append(line)
+            if evicted is not None and evicted.dirty:
+                access_devs.append(evicted)
+        if victim_dirty:
+            writebacks += 1
+            evicted = cache.fill(victim, dirty=True)
+            if evicted is not None and evicted.dirty:
+                fill_devs.append(evicted)
+    return missed, access_devs, fill_devs, writebacks
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    num_lines=st.sampled_from([8, 16, 32, 64]),
+    assoc=st.sampled_from([1, 2, 4, 8]),
+    warmup=st.lists(st.tuples(lines, st.booleans()), max_size=60),
+    events=serve_events,
+)
+def test_serve_matches_per_line(num_lines, assoc, warmup, events):
+    for core in CORES:
+        bulk = make_cache(num_lines, assoc, core=core)
+        ref = make_cache(num_lines, assoc)
+        prepopulate(bulk, warmup)
+        prepopulate(ref, warmup)
+
+        res = bulk.bulk_serve(events=events)
+        missed, access_devs, fill_devs, writebacks = reference_serve(
+            ref, events)
+
+        assert snapshot(bulk) == snapshot(ref), core
+        assert res.lines == missed
+        assert (res.hits, res.misses) == (len(events) - len(missed),
+                                          len(missed))
+        assert res.evictions == access_devs
+        assert res.fill_evictions == fill_devs
+        assert res.writebacks == writebacks
+        assert_same_flush(bulk, ref)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    num_lines=st.sampled_from([8, 16, 32, 64]),
+    assoc=st.sampled_from([1, 2, 4, 8]),
+    warmup=st.lists(st.tuples(lines, st.booleans()), max_size=60),
+    fills=st.lists(lines, max_size=60),
+    dirty=st.booleans(),
+)
+def test_fill_matches_per_line(num_lines, assoc, warmup, fills, dirty):
+    for core in CORES:
+        bulk = make_cache(num_lines, assoc, core=core)
+        ref = make_cache(num_lines, assoc)
+        prepopulate(bulk, warmup)
+        prepopulate(ref, warmup)
+
+        res = bulk.bulk_fill(lines=fills, dirty=dirty)
+        evictions = [evicted for evicted in (ref.fill(line, dirty)
+                                             for line in fills)
+                     if evicted is not None]
+
+        assert snapshot(bulk) == snapshot(ref), core
+        assert res.evictions == evictions
         assert_same_flush(bulk, ref)
 
 

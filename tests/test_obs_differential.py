@@ -65,3 +65,31 @@ def test_memo_path_traced_replay_matches_cold_run():
     assert warm.to_dict() == cold.to_dict()
     assert warm.memo_hits > 0
     assert tracer.events_of("memo", "hit")
+
+
+#: One workload per access-pattern family (``repro check --quick``'s),
+#: plus two whose HMG directories evict entries at this scale.
+EVENT_WORKLOADS = ("square", "babelstream", "hotspot", "bfs", "backprop",
+                   "nw", "cnn", "rnn-gru-small")
+
+
+@pytest.mark.parametrize("protocol", ("hmg", "timestamp", "cpelide-ts"))
+def test_run_path_keeps_directory_and_lease_event_order(protocol):
+    """The batched segments of these protocols reorder cache work
+    within a segment, but must emit the line path's directory and lease
+    events in the line path's order."""
+    config = GPUConfig(num_chiplets=4, scale=1 / 512)
+    seen = 0
+    for workload_name in EVENT_WORKLOADS:
+        streams = []
+        for trace_path in ("line", "run"):
+            tracer = EventTracer()
+            Simulator(config, protocol, trace_path=trace_path,
+                      tracer=tracer).run(build_workload(workload_name,
+                                                        config))
+            streams.append([(e.kind, e.phase, e.ts, e.args)
+                            for e in tracer.events
+                            if e.kind in ("dir", "lease")])
+        assert streams[0] == streams[1], workload_name
+        seen += len(streams[0])
+    assert seen, "no directory or lease events: the check is vacuous"

@@ -18,9 +18,10 @@ from __future__ import annotations
 from dataclasses import astuple
 
 import pytest
-from hypothesis import Phase, given, settings, strategies as st
+from hypothesis import Phase, example, given, settings, strategies as st
 
 from repro.coherence.base import make_protocol, protocol_names
+from repro.coherence.hmg import HMGProtocol
 from repro.coherence.timestamp import LeaseLedger
 from repro.gpu.config import GPUConfig, monolithic_equivalent
 from repro.gpu.device import Device
@@ -53,6 +54,8 @@ def _machine(device: Device, protocol) -> dict:
         "dram": (list(device.dram.reads), list(device.dram.writes)),
         "l2s": [l2.memo_state() for l2 in device.l2s],
         "l3": device.l3.memo_state(),
+        "cache_stats": [astuple(cache.stats)
+                        for cache in (*device.l2s, device.l3)],
         "page_homes": device.home_map.page_homes(),
         "protocol": protocol.memo_snapshot(),
         "sync": astuple(protocol.drain_sync_counts()),
@@ -96,11 +99,49 @@ def _check_lockstep(name: str, trace) -> None:
             f"machine state after op {step}: {op}")
 
 
+T, F = True, False
+
+# Hazards of the bulk paths that random traces reach too rarely to rely
+# on, pinned as explicit examples (both hypothesis-shrunk).
+
+#: A remote read of a fully resident line whose lease has expired (the
+#: requester's copy under timestamp, the home copy under cpelide-ts):
+#: only remote load segments still take the ``run_valid`` bulk path.
+EXPIRED_REMOTE_READ = [("run", 0, 0, 1, (T, F)), ("run", 1, 0, 1, (T, F)),
+                       ("tick",), ("tick",), ("run", 1, 0, 1, (T, F))]
+
+#: An HMG remote load segment during which a directory eviction drops
+#: lines of the requester's L2 that the segment touches; batched
+#: without its guard, its sharer registrations would come too late.
+DIRECTORY_HAZARD = [("run", 0, 0, 1, (T, F)), ("run", 0, 0, 1, (T, F)),
+                    ("run", 1, 13, 40, (T, F)), ("run", 3, 13, 40, (T, F)),
+                    ("run", 1, 83, 40, (T, T)), ("run", 0, 102, 40, (F, T)),
+                    ("run", 3, 3, 27, (T, F))]
+
+
 @pytest.mark.parametrize("name", protocol_names())
 @given(trace=traces)
+@example(trace=EXPIRED_REMOTE_READ)
+@example(trace=DIRECTORY_HAZARD)
 @settings(max_examples=100, deadline=None)
 def test_access_run_matches_per_line_access(name, trace):
     _check_lockstep(name, trace)
+
+
+def _assert_lockstep_catches(name: str) -> None:
+    """With a bug planted in the protocol's bulk path, the property
+    (its pinned examples first, then 300 generated traces) must fail."""
+
+    @given(trace=traces)
+    @example(trace=EXPIRED_REMOTE_READ)
+    @example(trace=DIRECTORY_HAZARD)
+    @settings(max_examples=300, deadline=None, database=None,
+              derandomize=True, phases=[Phase.explicit, Phase.generate])
+    def lockstep(trace):
+        _check_lockstep(name, trace)
+
+    with pytest.raises(AssertionError, match="after op"):
+        lockstep()
 
 
 def _trusts_any_lease(self, chiplet, start, count):
@@ -115,12 +156,46 @@ def test_planted_lease_check_is_caught(name, monkeypatch):
     """The property above must fail on a bulk lease check that skips
     expiry and stamps, or it does not guard the lease fast paths."""
     monkeypatch.setattr(LeaseLedger, "run_valid", _trusts_any_lease)
+    _assert_lockstep_catches(name)
 
-    @given(trace=traces)
-    @settings(max_examples=300, deadline=None, database=None,
-              derandomize=True, phases=[Phase.generate])
-    def lockstep(trace):
-        _check_lockstep(name, trace)
 
-    with pytest.raises(AssertionError, match="after op"):
-        lockstep()
+def _clears_any_lease(self, chiplet, start, count):
+    """Planted bug: no lease counts as expired or stale."""
+    return self.lease > 0
+
+
+@pytest.mark.parametrize("name", ["timestamp", "cpelide-ts"])
+def test_planted_lease_clear_check_is_caught(name, monkeypatch):
+    """Likewise for the scan that admits a local segment with misses."""
+    monkeypatch.setattr(LeaseLedger, "run_clear", _clears_any_lease)
+    _assert_lockstep_catches(name)
+
+
+def _grants_before_drops(self, chiplet, start, count, events, stores):
+    """Planted bug: grants the whole run, then drops every victim —
+    wrong when a victim is a later line of the same run, which the
+    per-line path leases again at its own access."""
+    for line in range(start, start + count):
+        self.grant(chiplet, line)
+        if stores:
+            self.stamp_write(line)
+    for _line, victim, _dirty in events or ():
+        if victim is not None:
+            self.drop(chiplet, victim)
+
+
+@pytest.mark.parametrize("name", ["timestamp", "cpelide-ts"])
+def test_planted_ledger_replay_order_is_caught(name, monkeypatch):
+    """The property must fail on a ledger replay that grants every
+    line before dropping the victims, or it does not guard the order
+    :meth:`LeaseLedger.replay_run` keeps."""
+    monkeypatch.setattr(LeaseLedger, "replay_run", _grants_before_drops)
+    _assert_lockstep_catches(name)
+
+
+def test_planted_directory_guard_is_caught(monkeypatch):
+    """Without its guard, HMG's remote load batch diverges on
+    ``DIRECTORY_HAZARD``."""
+    monkeypatch.setattr(HMGProtocol, "_remote_loads_batch",
+                        lambda self, chiplet, home, start, count: True)
+    _assert_lockstep_catches("hmg")
