@@ -109,9 +109,9 @@ class SyncSanitizer:
         #: HMG-family protocols expose per-home L2 directories.
         self.directories = getattr(protocol, "directories", None)
         #: Timestamp-family protocols expose the lease ledger; when
-        #: present, hook the per-serve observer (which also disables the
-        #: protocols' bulk fast paths — bit-identical by the batched
-        #: equivalence invariant, so checked runs stay comparable).
+        #: present, hook the per-serve observer. The protocols call it
+        #: from their per-line and bulk paths alike, so a checked run
+        #: takes the same paths as an unchecked one.
         self.leases = getattr(protocol, "leases", None)
         if self.leases is not None:
             protocol.lease_observer = self._observe_lease_serve

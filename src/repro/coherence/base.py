@@ -140,6 +140,12 @@ class CoherenceProtocol(abc.ABC):
             for line in range(start, start + count):
                 route(chiplet, line, home, do_store)
 
+    def _absorb_eviction(self, chiplet: int, evicted) -> None:
+        """``chiplet``'s L2 displaced ``evicted`` (``None``: nothing) to
+        make room for an access or fill: write a dirty victim back."""
+        if evicted is not None and evicted.dirty:
+            self.device.writeback_line(chiplet, evicted.line)
+
     def _local_run(self, chiplet: int, start: int, count: int,
                    do_load: bool, do_store: bool) -> BulkResult:
         """A home-local segment as one bulk L2 access.

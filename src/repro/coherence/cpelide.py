@@ -11,7 +11,9 @@ That inheritance covers the demand path wholesale: the per-line
 :class:`~repro.coherence.viper.BaselineProtocol`, and the bulk sync-op
 execution underneath ``on_kernel_launch``'s acquires and releases from
 the device, so CPElide runs at full run-trace speed with no code of its
-own.
+own. ``cpelide-ts`` (:mod:`repro.coherence.timestamp`) keeps the same
+routing: it calls Baseline's ``_route`` inside a lease check and takes
+its segments through the lease base's ``_route_segment``.
 """
 
 from __future__ import annotations

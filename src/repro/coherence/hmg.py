@@ -315,7 +315,11 @@ class HMGProtocol(CoherenceProtocol):
         counts = device.counts[chiplet]
         l2 = device.l2s[chiplet]
         hit, evicted = l2.access(line, is_write=False)
-        self._absorb_l2_eviction(chiplet, evicted)
+        # WT L2s never hold dirty data; the WB variant writes the victim
+        # back. The directory's sharer bit for an evicted remote line is
+        # left set — exactly the imprecision that causes HMG's spurious
+        # invalidations at 4-line granularity.
+        self._absorb_eviction(chiplet, evicted)
         if hit:
             counts.l2_local_hits += 1
             return
@@ -338,7 +342,7 @@ class HMGProtocol(CoherenceProtocol):
             # (Sec. V-B) — when remote locality is low this evicts the
             # home chiplet's useful local data.
             home_evicted = home_l2.fill(line, dirty=False)
-            self._absorb_l2_eviction(home, home_evicted)
+            self._absorb_eviction(home, home_evicted)
         self._register_sharer(home, line, chiplet)
 
     # ---- stores -------------------------------------------------------------
@@ -348,7 +352,7 @@ class HMGProtocol(CoherenceProtocol):
         counts = device.counts[chiplet]
         l2 = device.l2s[chiplet]
         hit, evicted = l2.access(line, is_write=True)
-        self._absorb_l2_eviction(chiplet, evicted)
+        self._absorb_eviction(chiplet, evicted)
         if hit:
             counts.l2_local_hits += 1
         else:
@@ -382,20 +386,9 @@ class HMGProtocol(CoherenceProtocol):
         if chiplet != home:
             device.traffic.remote_data()
             home_evicted = device.l2s[home].fill(line, dirty=False)
-            self._absorb_l2_eviction(home, home_evicted)
+            self._absorb_eviction(home, home_evicted)
             self._register_sharer(home, line, chiplet)
         device.l3_write(chiplet, line, through_to_dram=True)
-
-    def _absorb_l2_eviction(self, chiplet: int, evicted) -> None:
-        """Handle an L2 capacity eviction.
-
-        WT L2s never hold dirty data; the WB variant writes the victim
-        back. The directory's sharer bit for an evicted remote line is
-        left set — exactly the imprecision that causes HMG's spurious
-        invalidations at 4-line granularity.
-        """
-        if evicted is not None and evicted.dirty:
-            self.device.writeback_line(chiplet, evicted.line)
 
     # ---- directory mechanics ------------------------------------------------
 
@@ -483,11 +476,5 @@ class HMGProtocol(CoherenceProtocol):
         lines back and drops them — losing the owner's local reuse (why
         the paper found the WB variant reduces HMG's precise-tracking
         benefits)."""
-        owner_l2 = self.device.l2s[owner]
-        for line in range(region * LINES_PER_REGION,
-                          (region + 1) * LINES_PER_REGION):
-            present, dirty = owner_l2.invalidate_line(line)
-            if dirty:
-                self.device.writeback_line(owner, line)
-                self.device.traffic.remote_data()
+        self._drop_region_lines(owner, region)
         self.device.counts[owner].coherence_stalls += 1

@@ -9,7 +9,8 @@ refetch traffic of expired-but-actually-fresh copies, which the lease
 length (``GPUConfig.lease_kernels``, in kernel epochs) trades against
 staleness exposure.
 
-Two protocols live here:
+Two protocols live here, both on :class:`LeaseProtocol`, which lays
+the ledger over a data path without changing it:
 
 * :class:`TimestampProtocol` (``timestamp``): write-through L2s that
   cache remote fetches locally (like HMG) but with **no directory** —
@@ -20,10 +21,12 @@ Two protocols live here:
   this model; the stamp check is what keeps reads correct.
 * :class:`CPElideTimestampProtocol` (``cpelide-ts``): keeps CPElide's
   table-driven *release* elision and its forward-to-home write-back data
-  path, but drops every acquire-side invalidation the elision engine
-  would issue — cached home copies self-invalidate on lease expiry
-  instead. The Chiplet Coherence Table still tracks dirty data and
-  drives releases exactly as in ``cpelide``.
+  path (each access is Baseline's ``_route`` between a lease check on
+  the home copy and the ledger update), but drops every acquire-side
+  invalidation the elision engine would issue — cached home copies
+  self-invalidate on lease expiry instead. The Chiplet Coherence Table
+  still tracks dirty data and drives releases exactly as in
+  ``cpelide``.
 
 Time base: the :class:`LeaseLedger` clock counts *kernel epochs* and
 ticks once per live :meth:`on_kernel_launch`. All behavior (expiry,
@@ -36,6 +39,7 @@ restore) while staying bit-identical to the line and run paths.
 
 from __future__ import annotations
 
+import abc
 import marshal
 from hashlib import blake2b
 from typing import Callable, Dict, List, Optional
@@ -45,9 +49,10 @@ from repro.coherence.cpelide import CPElideProtocol
 from repro.cp.local_cp import SyncOp, SyncOpKind
 from repro.cp.packets import KernelPacket
 from repro.cp.wg_scheduler import Placement
-from repro.memory.cache import WritePolicy
+from repro.memory.cache import BulkResult, WritePolicy
 
-__all__ = ["CPElideTimestampProtocol", "LeaseLedger", "TimestampProtocol"]
+__all__ = ["CPElideTimestampProtocol", "LeaseLedger", "LeaseProtocol",
+           "TimestampProtocol"]
 
 
 class LeaseLedger:
@@ -231,7 +236,129 @@ class LeaseLedger:
         self._canonical = None
 
 
-class TimestampProtocol(CoherenceProtocol):
+class LeaseProtocol(CoherenceProtocol):
+    """A :class:`LeaseLedger` laid over a protocol's data path.
+
+    Every line a chiplet's L2 holds carries a lease in ``leases``. A
+    remote line's leased copy sits in the requester's L2 when
+    ``caches_remote_locally`` is set (``timestamp``) and at its home
+    otherwise (``cpelide-ts``). A subclass writes ``_route``, keeping
+    the ledger in step with every fill, drop and store, and
+    :meth:`_serve_resident_remote_loads`; the segment batching, the
+    self-invalidation, the victim's lease drop and the memo hooks are
+    shared here.
+    """
+
+    def __init__(self, config, device) -> None:
+        super().__init__(config, device)
+        self.leases = LeaseLedger(config.num_chiplets, config.lease_kernels)
+        #: Sanitizer hook: called as ``observer(chiplet, line)`` for
+        #: every load that ``chiplet``'s L2 serves under a lease, before
+        #: the lease is renewed (never read by protocol logic).
+        self.lease_observer: Optional[Callable[[int, int], None]] = None
+
+    # ---- demand access path ---------------------------------------------
+
+    def _route_segment(self, chiplet: int, home: int, start: int,
+                       count: int, do_load: bool, do_store: bool) -> None:
+        """Batch what the ledger proves cannot self-invalidate.
+
+        A home-local segment with no expired or stale lease on it
+        (:meth:`LeaseLedger.run_clear`) is the bulk :meth:`_local_run`
+        (the ledger tracks exactly the resident lines, so a valid lease
+        is an L2 hit and an unleased line a miss) plus one ledger
+        replay. A remote load segment whose leased copies are all
+        resident and valid is all hits, served by
+        :meth:`_serve_resident_remote_loads` and renewed in bulk
+        (renewing line ``i`` never changes line ``j``'s validity).
+        Anything else goes per line. On both bulk branches the lease
+        observer sees each load served from the leased L2 before the
+        ledger renews it.
+        """
+        leases = self.leases
+        if home == chiplet:
+            if leases.run_clear(chiplet, start, count):
+                res = self._local_run(chiplet, start, count, do_load,
+                                      do_store)
+                if do_load:
+                    self._observe_serves(chiplet, start, count, res)
+                leases.replay_run(chiplet, start, count, res.events,
+                                  do_store)
+                return
+        elif not do_store:
+            holder = chiplet if self.caches_remote_locally else home
+            if (self.device.l2s[holder].run_fully_resident(start, count)
+                    and leases.run_valid(holder, start, count)):
+                res = self._serve_resident_remote_loads(chiplet, home,
+                                                        start, count)
+                self._observe_serves(holder, start, count, res)
+                leases.renew_run(holder, start, count)
+                return
+        self._route_lines(chiplet, home, start, count, do_load, do_store)
+
+    @abc.abstractmethod
+    def _serve_resident_remote_loads(self, chiplet: int, home: int,
+                                     start: int, count: int) -> BulkResult:
+        """Serve a remote load segment whose leased copies are all
+        resident and valid (the ledger is renewed afterwards); return
+        the leased L2's bulk result."""
+
+    def _observe_serves(self, holder: int, start: int, count: int,
+                        res: BulkResult) -> None:
+        """Report to the lease observer the lines of ``holder``'s bulk
+        load access that hit (a line an earlier line of the segment
+        evicted missed, and was not served under a lease)."""
+        observer = self.lease_observer
+        if observer is None or res.uniform_miss:
+            return
+        missed = {line for line, _victim, _dirty in res.events}
+        for line in range(start, start + count):
+            if line not in missed:
+                observer(holder, line)
+
+    # ---- lease mechanics ------------------------------------------------
+
+    def _self_invalidate(self, chiplet: int, line: int, reason: str) -> None:
+        present, dirty = self.device.l2s[chiplet].invalidate_line(line)
+        if dirty:
+            # Unreachable under WT. Under cpelide-ts's write-back home
+            # copies, an expired dirty line is an early partial release,
+            # never a loss.
+            self.device.writeback_line(chiplet, line)
+        self.leases.drop(chiplet, line)
+        if reason == "expiry":
+            self._sync.lease_expiries += 1
+        else:
+            self._sync.lease_stale_refetches += 1
+        tracer = self.device.tracer
+        if tracer.enabled:
+            tracer.lease_event(action=reason, chiplet=chiplet)
+
+    def _absorb_eviction(self, chiplet: int, evicted) -> None:
+        """A capacity eviction also forfeits the victim's lease."""
+        if evicted is not None:
+            self.leases.drop(chiplet, evicted.line)
+            super()._absorb_eviction(chiplet, evicted)
+
+    # ---- memoization support --------------------------------------------
+    #
+    # The ledger joins the data path's own behavioral state (``_sync``
+    # drains to zero at every kernel boundary).
+
+    def memo_digest(self) -> bytes:
+        return blake2b(super().memo_digest() + self.leases.digest(),
+                       digest_size=16).digest()
+
+    def memo_snapshot(self):
+        return (super().memo_snapshot(), self.leases.canonical())
+
+    def memo_restore(self, snapshot) -> None:
+        base_snap, lease_snap = snapshot
+        super().memo_restore(base_snap)
+        self.leases.restore(lease_snap)
+
+
+class TimestampProtocol(LeaseProtocol):
     """HALCONE-style lease coherence on write-through L2s.
 
     Data path: remote fetches are cached locally *and* retained at the
@@ -250,12 +377,6 @@ class TimestampProtocol(CoherenceProtocol):
     def __init__(self, config, device) -> None:
         super().__init__(config, device)
         device.set_l2_policy(WritePolicy.WRITE_THROUGH)
-        self.leases = LeaseLedger(config.num_chiplets, config.lease_kernels)
-        #: Sanitizer hook: called as ``observer(chiplet, line)`` for
-        #: every lease-validated local L2 serve (never read by protocol
-        #: logic). When set, the bulk fast path is disabled so every
-        #: serve is individually observable.
-        self.lease_observer: Optional[Callable[[int, int], None]] = None
 
     # ---- kernel boundaries ----------------------------------------------
 
@@ -280,39 +401,13 @@ class TimestampProtocol(CoherenceProtocol):
         else:
             self._load(chiplet, line, home)
 
-    def _route_segment(self, chiplet: int, home: int, start: int,
-                       count: int, do_load: bool, do_store: bool) -> None:
-        """Batch what the ledger proves cannot self-invalidate.
-
-        A home-local segment with no expired or stale lease on it
-        (:meth:`LeaseLedger.run_clear`) is the write-through
-        :meth:`_local_run` hmg also takes (the ledger tracks exactly the
-        resident lines, so a valid lease is an L2 hit and an unleased
-        line a miss) plus one ledger replay. A remote load segment fully
-        resident in the requester's L2 with every lease valid is one
-        bulk hit-and-renew sweep (renewing line ``i`` never changes
-        line ``j``'s validity). Anything else, and every segment while
-        a lease observer is set, goes per line.
-        """
-        leases = self.leases
-        if self.lease_observer is None:
-            if home == chiplet:
-                if leases.run_clear(chiplet, start, count):
-                    res = self._local_run(chiplet, start, count, do_load,
-                                          do_store)
-                    leases.replay_run(chiplet, start, count, res.events,
-                                      do_store)
-                    return
-            elif (not do_store
-                  and self.device.l2s[chiplet].run_fully_resident(
-                      start, count)
-                  and leases.run_valid(chiplet, start, count)):
-                res = self.device.l2s[chiplet].bulk_access(
-                    start=start, count=count, load=True, store=False)
-                self.device.counts[chiplet].l2_local_hits += res.hits
-                leases.renew_run(chiplet, start, count)
-                return
-        self._route_lines(chiplet, home, start, count, do_load, do_store)
+    def _serve_resident_remote_loads(self, chiplet: int, home: int,
+                                     start: int, count: int) -> BulkResult:
+        """The requester's own leased copies serve the segment."""
+        res = self.device.l2s[chiplet].bulk_access(
+            start=start, count=count, load=True, store=False)
+        self.device.counts[chiplet].l2_local_hits += res.hits
+        return res
 
     # ---- loads ----------------------------------------------------------
 
@@ -385,48 +480,8 @@ class TimestampProtocol(CoherenceProtocol):
         leases.stamp_write(line)
         device.l3_write(chiplet, line, through_to_dram=True)
 
-    # ---- self-invalidation ----------------------------------------------
 
-    def _self_invalidate(self, chiplet: int, line: int, reason: str) -> None:
-        present, dirty = self.device.l2s[chiplet].invalidate_line(line)
-        if dirty:
-            # Unreachable under WT. Under cpelide-ts's write-back home
-            # copies, an expired dirty line is an early partial release,
-            # never a loss.
-            self.device.writeback_line(chiplet, line)
-        self.leases.drop(chiplet, line)
-        if reason == "expiry":
-            self._sync.lease_expiries += 1
-        else:
-            self._sync.lease_stale_refetches += 1
-        tracer = self.device.tracer
-        if tracer.enabled:
-            tracer.lease_event(action=reason, chiplet=chiplet)
-
-    def _absorb_eviction(self, chiplet: int, evicted) -> None:
-        """A capacity eviction forfeits the victim's lease (WT victims
-        are never dirty; write back defensively if one ever is)."""
-        if evicted is None:
-            return
-        self.leases.drop(chiplet, evicted.line)
-        if evicted.dirty:
-            self.device.writeback_line(chiplet, evicted.line)
-
-    # ---- memoization support --------------------------------------------
-
-    def memo_digest(self) -> bytes:
-        """The lease ledger is the protocol's whole behavioral state
-        (``_sync`` drains to zero at every kernel boundary)."""
-        return self.leases.digest()
-
-    def memo_snapshot(self):
-        return self.leases.canonical()
-
-    def memo_restore(self, snapshot) -> None:
-        self.leases.restore(snapshot)
-
-
-class CPElideTimestampProtocol(CPElideProtocol):
+class CPElideTimestampProtocol(LeaseProtocol, CPElideProtocol):
     """``cpelide-ts``: table-driven releases, lease-driven acquires.
 
     Inherits CPElide wholesale — the Chiplet Coherence Table, the
@@ -447,13 +502,6 @@ class CPElideTimestampProtocol(CPElideProtocol):
     #: expiry, so issued-acquire op sets are expected to be empty.
     lease_acquires = True
 
-    def __init__(self, config, device) -> None:
-        super().__init__(config, device)
-        self.leases = LeaseLedger(config.num_chiplets, config.lease_kernels)
-        #: Sanitizer hook, as on :class:`TimestampProtocol` (here the
-        #: serving chiplet is the line's home).
-        self.lease_observer: Optional[Callable[[int, int], None]] = None
-
     # ---- kernel boundaries ----------------------------------------------
 
     def on_kernel_launch(self, packet: KernelPacket,
@@ -467,104 +515,28 @@ class CPElideTimestampProtocol(CPElideProtocol):
 
     def _route(self, chiplet: int, line: int, home: int,
                is_write: bool) -> None:
-        """Baseline's forward-to-home routing with a lease check on the
-        home copy before every use.
-
-        Reimplemented rather than wrapped: the ledger must see every
-        fill and every eviction the home L2 performs, which
-        ``BaselineProtocol._route`` handles internally.
+        """Baseline's forward-to-home routing, with a lease check on the
+        home copy before it and the ledger update after it (the home
+        victim's lease drops inside, through :meth:`_absorb_eviction`).
         """
-        device = self.device
-        counts = device.counts[chiplet]
         leases = self.leases
         reason = leases.invalid_reason(home, line)
         if reason is not None:
             self._self_invalidate(home, line, reason)
-        home_l2 = device.l2s[home]
-        if home == chiplet:
-            hit, evicted = home_l2.access(line, is_write)
-            if hit:
-                counts.l2_local_hits += 1
-                if not is_write and self.lease_observer is not None:
-                    self.lease_observer(home, line)
-            else:
-                counts.l2_local_misses += 1
-                device.fetch_from_l3(chiplet, line)
-            leases.grant(home, line)
-            if is_write:
-                leases.stamp_write(line)
-            self._absorb_eviction(home, evicted)
-            return
-        device.traffic.remote_request()
-        device.traffic.remote_data()
-        if is_write:
-            # Remote stores write through to the L3 and invalidate the
-            # home copy (Baseline semantics); the stamp records the
-            # write so the staleness check stays exact.
-            present, dirty = home_l2.invalidate_line(line)
-            if present:
-                counts.l2_remote_hits += 1
-                leases.drop(home, line)
-                if dirty:
-                    device.writeback_line(home, line)
-            else:
-                counts.l2_remote_misses += 1
-            counts.l2_writethroughs += 1
-            leases.stamp_write(line)
-            device.l3_write(chiplet, line)
-            return
-        hit, evicted = home_l2.access(line, is_write=False)
-        if hit:
-            counts.l2_remote_hits += 1
-            if self.lease_observer is not None:
-                self.lease_observer(home, line)
+        elif (not is_write and self.lease_observer is not None
+              and self.device.l2s[home].lookup(line)):
+            self.lease_observer(home, line)
+        super()._route(chiplet, line, home, is_write)
+        if is_write and home != chiplet:
+            # A remote store invalidated the home copy (Baseline's
+            # write-through); the stamp keeps the staleness check exact.
+            leases.drop(home, line)
         else:
-            counts.l2_remote_misses += 1
-            device.fetch_from_l3(chiplet, line)
-        leases.grant(home, line)
-        self._absorb_eviction(home, evicted)
+            leases.grant(home, line)
+        if is_write:
+            leases.stamp_write(line)
 
-    def _route_segment(self, chiplet: int, home: int, start: int,
-                       count: int, do_load: bool, do_store: bool) -> None:
-        """A home-local segment with no expired or stale lease on it is
-        the inherited bulk :meth:`_local_run` plus one ledger replay. A
-        remote load segment fully resident at the home L2 with every
-        lease valid is all hits: Baseline's bulk path serves it and the
-        leases renew in bulk. Anything else, and every segment while a
-        lease observer is set, goes per line, so the ledger sees every
-        self-invalidation."""
-        leases = self.leases
-        if self.lease_observer is None:
-            if home == chiplet:
-                if leases.run_clear(home, start, count):
-                    res = self._local_run(chiplet, start, count, do_load,
-                                          do_store)
-                    leases.replay_run(home, start, count, res.events,
-                                      do_store)
-                    return
-            elif (not do_store
-                  and self.device.l2s[home].run_fully_resident(start, count)
-                  and leases.run_valid(home, start, count)):
-                self._remote_load_run(chiplet, home, start, count)
-                leases.renew_run(home, start, count)
-                return
-        self._route_lines(chiplet, home, start, count, do_load, do_store)
-
-    # ---- lease mechanics: timestamp's, applied to the home copy ---------
-
-    _self_invalidate = TimestampProtocol._self_invalidate
-    _absorb_eviction = TimestampProtocol._absorb_eviction
-
-    # ---- memoization support --------------------------------------------
-
-    def memo_digest(self) -> bytes:
-        return blake2b(self.table.memo_digest() + self.leases.digest(),
-                       digest_size=16).digest()
-
-    def memo_snapshot(self):
-        return (self.table.memo_snapshot(), self.leases.canonical())
-
-    def memo_restore(self, snapshot) -> None:
-        table_snap, lease_snap = snapshot
-        self.table.memo_restore(table_snap)
-        self.leases.restore(lease_snap)
+    def _serve_resident_remote_loads(self, chiplet: int, home: int,
+                                     start: int, count: int) -> BulkResult:
+        """Baseline's forwarded read, all hits at the home L2."""
+        return self._remote_load_run(chiplet, home, start, count)

@@ -21,6 +21,7 @@ from repro.coherence.base import CoherenceProtocol
 from repro.cp.local_cp import SyncOp, SyncOpKind
 from repro.cp.packets import KernelPacket
 from repro.cp.wg_scheduler import Placement
+from repro.memory.cache import BulkResult
 
 
 class BaselineProtocol(CoherenceProtocol):
@@ -56,8 +57,7 @@ class BaselineProtocol(CoherenceProtocol):
             else:
                 counts.l2_local_misses += 1
                 device.fetch_from_l3(chiplet, line)
-            if evicted is not None and evicted.dirty:
-                device.writeback_line(chiplet, evicted.line)
+            self._absorb_eviction(chiplet, evicted)
             return
         # Remote request: forwarded to the home node across the
         # inter-chiplet links; remote data is never cached locally.
@@ -89,8 +89,7 @@ class BaselineProtocol(CoherenceProtocol):
         else:
             counts.l2_remote_misses += 1
             device.fetch_from_l3(chiplet, line)
-        if evicted is not None and evicted.dirty:
-            device.writeback_line(home, evicted.line)
+        self._absorb_eviction(home, evicted)
 
     def _route_segment(self, chiplet: int, home: int, start: int,
                        count: int, do_load: bool, do_store: bool) -> None:
@@ -108,9 +107,10 @@ class BaselineProtocol(CoherenceProtocol):
             self._remote_load_run(chiplet, home, start, count)
 
     def _remote_load_run(self, chiplet: int, home: int, start: int,
-                         count: int) -> None:
+                         count: int) -> BulkResult:
         """Remote read segment: bulk access at the home L2, requester-
-        attributed counts, home-attributed victim writebacks."""
+        attributed counts, home-attributed victim writebacks. Returns
+        the home L2's result."""
         device = self.device
         counts = device.counts[chiplet]
         device.traffic.remote_request(count)
@@ -123,6 +123,7 @@ class BaselineProtocol(CoherenceProtocol):
             device.fetch_run_from_l3(chiplet, start, count)
         elif res.events:
             device.serve_l2_miss_events(chiplet, home, res.events)
+        return res
 
     def _remote_store_run(self, chiplet: int, home: int, start: int,
                           count: int) -> None:

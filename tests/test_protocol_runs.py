@@ -38,15 +38,25 @@ traces = st.lists(st.one_of(runs, st.just(("tick",))),
                   min_size=1, max_size=30)
 
 
+class _ServeLog(list):
+    """A lease observer that records every ``(chiplet, line)`` serve."""
+
+    def __call__(self, chiplet: int, line: int) -> None:
+        self.append((chiplet, line))
+
+
 def _twin(name: str):
     config = monolithic_equivalent(CONFIG) if name == "monolithic" else CONFIG
     device = Device(config)
-    return device, make_protocol(name, config, device)
+    protocol = make_protocol(name, config, device)
+    if hasattr(protocol, "lease_observer"):
+        protocol.lease_observer = _ServeLog()
+    return device, protocol
 
 
 def _machine(device: Device, protocol) -> dict:
-    """Everything a demand access may change, drained sync counts
-    included."""
+    """Everything a demand access may change, drained sync counts and
+    the lease protocols' serve logs included."""
     return {
         "counts": [astuple(c) for c in device.counts],
         "traffic": (device.traffic.l1_l2, device.traffic.l2_l3,
@@ -59,6 +69,7 @@ def _machine(device: Device, protocol) -> dict:
         "page_homes": device.home_map.page_homes(),
         "protocol": protocol.memo_snapshot(),
         "sync": astuple(protocol.drain_sync_counts()),
+        "serves": getattr(protocol, "lease_observer", None),
     }
 
 
@@ -101,8 +112,12 @@ def _check_lockstep(name: str, trace) -> None:
 
 T, F = True, False
 
-# Hazards of the bulk paths that random traces reach too rarely to rely
-# on, pinned as explicit examples (both hypothesis-shrunk).
+# Hazards of the bulk paths, pinned as explicit examples (all
+# hypothesis-shrunk) so that each planted bug below is caught before
+# any trace is generated. Random traces reach them too rarely, and a
+# derandomized generate phase is no fixed sample: hypothesis also draws
+# constants from the non-test modules already imported, so the stream
+# depends on what else the process imported.
 
 #: A remote read of a fully resident line whose lease has expired (the
 #: requester's copy under timestamp, the home copy under cpelide-ts):
@@ -118,11 +133,26 @@ DIRECTORY_HAZARD = [("run", 0, 0, 1, (T, F)), ("run", 0, 0, 1, (T, F)),
                     ("run", 1, 83, 40, (T, T)), ("run", 0, 102, 40, (F, T)),
                     ("run", 3, 3, 27, (T, F))]
 
+#: A home-local read of a resident line whose lease has expired: the
+#: ``run_clear`` scan must send the segment per line, where the copy
+#: self-invalidates.
+EXPIRED_LOCAL_READ = [("run", 0, 0, 1, (T, F)), ("tick",),
+                      ("run", 0, 1, 1, (T, F)), ("tick",),
+                      ("run", 0, 0, 1, (T, F))]
+
+#: In the last run the miss of line 0 evicts line 1 from the full
+#: (one-set) L2, and line 1's own miss then leases it again: the
+#: ledger replay must drop each victim in line order.
+VICTIM_LATER_IN_RUN = [("run", 0, 0, 1, (T, F)), ("run", 0, 0, 33, (T, F)),
+                       ("run", 0, 0, 2, (T, F))]
+
 
 @pytest.mark.parametrize("name", protocol_names())
 @given(trace=traces)
 @example(trace=EXPIRED_REMOTE_READ)
 @example(trace=DIRECTORY_HAZARD)
+@example(trace=EXPIRED_LOCAL_READ)
+@example(trace=VICTIM_LATER_IN_RUN)
 @settings(max_examples=100, deadline=None)
 def test_access_run_matches_per_line_access(name, trace):
     _check_lockstep(name, trace)
@@ -135,6 +165,8 @@ def _assert_lockstep_catches(name: str) -> None:
     @given(trace=traces)
     @example(trace=EXPIRED_REMOTE_READ)
     @example(trace=DIRECTORY_HAZARD)
+    @example(trace=EXPIRED_LOCAL_READ)
+    @example(trace=VICTIM_LATER_IN_RUN)
     @settings(max_examples=300, deadline=None, database=None,
               derandomize=True, phases=[Phase.explicit, Phase.generate])
     def lockstep(trace):

@@ -27,6 +27,7 @@ from repro.gpu.sim import Simulator
 from repro.workloads.suite import build_workload
 
 from tests.conftest import TEST_SCALE
+from tests.test_protocol_runs import _trusts_any_lease
 
 
 def run_sim(workload, protocol, *, lease=4, chiplets=4, check=False,
@@ -192,8 +193,9 @@ class TestTimestampProtocol:
             GPUConfig(lease_kernels=-1)
 
     def test_checked_run_is_bit_identical_to_unchecked(self):
-        # The sanitizer's serve observer disables the bulk fast paths;
-        # batched-equivalence guarantees the numbers cannot move.
+        # The sanitizer's serve observer only reads the ledger, and the
+        # protocols take the same bulk paths with it installed, so the
+        # numbers cannot move.
         _, plain = run_sim("hotspot", "timestamp")
         sim, checked = run_sim("hotspot", "timestamp", check=True)
         assert sim.last_sanitizer is not None
@@ -266,6 +268,17 @@ class _BuggyTimestampProtocol(TimestampProtocol):
 
 
 class TestLeaseSanitizerMetaTest:
+    @pytest.mark.parametrize("workload, protocol",
+                             [("hotspot", "timestamp"), ("bfs", "cpelide-ts")])
+    def test_bulk_serve_of_an_invalid_lease_is_caught(self, workload,
+                                                      protocol, monkeypatch):
+        # Only the batched remote-load path consults run_valid, so the
+        # sanitizer catches this plant only if checked runs take that
+        # path and its observer sees the lines it serves.
+        monkeypatch.setattr(LeaseLedger, "run_valid", _trusts_any_lease)
+        with pytest.raises(CheckError, match="lease-(expired|stale)-serve"):
+            run_sim(workload, protocol, check=True)
+
     def test_stale_serve_is_caught(self):
         # Long lease so expiry never saves the buggy ledger: the only
         # defense against the cross-chiplet write is the stamp check it
