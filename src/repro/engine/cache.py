@@ -9,8 +9,10 @@ stale entries on first touch (counted, and the file is replaced) while
 edits to the engine/experiment/CLI layers leave every entry valid —
 re-running a finished experiment after an unrelated edit is near-instant.
 
-Entries are JSON documents (``SimulationResult.to_dict()`` payloads), so
-a cache hit reproduces the original result bit-for-bit. Layout::
+Entries are compact JSON documents holding the salt, the job's identity
+and its result payload (the engine stores
+``SimulationResult.to_record()`` records), so a cache hit reproduces the
+original result bit-for-bit. Layout::
 
     <root>/<key[:2]>/<key>.json
 
@@ -241,33 +243,32 @@ class SharedResultCache:
 
     @staticmethod
     def key(job: JobSpec) -> str:
-        """Stable content hash identifying one job (blake2b, matching
-        the memo store's digests); independent of root and salt."""
-        canonical = json.dumps(job.key_payload(), sort_keys=True,
-                               separators=(",", ":"))
-        return hashlib.blake2b(canonical.encode(),
-                               digest_size=32).hexdigest()
+        """Stable content hash identifying one job
+        (:attr:`JobSpec.key <repro.engine.spec.JobSpec.key>`, computed
+        once per job); independent of root and salt."""
+        return job.key
 
     def _path(self, key: str) -> pathlib.Path:
         return self.root / key[:2] / f"{key}.json"
 
     # ------------------------------------------------------------------
 
-    def load(self, job: JobSpec) -> Optional[Dict[str, Any]]:
+    def load(self, job: JobSpec) -> Optional[Any]:
         """Return the cached result payload for ``job``, or ``None``.
 
         A present entry whose salt does not match the current code
         version is *invalidated*: counted, deleted, and reported as a
         miss so the caller recomputes it.
         """
-        path = self._path(self.key(job))
+        path = self._path(job.key)
         try:
-            document = json.loads(path.read_text())
+            document = json.loads(path.read_bytes())
         except FileNotFoundError:
             self.stats.misses += 1
             return None
-        except (OSError, json.JSONDecodeError):
-            # Unreadable/corrupt entry: drop it and recompute.
+        except (OSError, ValueError):
+            # Unreadable/corrupt entry (not UTF-8, or not JSON): drop it
+            # and recompute.
             self.stats.invalidations += 1
             self.stats.misses += 1
             path.unlink(missing_ok=True)
@@ -280,16 +281,24 @@ class SharedResultCache:
         self.stats.hits += 1
         return document["result"]
 
-    def store(self, job: JobSpec, result: Dict[str, Any]) -> None:
-        """Persist one job's result payload (atomic rename)."""
-        key = self.key(job)
-        path = self._path(key)
+    def store(self, job: JobSpec, result: Any) -> None:
+        """Persist one job's result payload as compact JSON.
+
+        The document is written to a temporary name and renamed into
+        place, so a reader sees a whole entry or none. A store that
+        fails in between removes its temporary file and raises.
+        """
+        path = self._path(job.key)
         path.parent.mkdir(parents=True, exist_ok=True)
         document = {"salt": self.salt, "job": job.key_payload(),
                     "result": result}
         tmp = path.with_suffix(f".tmp.{os.getpid()}")
-        tmp.write_text(json.dumps(document))
-        tmp.replace(path)
+        try:
+            tmp.write_text(json.dumps(document, separators=(",", ":")))
+            tmp.replace(path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
         self.stats.stores += 1
 
     # ------------------------------------------------------------------
@@ -319,18 +328,28 @@ class SharedResultCache:
         return f"{socket.gethostname()}-{os.getpid()}-{secrets.token_hex(8)}"
 
     def _read_claim(self, path: pathlib.Path) -> Optional[Dict[str, Any]]:
-        try:
-            return json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError):
-            return None
+        """The claim at ``path``, or ``None`` when there is none.
 
-    def _peek(self, job: JobSpec) -> Optional[Dict[str, Any]]:
+        A claim file that does not decode to a JSON object (not UTF-8,
+        not JSON, or emptied by a writer that died) reads as ``{}``: it
+        has no deadline, so it counts as expired and is reclaimed
+        instead of being waited on forever.
+        """
+        try:
+            claim = json.loads(path.read_bytes())
+        except OSError:
+            return None
+        except ValueError:
+            return {}
+        return claim if isinstance(claim, dict) else {}
+
+    def _peek(self, job: JobSpec) -> Optional[Any]:
         """Like :meth:`load` but without touching the hit/miss counters
         (the claim/wait paths do their own accounting)."""
-        path = self._path(self.key(job))
+        path = self._path(job.key)
         try:
-            document = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError):
+            document = json.loads(path.read_bytes())
+        except (OSError, ValueError):
             return None
         if document.get("salt") != self.salt:
             return None
@@ -338,6 +357,10 @@ class SharedResultCache:
 
     def _write_claim(self, path: pathlib.Path, token: str) -> bool:
         """Atomically create the claim file; False if it already exists.
+
+        The claim is written whole under a private name and hard-linked
+        into place: the link creates it exclusively, and no reader ever
+        sees a half-written claim (which would read as expired).
 
         The deadline is wall-clock (cross-host comparable); the claim
         also records its own lease duration so readers can scale their
@@ -352,12 +375,14 @@ class SharedResultCache:
             "deadline": time.time() + self.lease_seconds,
             "lease": self.lease_seconds,
         })
+        tmp = path.with_name(f"{path.name}.{token}.tmp")
         try:
-            fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+            tmp.write_text(body)
+            os.link(tmp, path)
         except FileExistsError:
             return False
-        with os.fdopen(fd, "w") as fh:
-            fh.write(body)
+        finally:
+            tmp.unlink(missing_ok=True)
         return True
 
     def _claim_expired(self, claim: Dict[str, Any]) -> bool:
@@ -438,7 +463,7 @@ class SharedResultCache:
         payload = self.load(job)  # counts hit or miss
         if payload is not None:
             return CLAIM_HIT, payload
-        claim_path = self._claim_path(self.key(job))
+        claim_path = self._claim_path(job.key)
         token = self._claim_token()
         for attempt in (0, 1, 2):
             if self._write_claim(claim_path, token):
@@ -486,7 +511,7 @@ class SharedResultCache:
             # The in-flight worker died without storing: loop and claim.
 
     def wait_for(self, job: JobSpec,
-                 timeout: Optional[float] = None) -> Optional[Dict[str, Any]]:
+                 timeout: Optional[float] = None) -> Optional[Any]:
         """Wait for another worker's in-flight computation of ``job``.
 
         Polls until the result lands (returned, counted as ``deduped``),
@@ -500,7 +525,7 @@ class SharedResultCache:
         compared in wall time (see :meth:`_claim_expired`).
         """
         import time
-        claim_path = self._claim_path(self.key(job))
+        claim_path = self._claim_path(job.key)
         deadline = None if timeout is None else time.monotonic() + timeout
         while True:
             payload = self._peek(job)
@@ -514,16 +539,20 @@ class SharedResultCache:
                 return None
             time.sleep(self.poll_seconds)
 
-    def store_and_release(self, job: JobSpec, result: Dict[str, Any],
+    def store_and_release(self, job: JobSpec, result: Any,
                           token: str) -> None:
         """Publish a computed result, then drop the caller's claim.
 
         Order matters: the result must be visible *before* the claim
         disappears, so a waiter never observes "no claim, no result" for
-        a cell that was computed successfully.
+        a cell that was computed successfully. A store that fails still
+        drops the claim, so a waiter or the next requester computes the
+        cell instead of waiting out the lease.
         """
-        self.store(job, result)
-        self._release(job, token)
+        try:
+            self.store(job, result)
+        finally:
+            self._release(job, token)
 
     def abandon(self, job: JobSpec, token: str) -> None:
         """Drop a claim without storing (the computation failed); a
@@ -531,7 +560,7 @@ class SharedResultCache:
         self._release(job, token)
 
     def _release(self, job: JobSpec, token: str) -> None:
-        claim_path = self._claim_path(self.key(job))
+        claim_path = self._claim_path(job.key)
         claim = self._read_claim(claim_path)
         if claim is not None and claim.get("token") == token:
             claim_path.unlink(missing_ok=True)

@@ -17,9 +17,9 @@ from __future__ import annotations
 import json
 import os
 import pathlib
-from typing import Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
-from repro.engine.cache import SharedResultCache
+from repro.engine.cache import SharedResultCache, code_version_salt
 from repro.engine.runner import (
     HOW_DEDUP,
     HOW_HIT,
@@ -56,7 +56,7 @@ DistSweepRunner = SweepRunner
 #
 #     <work_dir>/spec.json            the sweep manifest
 #     <work_dir>/units/unit-*.json    scattered work units (JSON JobSpecs)
-#     <work_dir>/results/unit-*.json  gathered unit results (JSON payloads)
+#     <work_dir>/results/unit-*.json  unit results (each cell's record)
 #     <work_dir>/cache/               the SharedResultCache root
 #
 # scatter() writes the first two; any number of work() loops — on any
@@ -72,11 +72,22 @@ def _result_file(work_dir: pathlib.Path, unit_index: int) -> pathlib.Path:
     return work_dir / "results" / f"unit-{unit_index:04d}.json"
 
 
-def work_dir_cache(work_dir: "os.PathLike[str] | str",
-                   salt: Optional[str] = None) -> SharedResultCache:
+def _read_manifest(work_path: pathlib.Path) -> Dict[str, Any]:
+    """A work directory's manifest, refused when another code version
+    scattered it: its cells and unit results were computed, and their
+    records written, by that version."""
+    manifest = json.loads((work_path / "spec.json").read_text())
+    if manifest["salt"] != code_version_salt():
+        raise CacheError(
+            f"{work_path} was scattered by another code version (salt "
+            f"{manifest['salt']}, this code {code_version_salt()}): "
+            f"scatter the sweep again")
+    return manifest
+
+
+def work_dir_cache(work_dir: "os.PathLike[str] | str") -> SharedResultCache:
     """The shared cache a work directory's workers all talk to."""
-    return SharedResultCache(root=pathlib.Path(work_dir) / "cache",
-                             salt=salt)
+    return SharedResultCache(root=pathlib.Path(work_dir) / "cache")
 
 
 def scatter(spec: SweepSpec, work_dir: "os.PathLike[str] | str",
@@ -123,8 +134,8 @@ def work(work_dir: "os.PathLike[str] | str",
     shared cache, so nothing is recomputed).
     """
     work_path = pathlib.Path(work_dir)
-    manifest = json.loads((work_path / "spec.json").read_text())
-    cache = work_dir_cache(work_path, salt=manifest["salt"])
+    manifest = _read_manifest(work_path)
+    cache = work_dir_cache(work_path)
     executed = 0
     for unit_index in range(manifest["units"]):
         if max_units is not None and executed >= max_units:
@@ -162,7 +173,7 @@ def work(work_dir: "os.PathLike[str] | str",
                 "seconds": cell.seconds,
                 "payload": cell.payload,
             } for cell in unit_result.cells],
-        }))
+        }, separators=(",", ":")))
         tmp.replace(result_path)
         claim_path.unlink(missing_ok=True)
         executed += 1
@@ -191,7 +202,7 @@ def gather(work_dir: "os.PathLike[str] | str") -> SweepResult:
     any worker has not finished yet.
     """
     work_path = pathlib.Path(work_dir)
-    manifest = json.loads((work_path / "spec.json").read_text())
+    manifest = _read_manifest(work_path)
     spec = SweepSpec.from_payload(manifest["spec"])
     jobs = spec.expand()
     outcomes: List[Optional[JobOutcome]] = [None] * len(jobs)
@@ -204,7 +215,14 @@ def gather(work_dir: "os.PathLike[str] | str") -> SweepResult:
         if not result_path.exists():
             missing.append(unit_index)
             continue
-        document = json.loads(result_path.read_text())
+        try:
+            document = json.loads(result_path.read_bytes())
+        except ValueError:
+            # A corrupt unit result (not UTF-8, or not JSON): remove it,
+            # so the next work() runs the unit again from the cache.
+            result_path.unlink(missing_ok=True)
+            missing.append(unit_index)
+            continue
         wall = max(wall, document["seconds"])
         for cell in document["cells"]:
             index, how = cell["index"], cell["how"]

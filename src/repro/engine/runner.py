@@ -21,10 +21,15 @@ protocol, so any number of runners — threads, processes, or hosts
 sharing the cache root — compute each cell once and serve each other's
 completed *and in-flight* cells.
 
-Results cross the process boundary and the cache as JSON-stable
-``to_dict()`` payloads and aggregate **in spec order**, so in-process,
-forked and cached runs of the same spec are bit-identical. Every run
-produces a :class:`SweepReport`, the summary the CLIs print.
+A computed cell leaves :func:`_execute_job` as one compact payload,
+its result's positional :meth:`~repro.gpu.sim.SimulationResult.to_record`
+(occupancy jobs: ``to_dict()``). That payload is what the fork pool
+returns, what the shared cache stores as JSON and what a
+:mod:`repro.engine.dist` work directory carries; :func:`_reconstruct`
+rebuilds the typed result from it in the parent. Results aggregate
+**in spec order**, so in-process, forked and cached runs of the same
+spec are bit-identical. Every run produces a :class:`SweepReport`, the
+summary the CLIs print.
 """
 
 from __future__ import annotations
@@ -35,13 +40,12 @@ import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from typing import (Any, Callable, Dict, Iterator, List, Optional, Sequence,
-                    Tuple)
+                    Tuple, Union)
 
 from repro.engine.cache import (
     CLAIM_ACQUIRED,
     CLAIM_HIT,
     CacheStats,
-    ResultCache,
     SharedResultCache,
 )
 from repro.engine.spec import JobSpec, SweepSpec, workload_label
@@ -50,6 +54,11 @@ from repro.obs.tracer import NULL_TRACER, Tracer
 #: Result types a job can produce (SimulationResult or
 #: TableOccupancyProfile; both expose ``to_dict``/``from_dict``).
 JobResult = Any
+
+#: A computed cell in transport and in the cache: the JSON-stable
+#: ``SimulationResult.to_record()`` of a simulation job, the
+#: ``TableOccupancyProfile.to_dict()`` of an occupancy job.
+JobPayload = Union[List[Any], Dict[str, Any]]
 
 ProgressFn = Callable[[str], None]
 
@@ -71,7 +80,7 @@ UNITS_PER_WORKER = 4
 
 
 def _execute_job(job: JobSpec, tracer: Optional[Tracer] = None,
-                 ) -> Tuple[Dict[str, Any], MemoCounters,
+                 ) -> Tuple[JobPayload, MemoCounters,
                             Optional[Dict[str, Any]], float]:
     """Run one job; return ``(payload, memo counters, obs, seconds)``.
 
@@ -87,7 +96,7 @@ def _execute_job(job: JobSpec, tracer: Optional[Tracer] = None,
     obs: Optional[Dict[str, Any]] = None
     if job.kind == "occupancy":
         from repro.analysis.occupancy import profile_table_occupancy
-        result = profile_table_occupancy(workload, job.config)
+        payload = profile_table_occupancy(workload, job.config).to_dict()
     else:
         from repro.gpu.sim import Simulator
         result = Simulator(job.config, job.protocol,
@@ -96,22 +105,23 @@ def _execute_job(job: JobSpec, tracer: Optional[Tracer] = None,
                            tracer=tracer).run(workload)
         if result.memo_hits is not None:
             # The run took the memo trace path (REPRO_TRACE_PATH): the
-            # counters do not survive to_dict(), so carry them beside
+            # counters are not part of the record, so carry them beside
             # the payload and reattach after reconstruction.
             memo = (result.memo_hits, result.memo_misses,
                     result.memo_bypasses)
         obs = result.obs
-    return result.to_dict(), memo, obs, time.perf_counter() - start
+        payload = result.to_record()
+    return payload, memo, obs, time.perf_counter() - start
 
 
-def _reconstruct(job: JobSpec, payload: Dict[str, Any]) -> JobResult:
+def _reconstruct(job: JobSpec, payload: JobPayload) -> JobResult:
     """Rebuild a job's typed result from its payload."""
     if job.kind == "occupancy":
         from repro.analysis.occupancy import TableOccupancyProfile
         return TableOccupancyProfile.from_dict(payload)
     from repro.gpu.sim import Simulator  # noqa: F401  (import cycle guard)
     from repro.gpu.sim import SimulationResult
-    return SimulationResult.from_dict(payload)
+    return SimulationResult.from_record(payload)
 
 
 def prewarm_pending_traces(jobs: List[JobSpec],
@@ -186,7 +196,7 @@ def unit_key(jobs: Sequence[JobSpec]) -> str:
     """Content address of one batch of jobs."""
     digest = hashlib.blake2b(digest_size=16)
     for job in jobs:
-        digest.update(ResultCache.key(job).encode())
+        digest.update(job.key.encode())
     return digest.hexdigest()
 
 
@@ -220,7 +230,7 @@ class CellResult:
     """One cell's outcome as transported from whoever served it."""
 
     index: int
-    payload: Dict[str, Any]
+    payload: JobPayload
     how: str
     seconds: float
     memo: MemoCounters = None

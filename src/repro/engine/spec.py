@@ -21,6 +21,9 @@ across worker processes and hashable for the result cache:
 from __future__ import annotations
 
 import dataclasses
+import functools
+import hashlib
+import json
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -39,6 +42,10 @@ WorkloadSpec = Union[str, Tuple[Any, ...]]
 
 #: Job kinds the engine knows how to execute.
 JOB_KINDS = ("simulate", "occupancy")
+
+#: :class:`GPUConfig` field names in field order. Every field is a
+#: scalar, so a shallow field dict is the ``dataclasses.asdict`` payload.
+_CONFIG_FIELDS = tuple(f.name for f in dataclasses.fields(GPUConfig))
 
 
 def workload_label(spec: WorkloadSpec) -> str:
@@ -103,13 +110,26 @@ class JobSpec:
         :class:`GPUConfig` field."""
         workload = (self.workload if isinstance(self.workload, str)
                     else list(self.workload))
+        config = self.config
         return {
             "kind": self.kind,
             "workload": workload,
             "protocol": self.protocol,
             "scheduler": self.scheduler,
-            "config": dataclasses.asdict(self.config),
+            "config": {name: getattr(config, name)
+                       for name in _CONFIG_FIELDS},
         }
+
+    @functools.cached_property
+    def key(self) -> str:
+        """Stable content hash of :meth:`key_payload` (blake2b of its
+        canonical JSON, matching the memo store's digests): the job's
+        result-cache key. Computed once per job; it travels with the
+        job when the job is pickled to a worker."""
+        canonical = json.dumps(self.key_payload(), sort_keys=True,
+                               separators=(",", ":"))
+        return hashlib.blake2b(canonical.encode(),
+                               digest_size=32).hexdigest()
 
     def to_payload(self) -> Dict[str, Any]:
         """Full JSON round-trip payload (identity plus execution-only

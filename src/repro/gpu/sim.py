@@ -67,10 +67,11 @@ class SimulationResult:
     #: path, since every kernel is keyed). ``None`` whenever the run
     #: was not memoized — the line and run paths, and results rebuilt
     #: from a serialized dump (the counters are deliberately *not* part
-    #: of :meth:`to_dict`: the dump must stay bit-identical across trace
-    #: paths and across warm vs. cold memo stores for the differential
-    #: tests and the engine's result cache). Consumers must treat
-    #: ``None`` as "not applicable", never as zero activity.
+    #: of :meth:`to_dict` or :meth:`to_record`: the dump must stay
+    #: bit-identical across trace paths and across warm vs. cold memo
+    #: stores for the differential tests and the engine's result
+    #: cache). Consumers must treat ``None`` as "not applicable", never
+    #: as zero activity.
     memo_hits: Optional[int] = None
     memo_misses: Optional[int] = None
     memo_bypasses: Optional[int] = None
@@ -104,10 +105,12 @@ class SimulationResult:
         """Lossless JSON-serializable dump of the result.
 
         ``SimulationResult.from_dict(json.loads(json.dumps(r.to_dict())))``
-        reproduces ``r`` bit-for-bit — the engine's result cache and its
-        worker-process transport both rely on this round trip. The
-        default dump never includes the :attr:`obs` metrics (tracing must
-        not perturb serialized results); ``include_obs=True`` adds them.
+        reproduces ``r`` bit-for-bit. This is the public form (API sweep
+        dumps, server result bodies, the benchmark's digests); the
+        engine's worker transport and result cache carry the equivalent
+        :meth:`to_record`. The default dump never includes the
+        :attr:`obs` metrics (tracing must not perturb serialized
+        results); ``include_obs=True`` adds them.
         """
         out = {
             "protocol": self.protocol,
@@ -131,6 +134,29 @@ class SimulationResult:
             num_chiplets=int(data["num_chiplets"]),
             obs=data.get("obs"),
         )
+
+    def to_record(self) -> List[Any]:
+        """Lossless positional record of the result:
+        ``[protocol, num_chiplets, wall_cycles, energy, metrics]``, the
+        metrics as :meth:`RunMetrics.to_record`.
+
+        It carries exactly what :meth:`to_dict` carries (never
+        :attr:`obs`), normalised the same way, without a key per field:
+        the sweep engine moves results between processes and stores them
+        in its result cache in this form. :meth:`from_record` of its JSON
+        wire form equals ``r`` and has ``r``'s :meth:`to_dict`.
+        """
+        return [self.protocol, int(self.num_chiplets),
+                float(self.wall_cycles),
+                {k: float(v) for k, v in self.energy.items()},
+                self.metrics.to_record()]
+
+    @classmethod
+    def from_record(cls, record: Sequence[Any]) -> "SimulationResult":
+        """Rebuild a result from :meth:`to_record` output."""
+        protocol, num_chiplets, wall_cycles, energy, metrics = record
+        return cls(RunMetrics.from_record(metrics), energy, wall_cycles,
+                   protocol, num_chiplets)
 
 
 class Simulator:

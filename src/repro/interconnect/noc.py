@@ -10,7 +10,7 @@ meters.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict
+from typing import Dict, List, Sequence, Tuple
 
 
 @dataclass(frozen=True)
@@ -116,6 +116,27 @@ class TrafficMeter:
             l2_l3=int(data["l2_l3"]),
             remote=int(data["remote"]),
         )
+
+    def to_row(self) -> List[int]:
+        """The meter's fields in field order, the flit params flattened
+        first: ``[flit_bytes, line_size, l1_l2, l2_l3, remote]``, with
+        :meth:`to_dict`'s ``int`` normalisation."""
+        return [int(self.params.flit_bytes), int(self.params.line_size),
+                int(self.l1_l2), int(self.l2_l3), int(self.remote)]
+
+    @classmethod
+    def from_row(cls, row: Sequence[int],
+                 flit_params: Dict[Tuple[int, int], FlitParams],
+                 ) -> "TrafficMeter":
+        """Rebuild from :meth:`to_row` output. ``flit_params`` maps
+        ``(flit_bytes, line_size)`` to one :class:`FlitParams` (frozen,
+        so the meters of one result can share it)."""
+        flit_bytes, line_size, l1_l2, l2_l3, remote = row
+        params = flit_params.get((flit_bytes, line_size))
+        if params is None:
+            params = flit_params[flit_bytes, line_size] = FlitParams(
+                flit_bytes, line_size)
+        return cls(params, l1_l2, l2_l3, remote)
 
     def merge(self, other: "TrafficMeter") -> None:
         """Accumulate ``other`` into ``self``."""

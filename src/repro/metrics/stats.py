@@ -8,9 +8,9 @@ model, Fig. 10 from the traffic meters.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import Any, Dict, List
+from typing import Any, Dict, List, Sequence, Tuple
 
-from repro.interconnect.noc import TrafficMeter
+from repro.interconnect.noc import FlitParams, TrafficMeter
 
 
 @dataclass
@@ -80,6 +80,11 @@ class AccessCounts:
         """Rebuild from :meth:`to_dict` output."""
         return cls(**{k: int(v) for k, v in data.items()})
 
+    def to_row(self) -> List[int]:
+        """Counter fields in field order, rebuilt by
+        ``AccessCounts(*row)``."""
+        return [int(getattr(self, f.name)) for f in fields(self)]
+
 
 @dataclass
 class SyncCounts:
@@ -118,6 +123,11 @@ class SyncCounts:
     def from_dict(cls, data: Dict[str, int]) -> "SyncCounts":
         """Rebuild from :meth:`to_dict` output."""
         return cls(**{k: int(v) for k, v in data.items()})
+
+    def to_row(self) -> List[int]:
+        """Counter fields in field order, rebuilt by
+        ``SyncCounts(*row)``."""
+        return [int(getattr(self, f.name)) for f in fields(self)]
 
 
 @dataclass
@@ -171,6 +181,33 @@ class KernelMetrics:
             traffic=TrafficMeter.from_dict(data["traffic"]),
             chiplets_used=int(data["chiplets_used"]),
         )
+
+    def to_row(self) -> List[Any]:
+        """One kernel as a positional row: the fields in field order,
+        the three counter groups as :meth:`AccessCounts.to_row`,
+        :meth:`SyncCounts.to_row` and :meth:`TrafficMeter.to_row` lists,
+        with :meth:`to_dict`'s ``int``/``float`` normalisation."""
+        return [self.kernel_name, int(self.kernel_index),
+                float(self.cycles), float(self.compute_cycles),
+                float(self.memory_cycles), float(self.sync_cycles),
+                float(self.cp_overhead_cycles), self.accesses.to_row(),
+                self.sync.to_row(), self.traffic.to_row(),
+                int(self.chiplets_used)]
+
+    @classmethod
+    def from_row(cls, row: Sequence[Any],
+                 flit_params: Dict[Tuple[int, int], FlitParams],
+                 ) -> "KernelMetrics":
+        """Rebuild from :meth:`to_row` output, positionally and without
+        coercion (:meth:`to_row` normalised the values, and JSON keeps
+        ``int`` and ``float`` apart). ``flit_params`` is the
+        :meth:`TrafficMeter.from_row` share of one result."""
+        (name, index, cycles, compute, memory, sync_cycles, cp_overhead,
+         accesses, sync, traffic, chiplets_used) = row
+        return cls(name, index, cycles, compute, memory, sync_cycles,
+                   cp_overhead, AccessCounts(*accesses), SyncCounts(*sync),
+                   TrafficMeter.from_row(traffic, flit_params),
+                   chiplets_used)
 
 
 @dataclass
@@ -276,3 +313,20 @@ class RunMetrics:
             num_chiplets=int(data["num_chiplets"]),
             kernels=[KernelMetrics.from_dict(k) for k in data["kernels"]],
         )
+
+    def to_record(self) -> List[Any]:
+        """Positional form of :meth:`to_dict`:
+        ``[workload, protocol, num_chiplets, kernel rows]`` (one
+        :meth:`KernelMetrics.to_row` per kernel)."""
+        return [self.workload, self.protocol, int(self.num_chiplets),
+                [k.to_row() for k in self.kernels]]
+
+    @classmethod
+    def from_record(cls, record: Sequence[Any]) -> "RunMetrics":
+        """Rebuild from :meth:`to_record` output; the kernels' meters
+        share one :class:`FlitParams` per distinct value."""
+        workload, protocol, num_chiplets, rows = record
+        flit_params: Dict[Tuple[int, int], FlitParams] = {}
+        return cls(workload, protocol, num_chiplets,
+                   [KernelMetrics.from_row(row, flit_params)
+                    for row in rows])

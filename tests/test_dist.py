@@ -120,6 +120,25 @@ class TestClaimProtocol:
         assert status == CLAIM_INFLIGHT
         cache.abandon(job, token)
 
+    def test_unreadable_claim_is_reclaimed(self, tmp_path):
+        """A claim file that does not decode to an object (emptied by a
+        writer that died, not JSON, not UTF-8) counts as expired: the
+        next claimant reclaims it instead of spinning on it."""
+        job = one_job()
+        for body in (b"", b"{not json", b'{"token": "\xff"}', b"[]"):
+            cache = SharedResultCache(root=tmp_path / "c")
+            claim_path = cache._claim_path(cache.key(job))
+            claim_path.parent.mkdir(parents=True, exist_ok=True)
+            claim_path.write_bytes(body)
+            assert cache._read_claim(claim_path) == {}
+            # try_claim, not acquire: a regression fails here instead
+            # of looping forever.
+            status, token = cache.try_claim(job)
+            assert status == CLAIM_ACQUIRED
+            assert cache.stats.reclaims == 1
+            cache.abandon(job, token)
+            assert not claim_path.exists()
+
     def test_claim_files_invisible_to_len_and_clear(self, tmp_path):
         cache = SharedResultCache(root=tmp_path / "c")
         job = one_job()
@@ -438,6 +457,40 @@ class TestScatterWorkGather:
             gather(work_dir)
         message = str(excinfo.value)
         assert all(str(unit.index) in message for unit in units)
+
+    def test_work_dir_of_another_code_version_is_refused(self, tmp_path):
+        """Cells and unit results in a work directory are records of the
+        code version that scattered it; another version refuses the
+        directory instead of decoding them."""
+        spec = small_spec(workloads=("square",))
+        work_dir = tmp_path / "wd"
+        scatter(spec, work_dir, workers=2)
+        manifest_path = work_dir / "spec.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["salt"] = "older-code-version"
+        manifest_path.write_text(json.dumps(manifest))
+        for step in (work, gather):
+            with pytest.raises(CacheError, match="another code version"):
+                step(work_dir)
+
+    def test_corrupt_unit_claim_and_result_are_recovered(self, tmp_path):
+        """A unit claim that does not decode is reclaimed by work(); a
+        unit result that does not decode is removed by gather(), which
+        names the unit as unfinished, and the next work() reruns it."""
+        spec = small_spec(workloads=("square",))
+        work_dir = tmp_path / "wd"
+        units = scatter(spec, work_dir, workers=2)
+        claim = work_dir / "results" / "unit-0000.json.claim"
+        claim.write_bytes(b'{"token": "\xff"}')
+        assert work(work_dir) == len(units)
+        result = work_dir / "results" / "unit-0000.json"
+        result.write_bytes(b'{"cells": "\xff"}')
+        with pytest.raises(CacheError, match=r"\[0\]"):
+            gather(work_dir)
+        assert not result.exists()
+        assert work(work_dir) == 1
+        assert gather(work_dir).to_dicts() == \
+            SweepRunner().run(spec).to_dicts()
 
     def test_max_units_bounds_one_call(self, tmp_path):
         spec = small_spec()

@@ -2,21 +2,45 @@
 
 from __future__ import annotations
 
+import dataclasses
+import inspect
 import json
+import pathlib
+import pickle
 
 import pytest
 
+import repro
 from repro.analysis.occupancy import TableOccupancyProfile
+from repro.coherence.registry import protocols
 from repro.engine.cache import (
+    _SALT_PACKAGES,
     CacheStats,
     ResultCache,
     SharedResultCache,
     code_version_salt,
 )
-from repro.engine.runner import SweepRunner, resolve_jobs
-from repro.engine.spec import JobSpec, SweepSpec, workload_label
-from repro.gpu.config import GPUConfig
+from repro.engine.runner import (
+    SweepRunner,
+    resolve_jobs,
+    shard_jobs,
+    unit_key,
+)
+from repro.engine.spec import (
+    JobSpec,
+    SweepSpec,
+    build_for_job,
+    workload_label,
+)
+from repro.gpu.config import GPUConfig, monolithic_equivalent
 from repro.gpu.sim import SimulationResult, Simulator
+from repro.interconnect.noc import TrafficMeter
+from repro.metrics.stats import (
+    AccessCounts,
+    KernelMetrics,
+    RunMetrics,
+    SyncCounts,
+)
 from repro.workloads.suite import build_workload
 
 from tests.conftest import TEST_SCALE
@@ -30,6 +54,24 @@ def small_spec(workloads=WORKLOADS, protocols=PROTOCOLS,
     return SweepSpec.grid(workloads=workloads, protocols=protocols,
                           chiplet_counts=chiplet_counts, scale=TEST_SCALE,
                           **kwargs)
+
+
+def pinned_keys():
+    """Two jobs and their cache keys, computed before the key payload's
+    config dict became shallow."""
+    square = JobSpec(workload="square", protocol="cpelide",
+                     config=GPUConfig(num_chiplets=4, scale=1 / 64))
+    multistream = JobSpec(
+        workload=("multistream", "square", 2), protocol="hmg",
+        config=GPUConfig(num_chiplets=2, scale=1 / 128,
+                         l2_size=4 * 1024 * 1024),
+        scheduler="locality")
+    return (
+        (square,
+         "e56be9196c705fc3a1f72ffcecd9d7fbf80df023e6418268b05727258acbcc9a"),
+        (multistream,
+         "aa0a3bb78fe8e916adbdfb02338fff7f674e51fe261332c10bfc8992deee909a"),
+    )
 
 
 class TestSpec:
@@ -64,6 +106,45 @@ class TestSpec:
         payload = job.key_payload()
         assert json.loads(json.dumps(payload)) == payload
         assert payload["config"]["num_chiplets"] == 4
+
+    def test_key_payload_equals_asdict_payload(self):
+        """The shallow config dict is the ``dataclasses.asdict`` one, so
+        the canonical JSON, and every cache key, is unchanged."""
+        for job, _ in pinned_keys():
+            workload = (job.workload if isinstance(job.workload, str)
+                        else list(job.workload))
+            assert job.key_payload() == {
+                "kind": job.kind, "workload": workload,
+                "protocol": job.protocol, "scheduler": job.scheduler,
+                "config": dataclasses.asdict(job.config)}
+
+    def test_cache_keys_are_pinned(self):
+        """Keys address every stored entry: a change to them orphans
+        every cache on disk."""
+        for job, key in pinned_keys():
+            assert ResultCache.key(job) == key
+
+    def test_each_job_is_keyed_once(self, tmp_path, monkeypatch):
+        """The claim, store, release, load and unit-key paths reuse the
+        job's key; a pickled job (the fork pool's transport) carries it.
+        Only the stored document builds the payload again."""
+        calls = []
+        original = JobSpec.key_payload
+
+        def counted(self):
+            calls.append(self.label)
+            return original(self)
+
+        monkeypatch.setattr(JobSpec, "key_payload", counted)
+        job = small_spec(workloads=("square",),
+                         protocols=("cpelide",)).expand()[0]
+        cache = SharedResultCache(root=tmp_path / "c")
+        _, token = cache.acquire(job)
+        cache.store_and_release(job, [1, 2], token)
+        assert cache.load(job) == [1, 2]
+        unit_key([job])
+        assert pickle.loads(pickle.dumps(job)).key == job.key
+        assert calls == [job.label] * 2
 
     def test_resolve_jobs(self):
         assert resolve_jobs(3) == 3
@@ -139,10 +220,12 @@ class TestCache:
         cache = SharedResultCache(root=tmp_path / "c")
         SweepRunner(cache=cache).run(spec)
         [path] = list((tmp_path / "c").rglob("*.json"))
-        path.write_text("{not json")
-        result = SweepRunner(cache=cache).run(spec)
-        assert result.report.cache_invalidations == 1
-        assert result.report.executed == 1
+        not_json, not_utf8 = b"{not json", b'{"result": "\xff"}'
+        for corrupt in (not_json, not_utf8):
+            path.write_bytes(corrupt)
+            result = SweepRunner(cache=cache).run(spec)
+            assert result.report.cache_invalidations == 1
+            assert result.report.executed == 1
 
     def test_cache_stats_accounting(self, tmp_path):
         cache = ResultCache(root=tmp_path / "c")
@@ -170,6 +253,105 @@ class TestCache:
     def test_code_version_salt_is_stable(self):
         assert code_version_salt() == code_version_salt()
         assert len(code_version_salt()) == 16
+
+    def test_record_codec_is_salted(self):
+        """Every function of the record codec lives in a salted package,
+        so a change to the format changes the salt and entries in an
+        older format are invalidated instead of decoded."""
+        root = pathlib.Path(repro.__file__).parent
+        codec = (SimulationResult.to_record, SimulationResult.from_record,
+                 RunMetrics.to_record, RunMetrics.from_record,
+                 KernelMetrics.to_row, KernelMetrics.from_row,
+                 AccessCounts.to_row, SyncCounts.to_row,
+                 TrafficMeter.to_row, TrafficMeter.from_row)
+        for function in codec:
+            source = pathlib.Path(inspect.getsourcefile(function))
+            package = source.relative_to(root).parts[0]
+            assert package in _SALT_PACKAGES, function.__qualname__
+
+    def test_dict_format_entry_is_recomputed_not_decoded(self, tmp_path):
+        """An entry holding a ``to_dict()`` payload under an older salt
+        (the format before records) is counted, replaced by a record and
+        never handed to the decoder."""
+        spec = small_spec(workloads=("square",), protocols=("cpelide",))
+        [job] = spec.expand()
+        expected = Simulator(job.config, job.protocol).run(
+            build_for_job(job.workload, job.config)).to_dict()
+        cache = SharedResultCache(root=tmp_path / "c")
+        path = cache._path(cache.key(job))
+        path.parent.mkdir(parents=True)
+        path.write_text(json.dumps({"salt": "older-code-version",
+                                    "job": job.key_payload(),
+                                    "result": expected}))
+        result = SweepRunner(cache=cache).run(spec)
+        assert result.report.cache_invalidations == 1
+        assert result.report.executed == 1
+        assert result.to_dicts() == [expected]
+        assert isinstance(json.loads(path.read_text())["result"], list)
+        assert SweepRunner(cache=cache).run(spec).report.cache_hits == 1
+
+    def test_torn_store_is_never_served(self, tmp_path, monkeypatch):
+        """A store that dies between its temporary write and its rename
+        leaves no entry, temporary file or claim behind; the next sweep
+        computes the cell and stores it."""
+        spec = small_spec(workloads=("square",), protocols=("cpelide",))
+        [job] = spec.expand()
+        root = tmp_path / "c"
+        cache = SharedResultCache(root=root)
+
+        def torn(self, target):
+            raise OSError("store died before its rename")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(pathlib.Path, "replace", torn)
+            with pytest.raises(OSError, match="before its rename"):
+                SweepRunner(cache=cache).run(spec)
+        assert cache.load(job) is None
+        assert len(cache) == 0
+        assert cache.claimed_keys() == []
+        assert [p for p in root.rglob("*") if p.is_file()] == []
+        again = SweepRunner(cache=cache).run(spec)
+        assert again.report.executed == 1
+        assert len(cache) == 1
+        assert SweepRunner(cache=cache).run(spec).report.cache_hits == 1
+
+
+class TestRecordTransport:
+    """Every registered protocol's result crosses the record codec
+    intact: in-process, through the fork pool, and stored in and served
+    from the result cache, each equal to the simulator's own
+    ``to_dict()``."""
+
+    @staticmethod
+    def specs():
+        config = GPUConfig(num_chiplets=2, scale=TEST_SCALE)
+        chiplet = tuple(spec.name for spec in protocols()
+                        if spec.name != "monolithic")
+        return (SweepSpec(workloads=("square",), protocols=chiplet,
+                          configs=(config,)),
+                SweepSpec(workloads=("square",), protocols=("monolithic",),
+                          configs=(monolithic_equivalent(config),)))
+
+    def test_every_protocol_identical_in_process_forked_and_cached(
+            self, tmp_path):
+        chiplet, monolithic = self.specs()
+        # Several work units: workers=2 runs the chiplet spec on the
+        # fork pool (the one-cell monolithic spec runs in-process).
+        assert len(shard_jobs(chiplet.expand(), range(chiplet.num_jobs),
+                              2)) > 1
+        for index, spec in enumerate((chiplet, monolithic)):
+            direct = [Simulator(job.config, job.protocol).run(
+                build_for_job(job.workload, job.config)).to_dict()
+                for job in spec.expand()]
+            serial = SweepRunner(workers=1).run(spec)
+            forked = SweepRunner(workers=2).run(spec)
+            cache = SharedResultCache(root=tmp_path / str(index))
+            cold = SweepRunner(workers=2, cache=cache).run(spec)
+            warm = SweepRunner(workers=2, cache=cache).run(spec)
+            assert cold.report.executed == spec.num_jobs
+            assert warm.report.cache_hits == spec.num_jobs
+            for sweep in (serial, forked, cold, warm):
+                assert sweep.to_dicts() == direct
 
 
 class TestProgress:

@@ -1,11 +1,14 @@
-"""Round-trip losslessness of every result dataclass (satellite S4).
+"""Round-trip losslessness of every result dataclass.
 
 Each result type's ``to_dict`` output, pushed through an actual JSON
-encode/decode (the engine's cache and worker transport both do), must
-rebuild an equal object via ``from_dict``. Fields deliberately excluded
-from serialization are pinned by exact set equality, so adding a new
-field without either serializing it or updating the exclusion list
-fails here instead of silently dropping data in the result cache.
+encode/decode, must rebuild an equal object via ``from_dict``; a
+``SimulationResult``'s positional ``to_record`` (what the engine's
+worker transport and result cache carry) must do the same via
+``from_record`` and give the same ``to_dict`` bytes. Fields deliberately
+excluded from serialization are pinned by exact set equality, and every
+record row is pinned to its class's field count, so adding a new field
+without either serializing it or updating the exclusion list fails here
+instead of silently dropping data in the result cache.
 """
 
 from __future__ import annotations
@@ -41,8 +44,20 @@ names = st.text(min_size=0, max_size=12)
 
 
 def roundtrip(obj):
-    """from_dict(json-wire(to_dict(obj))) — the real cache round trip."""
+    """from_dict(json-wire(to_dict(obj))) — the public dump's round trip."""
     return type(obj).from_dict(json.loads(json.dumps(obj.to_dict())))
+
+
+def record_roundtrip(result):
+    """from_record(json-wire(to_record(result))), written compactly as
+    the result cache writes it — the engine's round trip."""
+    wire = json.dumps(result.to_record(), separators=(",", ":"))
+    return SimulationResult.from_record(json.loads(wire))
+
+
+def canonical(payload) -> str:
+    """Canonical JSON bytes (the benchmark digests hash these)."""
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
 def fill(cls, ints=(), floats=(), **fixed):
@@ -128,6 +143,14 @@ class TestPropertyRoundTrips:
     def test_simulation_result(self, obj):
         assert roundtrip(obj) == obj
 
+    @settings(max_examples=50)
+    @given(simulation_results)
+    def test_simulation_result_record(self, obj):
+        rebuilt = record_roundtrip(obj)
+        assert rebuilt == obj
+        assert canonical(rebuilt.to_dict()) == canonical(
+            roundtrip(obj).to_dict())
+
 
 class TestFieldCoverage:
     """New-field tripwires: every dataclass field is either in the
@@ -145,6 +168,56 @@ class TestFieldCoverage:
         assert set(payload) == {"l1_l2", "l2_l3", "remote",
                                 "flit_bytes", "line_size"}
 
+    def test_record_rows_cover_every_field(self):
+        """A field added to a result class must get a slot in its row or
+        record (or, on ``SimulationResult``, a name in
+        ``SIM_RESULT_UNSERIALIZED``): positional constructors would
+        otherwise rebuild it at its default."""
+        def width(cls):
+            return len(dataclasses.fields(cls))
+
+        kernel = KernelMetrics(kernel_name="k", kernel_index=0)
+        run = RunMetrics(workload="w", protocol="p", num_chiplets=1,
+                         kernels=[kernel])
+        result = SimulationResult(metrics=run, energy={}, wall_cycles=0.0,
+                                  protocol="p", num_chiplets=1)
+        assert len(AccessCounts().to_row()) == width(AccessCounts)
+        assert len(SyncCounts().to_row()) == width(SyncCounts)
+        # The meter's params field is flattened into FlitParams' fields.
+        assert len(TrafficMeter().to_row()) == \
+            width(TrafficMeter) - 1 + width(FlitParams)
+        assert len(kernel.to_row()) == width(KernelMetrics)
+        assert len(run.to_record()) == width(RunMetrics)
+        assert len(result.to_record()) == \
+            width(SimulationResult) - len(SIM_RESULT_UNSERIALIZED)
+
+    def test_record_rebuilds_every_field_in_place(self):
+        """Distinct values in every slot: a row that swaps two fields
+        or drops one rebuilds a different object."""
+        def distinct(cls, start):
+            return cls(*range(start, start + len(dataclasses.fields(cls))))
+
+        meter = TrafficMeter(FlitParams(16, 128), 7, 8, 9)
+        kernels = [KernelMetrics("k0", 3, 1.5, 2.5, 3.5, 4.5, 5.5,
+                                 distinct(AccessCounts, 10),
+                                 distinct(SyncCounts, 40), meter, 2),
+                   KernelMetrics("k1", 4, 6.5, 7.5, 8.5, 9.5, 0.5,
+                                 distinct(AccessCounts, 70),
+                                 distinct(SyncCounts, 90),
+                                 TrafficMeter(FlitParams(16, 128), 1, 2, 3),
+                                 3)]
+        result = SimulationResult(
+            metrics=RunMetrics(workload="w", protocol="m", num_chiplets=3,
+                               kernels=kernels),
+            energy={"l2": 0.25, "total": 1.75}, wall_cycles=11.5,
+            protocol="p", num_chiplets=5)
+        rebuilt = record_roundtrip(result)
+        assert rebuilt == result
+        assert rebuilt.to_dict() == result.to_dict()
+        # The rebuilt meters share one FlitParams per distinct value.
+        first, second = (k.traffic.params for k in rebuilt.metrics.kernels)
+        assert first is second
+
     def test_simulation_result_exclusions_are_exact(self):
         field_names = {f.name for f in dataclasses.fields(SimulationResult)}
         result = SimulationResult(
@@ -160,9 +233,9 @@ class TestRealRunRoundTrip:
         config = GPUConfig(num_chiplets=4, scale=TEST_SCALE)
         result = Simulator(config, "cpelide").run(
             build_workload("square", config))
-        rebuilt = roundtrip(result)
-        assert rebuilt == result
-        assert rebuilt.to_dict() == result.to_dict()
+        for rebuilt in (roundtrip(result), record_roundtrip(result)):
+            assert rebuilt == result
+            assert rebuilt.to_dict() == result.to_dict()
 
     def test_occupancy_profile_from_real_run(self):
         from repro.analysis.occupancy import profile_table_occupancy

@@ -575,6 +575,48 @@ class TestHttpFace:
 
         run_async(scenario())
 
+    def test_body_limits_answer_4xx_and_server_stays_up(self, tmp_path):
+        """An oversized declared body, a body cut short by a half-close
+        and an over-long request head each get their 4xx; the server
+        answers ``/healthz`` after every one of them."""
+        from repro.server.http import MAX_BODY_BYTES, MAX_HEADER_BYTES
+
+        async def status_of(port, data, half_close=False):
+            reader, writer = await asyncio.open_connection("127.0.0.1",
+                                                           port)
+            writer.write(data)
+            await writer.drain()
+            if half_close:
+                writer.write_eof()
+            raw = await asyncio.wait_for(reader.read(), timeout=30)
+            writer.close()
+            return int(raw.split(b" ", 2)[1])
+
+        post = b"POST /v1/simulate HTTP/1.1\r\nHost: t\r\n"
+        oversized = post + b"Content-Length: %d\r\n\r\n" % (
+            MAX_BODY_BYTES + 1)  # the body itself is never sent
+        truncated = post + b"Content-Length: 100\r\n\r\n" + b'{"w": 1'
+        long_head = (b"GET /healthz HTTP/1.1\r\nX-Pad: "
+                     + b"a" * MAX_HEADER_BYTES + b"\r\n\r\n")
+
+        async def scenario():
+            srv = ReproServer(cache=str(tmp_path / "c"))
+            server = await srv.start(port=0)
+            port = server.sockets[0].getsockname()[1]
+            seen = []
+            try:
+                for data, half_close in ((oversized, False),
+                                         (truncated, True),
+                                         (long_head, False)):
+                    status = await status_of(port, data, half_close)
+                    health, _ = await raw_request(port, "GET", "/healthz")
+                    seen.append((status, health))
+            finally:
+                await srv.stop()
+            return seen
+
+        assert run_async(scenario()) == [(413, 200), (400, 200), (413, 200)]
+
 
 # ---------------------------------------------------------------------------
 # CLI: ``python -m repro serve`` announces its address
