@@ -323,8 +323,9 @@ def sweep(spec: Optional[SweepSpec] = None,
     ``trace_path`` selects the trace representation for every cell;
     ``tracer`` attaches an observability sink. Cells run in this process
     record full kernel-level detail, whatever the worker count; cells on
-    forked workers record sweep-cell and shard events only (tracers
-    cannot cross the fork boundary).
+    forked workers record sweep-cell and shard events only, unless the
+    tracer is a :class:`~repro.obs.streaming.StreamingTracer`, into
+    which the workers' coarse run and kernel events are replayed.
     """
     if jobs is not None and workers is not None and jobs != workers:
         raise ConfigError(

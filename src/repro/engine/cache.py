@@ -9,10 +9,11 @@ stale entries on first touch (counted, and the file is replaced) while
 edits to the engine/experiment/CLI layers leave every entry valid —
 re-running a finished experiment after an unrelated edit is near-instant.
 
-Entries are compact JSON documents holding the salt, the job's identity
-and its result payload (the engine stores
-``SimulationResult.to_record()`` records), so a cache hit reproduces the
-original result bit-for-bit. Layout::
+Entries are compact JSON documents holding the salt and the job's
+result payload (the engine stores ``SimulationResult.to_record()``
+records), so a cache hit reproduces the original result bit-for-bit.
+Entries written with a ``job`` member (the job's identity, which
+nothing reads) still load. Layout::
 
     <root>/<key[:2]>/<key>.json
 
@@ -290,8 +291,7 @@ class SharedResultCache:
         """
         path = self._path(job.key)
         path.parent.mkdir(parents=True, exist_ok=True)
-        document = {"salt": self.salt, "job": job.key_payload(),
-                    "result": result}
+        document = {"salt": self.salt, "result": result}
         tmp = path.with_suffix(f".tmp.{os.getpid()}")
         try:
             tmp.write_text(json.dumps(document, separators=(",", ":")))

@@ -48,6 +48,43 @@ JOB_KINDS = ("simulate", "occupancy")
 _CONFIG_FIELDS = tuple(f.name for f in dataclasses.fields(GPUConfig))
 
 
+#: Canonical JSON of each config value seen, keyed by the config and
+#: its field types (``1`` and ``1.0`` compare equal but dump apart).
+_CONFIG_JSON: Dict[Tuple[GPUConfig, Tuple[type, ...]], str] = {}
+
+#: Entry cap; the table is pure memoization, so eviction is a full clear.
+_CONFIG_JSON_MAX = 1024
+
+
+def _config_json(config: GPUConfig) -> str:
+    """``json.dumps`` of ``config``'s field dict with sorted keys and
+    compact separators, computed once per config value."""
+    key = (config, tuple(map(type, vars(config).values())))
+    text = _CONFIG_JSON.get(key)
+    if text is None:
+        if len(_CONFIG_JSON) >= _CONFIG_JSON_MAX:
+            _CONFIG_JSON.clear()
+        text = json.dumps({name: getattr(config, name)
+                           for name in _CONFIG_FIELDS},
+                          sort_keys=True, separators=(",", ":"))
+        _CONFIG_JSON[key] = text
+    return text
+
+
+def _canonical_json(job: "JobSpec") -> str:
+    """The canonical JSON of ``job.key_payload()`` (sorted keys, compact
+    separators), byte for byte, with the config part from
+    :func:`_config_json`: the payload's keys sort as ``config``,
+    ``kind``, ``protocol``, ``scheduler``, ``workload``."""
+    workload = (json.dumps(job.workload) if isinstance(job.workload, str)
+                else json.dumps(list(job.workload), separators=(",", ":")))
+    return (f'{{"config":{_config_json(job.config)},'
+            f'"kind":{json.dumps(job.kind)},'
+            f'"protocol":{json.dumps(job.protocol)},'
+            f'"scheduler":{json.dumps(job.scheduler)},'
+            f'"workload":{workload}}}')
+
+
 def workload_label(spec: WorkloadSpec) -> str:
     """Human-readable (and result-keying) name of a workload spec."""
     if isinstance(spec, str):
@@ -126,9 +163,7 @@ class JobSpec:
         canonical JSON, matching the memo store's digests): the job's
         result-cache key. Computed once per job; it travels with the
         job when the job is pickled to a worker."""
-        canonical = json.dumps(self.key_payload(), sort_keys=True,
-                               separators=(",", ":"))
-        return hashlib.blake2b(canonical.encode(),
+        return hashlib.blake2b(_canonical_json(self).encode(),
                                digest_size=32).hexdigest()
 
     def to_payload(self) -> Dict[str, Any]:
@@ -204,7 +239,8 @@ class SweepSpec:
             "workloads": [w if isinstance(w, str) else list(w)
                           for w in self.workloads],
             "protocols": list(self.protocols),
-            "configs": [dataclasses.asdict(c) for c in self.configs],
+            "configs": [{name: getattr(c, name) for name in _CONFIG_FIELDS}
+                        for c in self.configs],
             "scheduler": self.scheduler,
             "kind": self.kind,
             "trace_path": self.trace_path,

@@ -41,8 +41,9 @@ class AccessCounts:
 
     def merge(self, other: "AccessCounts") -> None:
         """Accumulate ``other`` into ``self``."""
-        for f in fields(self):
-            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
+        mine, theirs = self.__dict__, other.__dict__
+        for name in _ACCESS_FIELDS:
+            mine[name] += theirs[name]
 
     @property
     def l2_accesses(self) -> int:
@@ -73,7 +74,8 @@ class AccessCounts:
 
     def to_dict(self) -> Dict[str, int]:
         """JSON-serializable field dump (counter fields only)."""
-        return {f.name: int(getattr(self, f.name)) for f in fields(self)}
+        values = self.__dict__
+        return {name: int(values[name]) for name in _ACCESS_FIELDS}
 
     @classmethod
     def from_dict(cls, data: Dict[str, int]) -> "AccessCounts":
@@ -83,7 +85,8 @@ class AccessCounts:
     def to_row(self) -> List[int]:
         """Counter fields in field order, rebuilt by
         ``AccessCounts(*row)``."""
-        return [int(getattr(self, f.name)) for f in fields(self)]
+        values = self.__dict__
+        return [int(values[name]) for name in _ACCESS_FIELDS]
 
 
 @dataclass
@@ -112,12 +115,14 @@ class SyncCounts:
 
     def merge(self, other: "SyncCounts") -> None:
         """Accumulate ``other`` into ``self``."""
-        for f in fields(self):
-            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
+        mine, theirs = self.__dict__, other.__dict__
+        for name in _SYNC_FIELDS:
+            mine[name] += theirs[name]
 
     def to_dict(self) -> Dict[str, int]:
         """JSON-serializable field dump."""
-        return {f.name: int(getattr(self, f.name)) for f in fields(self)}
+        values = self.__dict__
+        return {name: int(values[name]) for name in _SYNC_FIELDS}
 
     @classmethod
     def from_dict(cls, data: Dict[str, int]) -> "SyncCounts":
@@ -127,7 +132,15 @@ class SyncCounts:
     def to_row(self) -> List[int]:
         """Counter fields in field order, rebuilt by
         ``SyncCounts(*row)``."""
-        return [int(getattr(self, f.name)) for f in fields(self)]
+        values = self.__dict__
+        return [int(values[name]) for name in _SYNC_FIELDS]
+
+
+#: Counter field names in field order, read by the ``to_dict``,
+#: ``to_row`` and ``merge`` calls instead of ``dataclasses.fields`` on
+#: every call.
+_ACCESS_FIELDS = tuple(f.name for f in fields(AccessCounts))
+_SYNC_FIELDS = tuple(f.name for f in fields(SyncCounts))
 
 
 @dataclass

@@ -1,22 +1,29 @@
 """Streaming tracer: live, thread-safe event feed for the job server.
 
 :class:`StreamingTracer` implements the :class:`~repro.obs.tracer.Tracer`
-protocol for a consumer on *another thread*: the simulation runs in a
-worker thread and appends events, while an asyncio SSE handler
-repeatedly :meth:`~StreamingTracer.drain`\\ s whatever arrived since its
-cursor and forwards it to the client. Only the coarse progress hooks
-record (run, kernel, memo, sweep-cell, shard) — the per-access firehose
-stays off, so streaming costs one list append per kernel boundary, not
-per cache line.
+protocol for a consumer on *another thread*: the job's events are
+appended from a job thread, while an asyncio SSE handler
+:meth:`~StreamingTracer.drain`\\ s whatever arrived since its cursor and
+forwards it to the client. Consumers :meth:`~StreamingTracer.subscribe`
+a callable that is called whenever events arrive (and, through
+:meth:`~StreamingTracer.notify`, when the job ends), so they wait for
+news instead of polling. Only the coarse progress hooks record (run,
+kernel, memo, sweep-cell, shard) — the per-access firehose stays off,
+so streaming costs one list append per kernel boundary, not per cache
+line.
 
 Events carry the same ``seq``/``kind``/``phase``/``args`` structure as
 :class:`~repro.obs.tracer.EventTracer`'s, emitted from the same
 tracepoint call sites in the same order, so a streamed kernel timeline
 is ordering-identical to a recorded one (``tests/test_server.py`` pins
-this).
+this). A cell computed in a forked pool worker is recorded there by a
+tracer of its own; the worker ships the events beside the cell's
+payload and the parent :meth:`~StreamingTracer.replay`\\ s them, in
+order, into the job's tracer — a whole cell's frames at once.
 
 The tracer doubles as the engine's *in-band cancellation point*: give
-it a :class:`~repro.engine.jobs.CancelToken` and a tripped token raises
+it a :class:`~repro.engine.jobs.CancelToken` (in a worker, a
+:class:`~repro.engine.jobs.SharedFlag`) and a tripped token raises
 :class:`~repro.errors.JobCancelled` at the next cell start or kernel
 boundary, unwinding the cell so its shared-cache claim is abandoned
 rather than left to expire. This is the one deliberate exception to
@@ -27,11 +34,14 @@ different one.
 from __future__ import annotations
 
 import threading
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.tracer import Event, Tracer
 
 __all__ = ["StreamingTracer"]
+
+#: A recorded event as shipped across the fork: ``(kind, phase, args)``.
+ShippedEvent = Tuple[str, str, Dict[str, Any]]
 
 
 class StreamingTracer(Tracer):
@@ -58,20 +68,65 @@ class StreamingTracer(Tracer):
         self._max_events = max_events
         self._seq = 0
         self._lock = threading.Lock()
+        self._listeners: Tuple[Callable[[], None], ...] = ()
 
     # ---- event plumbing -------------------------------------------------
 
-    def _emit(self, kind: str, phase: str, args: Dict[str, Any]) -> None:
-        with self._lock:
-            if len(self._events) >= self._max_events:
-                # Bound memory on pathological sweeps; the counter keeps
-                # the loss visible to consumers instead of silent.
-                self._dropped += 1
-                self._seq += 1
-                return
+    def _append(self, kind: str, phase: str, args: Dict[str, Any]) -> None:
+        """Record one event; the caller holds the lock."""
+        if len(self._events) >= self._max_events:
+            # Bound memory on pathological sweeps; the counter keeps
+            # the loss visible to consumers instead of silent.
+            self._dropped += 1
+        else:
             self._events.append(Event(seq=self._seq, ts=0.0, kind=kind,
                                       phase=phase, args=args))
-            self._seq += 1
+        self._seq += 1
+
+    def _emit(self, kind: str, phase: str, args: Dict[str, Any]) -> None:
+        with self._lock:
+            self._append(kind, phase, args)
+        if self._listeners:
+            self.notify()
+
+    def subscribe(self, listener: Callable[[], None]) -> None:
+        """Call ``listener()`` (from the recording thread) whenever
+        events arrive or :meth:`notify` is called."""
+        with self._lock:
+            self._listeners += (listener,)
+
+    def unsubscribe(self, listener: Callable[[], None]) -> None:
+        """Stop calling ``listener``."""
+        with self._lock:
+            self._listeners = tuple(each for each in self._listeners
+                                    if each is not listener)
+
+    def notify(self) -> None:
+        """Call every subscribed listener."""
+        for listener in self._listeners:
+            listener()
+
+    def shipped(self) -> List[ShippedEvent]:
+        """Every recorded event as ``(kind, phase, args)``, for
+        :meth:`replay` in another process."""
+        with self._lock:
+            return [(e.kind, e.phase, e.args) for e in self._events]
+
+    def replay(self, events: Sequence[ShippedEvent]) -> None:
+        """Append events another tracer recorded (a forked worker's
+        :meth:`shipped`), in order, under this tracer's sequence
+        numbers, and advance the progress counters as if they had been
+        recorded here. No cancellation check: the work they describe is
+        done."""
+        with self._lock:
+            for kind, phase, args in events:
+                if kind == "kernel" and phase == "complete":
+                    self.kernels_done += 1
+                elif kind == "run" and phase == "end":
+                    self.runs_done += 1
+                self._append(kind, phase, args)
+        if self._listeners:
+            self.notify()
 
     def drain(self, cursor: int = 0) -> Tuple[int, List[Event]]:
         """Events recorded at positions >= ``cursor``; returns the new

@@ -1,18 +1,23 @@
 """The simulation service: routes, scheduler, and job execution.
 
 :class:`ReproServer` wires the pieces together. The asyncio thread owns
-the HTTP surface, the admission controller, and the job queue; a small
-scheduler task moves queued jobs onto a thread pool whenever a worker
-slot frees up. Each worker thread runs its job through the engine's one
-:class:`~repro.engine.runner.SweepRunner`, in-process, against the
-server's :class:`~repro.engine.cache.SharedResultCache` — concurrency
-comes from multiple jobs in flight at once, and overlapping jobs dedupe
-through the cache's claim/lease protocol instead of computing the same
-cell twice. Cells run in-process (not forked) so the job's
-:class:`~repro.obs.streaming.StreamingTracer` sees kernel-level
-progress for the SSE feed and its
-:class:`~repro.engine.jobs.CancelToken` can unwind a running cell at
-the next cell start or kernel boundary.
+the HTTP surface, the admission controller, and the job queue; queued
+jobs move onto a thread pool whenever a job slot frees up. Each job
+thread runs its job through the engine's one
+:class:`~repro.engine.runner.SweepRunner` against the server's
+:class:`~repro.engine.cache.SharedResultCache`, but computes nothing
+itself: it reads the cache, assembles the result, and runs every cell
+to compute on the server's one long-lived
+:class:`~repro.engine.runner.ForkPool` (``max_inflight`` processes,
+forked in :meth:`ReproServer.start_background` before the listener
+accepts). Concurrency comes from multiple jobs in flight at once, and
+overlapping jobs dedupe through the cache's claim/lease protocol
+instead of computing the same cell twice. A pool worker records each
+cell's kernel-level progress and ships it back for the job's
+:class:`~repro.obs.streaming.StreamingTracer` (the SSE feed), and the
+job's :class:`~repro.engine.jobs.CancelToken` reaches the worker
+through a shared flag, unwinding a running cell at its next kernel
+boundary. Where ``fork`` is unavailable, cells run in the job thread.
 
 Endpoints (all JSON unless noted)::
 
@@ -39,15 +44,17 @@ byte-identical JSON to a direct in-process run of the same spec.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import dataclasses
 import functools
 import re
+import signal
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, Dict, List, Optional, Union
 
 from repro.engine.cache import CacheStats, SharedResultCache
-from repro.engine.runner import SweepRunner
+from repro.engine.runner import ForkPool, SweepRunner, _fork_available
 from repro.errors import ConfigError, JobCancelled
 from repro.obs.metrics import MetricRegistry
 from repro.server.http import (
@@ -119,9 +126,13 @@ class ReproServer:
         self._executor = ThreadPoolExecutor(
             max_workers=self.admission.max_inflight,
             thread_name_prefix="repro-job")
+        #: The fork pool every job's cells run on (from
+        #: :meth:`start_background` until :meth:`stop_background`).
+        self._pool: Optional[ForkPool] = None
         self._stats_lock = threading.Lock()
-        self._wakeup = asyncio.Event()
-        self._scheduler_task: Optional[asyncio.Task] = None
+        #: Whether queued jobs are started (between start_background and
+        #: stop_background).
+        self._scheduling = False
         self._server: Optional[asyncio.AbstractServer] = None
 
     # ---- routing ---------------------------------------------------------
@@ -192,8 +203,11 @@ class ReproServer:
         self.jobs[job.id] = job
         self.admission.on_enqueue(job.client)
         self.queue.push(job)
-        self._wakeup.set()
-        return json_response(job.status_payload(), status=202)
+        accepted = job.status_payload()
+        if self._scheduling:
+            # Start it now if a slot is free, before the reply is sent.
+            self._start_queued()
+        return json_response(accepted, status=202)
 
     async def _handle_simulate(self, request: Request) -> Response:
         return await self._submit(request, parse_simulate)
@@ -278,8 +292,9 @@ class ReproServer:
             job.mark_finished(CANCELLED, error="cancelled before start")
             self.admission.on_cancel_queued(job.client)
             return json_response(job.status_payload())
-        # Running: trip the token; the worker unwinds at the next kernel
-        # boundary (or cell start) and abandons its shared-cache claim.
+        # Running: trip the token (and its shared flag); the cell
+        # unwinds at the next kernel boundary (or cell start) and
+        # abandons its shared-cache claim.
         job.cancel.cancel("cancelled by client")
         return json_response(job.status_payload(), status=202)
 
@@ -306,77 +321,90 @@ class ReproServer:
     # ---- scheduling + execution ------------------------------------------
 
     async def start_background(self) -> None:
-        """Start the scheduler task (idempotent)."""
-        if self._scheduler_task is None or self._scheduler_task.done():
-            self._scheduler_task = asyncio.get_running_loop().create_task(
-                self._scheduler())
+        """Fork the cell pool and start running queued jobs (idempotent).
+
+        The pool forks here, from the event loop's thread, before any
+        job thread exists and before :meth:`start` binds the listener.
+        """
+        if self._pool is None and _fork_available():
+            workers = self.admission.max_inflight
+            self._pool = ForkPool(workers, cancel_slots=workers,
+                                  serving=True)
+            self._pool.start()
+        self._scheduling = True
+        self._start_queued()
 
     async def stop_background(self) -> None:
-        """Stop the scheduler and the worker pool."""
-        if self._scheduler_task is not None:
-            self._scheduler_task.cancel()
-            try:
-                await self._scheduler_task
-            except asyncio.CancelledError:
-                pass
-            self._scheduler_task = None
+        """Stop starting jobs; stop the job threads and the cell pool."""
+        self._scheduling = False
         for job in self.jobs.values():
             if not job.terminal:
                 job.cancel.cancel("server shutting down")
         self._executor.shutdown(wait=False, cancel_futures=True)
+        if self._pool is not None:
+            # Running cells see their job's cancel flag at the next
+            # kernel boundary; then the workers exit.
+            self._pool.shutdown()
+            self._pool = None
 
-    async def _scheduler(self) -> None:
-        """Move queued jobs onto worker threads as slots free up."""
+    def _start_queued(self) -> None:
+        """Start queued jobs on job threads while slots are free (on the
+        event loop's thread: at start, on submission, and whenever a job
+        ends)."""
         loop = asyncio.get_running_loop()
-        while True:
-            await self._wakeup.wait()
-            self._wakeup.clear()
-            while self.admission.has_slot():
-                job = self.queue.pop()
-                if job is None:
-                    break
-                job.mark_started()
-                self.admission.on_start(job.client)
-                future = loop.run_in_executor(self._executor,
-                                              self._run_job, job)
-                future.add_done_callback(
-                    functools.partial(self._on_job_done, job))
+        while self.admission.has_slot():
+            job = self.queue.pop()
+            if job is None:
+                break
+            job.mark_started()
+            self.admission.on_start(job.client)
+            future = loop.run_in_executor(self._executor,
+                                          self._run_job, job)
+            future.add_done_callback(
+                functools.partial(self._on_job_done, job))
 
     def _on_job_done(self, job: Job, _future: "asyncio.Future") -> None:
-        """Runs on the event loop thread when a worker finishes."""
+        """Runs on the event loop thread when a job thread finishes."""
         self.admission.on_finish(job.client, job.run_seconds)
         self.metrics.count(f"jobs_{job.state}")
         self.metrics.observe("job_seconds", job.run_seconds)
-        self._wakeup.set()
+        if self._scheduling:
+            self._start_queued()
 
     def _run_job(self, job: Job) -> None:
-        """Worker-thread body: run the job's sweep in-process through the
-        shared cache, then publish the result and the terminal state.
+        """Job-thread body: run the job's sweep through the shared cache,
+        its cells on the fork pool (one cell per work unit, so progress
+        arrives per cell), then publish the result and the terminal
+        state.
 
         Each job gets its own cache *instance* over the server's root +
         salt so its stats start at zero — the result reports exactly
-        this job's hit/dedupe behavior — then folds them into the
-        server-wide counters.
+        this job's hit/dedupe behavior, including what its cells did in
+        pool workers — then folds them into the server-wide counters.
         """
         cache = SharedResultCache(root=self.cache.root,
                                   salt=self.cache.salt,
                                   lease_seconds=self.cache.lease_seconds,
                                   poll_seconds=self.cache.poll_seconds)
+        pool = self._pool
         try:
-            sweep = SweepRunner(cache=cache, tracer=job.tracer).run(
-                job.submission.spec)
+            with (pool.cancel_slot(job.cancel) if pool is not None
+                  else contextlib.nullcontext()):
+                sweep = SweepRunner(cache=cache, tracer=job.tracer,
+                                    executor=pool, batch_size=1).run(
+                    job.submission.spec)
             job.result = {
                 "id": job.id,
                 "state": DONE,
                 "results": sweep.to_dicts(),
-                "report": dataclasses.asdict(sweep.report),
+                "report": sweep.report.to_dict(),
                 "cache": _stats_dict(cache.stats),
             }
             job.cache_stats = _stats_dict(cache.stats)
             job.mark_finished(DONE)
         except JobCancelled as exc:
             job.cache_stats = _stats_dict(cache.stats)
-            job.mark_finished(CANCELLED, error=str(exc))
+            job.mark_finished(CANCELLED, error=job.cancel.reason or str(exc))
         except Exception as exc:
             job.cache_stats = _stats_dict(cache.stats)
             job.mark_finished(
@@ -389,7 +417,7 @@ class ReproServer:
 
     async def start(self, host: str = DEFAULT_HOST,
                     port: int = DEFAULT_PORT) -> asyncio.AbstractServer:
-        """Bind the stdlib server and start the scheduler; returns the
+        """Bind the stdlib server and start running jobs; returns the
         bound :class:`asyncio.Server` (``port=0`` picks a free port —
         read it off ``server.sockets[0].getsockname()``)."""
         await self.start_background()
@@ -409,7 +437,14 @@ class ReproServer:
     async def serve(self, host: str = DEFAULT_HOST,
                     port: int = DEFAULT_PORT,
                     ready: Optional[Callable[[str], None]] = None) -> None:
-        """Serve until cancelled (the blocking entry point)."""
+        """Serve until cancelled (the blocking entry point). On the main
+        thread, SIGTERM cancels it like SIGINT does, so both shut the
+        cell pool down."""
+        loop = asyncio.get_running_loop()
+        task = asyncio.current_task()
+        with contextlib.suppress(ValueError, RuntimeError,
+                                 NotImplementedError):
+            loop.add_signal_handler(signal.SIGTERM, task.cancel)
         server = await self.start(host, port)
         if ready is not None:
             bound = server.sockets[0].getsockname()
@@ -433,5 +468,5 @@ def run(host: str = DEFAULT_HOST, port: int = DEFAULT_PORT,
                          client_quota=client_quota)
     try:
         asyncio.run(server.serve(host, port, ready=ready))
-    except KeyboardInterrupt:
-        pass
+    except (KeyboardInterrupt, asyncio.CancelledError):
+        pass  # SIGINT or SIGTERM: the server has shut down in order

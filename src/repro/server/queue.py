@@ -2,7 +2,8 @@
 
 A :class:`Job` is one admitted submission: a validated
 :class:`~repro.engine.spec.SweepSpec` plus its queue metadata, its
-:class:`~repro.obs.streaming.StreamingTracer` (the SSE feed), its
+:class:`~repro.obs.streaming.StreamingTracer` (the SSE feed, whose
+subscribers are also woken when the job reaches a terminal state), its
 :class:`~repro.engine.jobs.CancelToken`, and — once finished — its
 serialized results. Jobs live in memory for the server's lifetime and
 are looked up by an unguessable hex id.
@@ -103,6 +104,8 @@ class Job:
         self.error = error
         self.finished_at = time.time()
         self._finished_mono = time.monotonic()
+        # Wake the job's event streams: the terminal state is news too.
+        self.tracer.notify()
 
     # ------------------------------------------------------------------
 

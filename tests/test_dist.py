@@ -23,7 +23,8 @@ from repro.engine.cache import (
     SharedResultCache,
 )
 from repro.engine.dist import gather, scatter, work
-from repro.engine.runner import SweepRunner, shard_jobs, unit_key
+from repro.engine.runner import (SweepRunner, _fork_available, shard_jobs,
+                                 unit_key)
 from repro.engine.spec import JobSpec, SweepSpec
 from repro.errors import CacheError
 from repro.gpu.config import GPUConfig
@@ -426,6 +427,92 @@ class TestDistRunner:
         warm = SweepRunner(workers=1, cache=shared(tmp_path)).run(spec)
         assert all(outcome.result.from_cache
                    for outcome in warm.outcomes)
+
+
+def _append_line(path, text):
+    """One O_APPEND write (atomic for a short line, across processes)."""
+    fd = os.open(path, os.O_CREAT | os.O_APPEND | os.O_WRONLY)
+    try:
+        os.write(fd, f"{text}\n".encode())
+    finally:
+        os.close(fd)
+
+
+def _lines(path):
+    return path.read_text().splitlines() if path.exists() else []
+
+
+@pytest.mark.skipif(not _fork_available(), reason="needs fork")
+class TestKilledWorker:
+    """A pool worker SIGKILLed in its first cell costs its work unit,
+    not the sweep: the cells of finished units stand, the lost units
+    rerun once on a fresh pool, and a second death names the lost
+    cells."""
+
+    def _kill_in(self, monkeypatch, tmp_path, victim, deaths):
+        """Make pool workers SIGKILL themselves on starting ``victim``
+        (``deaths`` times in all) and log every stored cell; returns
+        the store log."""
+        from repro.engine import runner
+
+        kills = tmp_path / "kills.log"
+        stored = tmp_path / "stored.log"
+        compute = runner._execute_job
+        store = SharedResultCache.store_and_release
+        parent = os.getpid()
+
+        def dying(job, tracer=None):
+            if (job.label == victim and os.getpid() != parent
+                    and len(_lines(kills)) < deaths):
+                _append_line(kills, job.label)
+                os.kill(os.getpid(), signal.SIGKILL)
+            return compute(job, tracer)
+
+        def logged(cache, job, result, token):
+            store(cache, job, result, token)
+            _append_line(stored, job.label)
+
+        # The pool forks after these patches, so its workers run them.
+        monkeypatch.setattr(runner, "_execute_job", dying)
+        monkeypatch.setattr(SharedResultCache, "store_and_release", logged)
+        return stored
+
+    def test_lost_unit_reruns_once_and_results_match_serial(
+            self, tmp_path, monkeypatch):
+        spec = small_spec(chiplet_counts=(2, 4))
+        serial = SweepRunner().run(spec)
+        jobs = spec.expand()
+        assert len(jobs) == 8
+        # One cell per unit: units 0 and 1 start first, one per worker,
+        # so the victim dies in its worker's first cell.
+        stored = self._kill_in(monkeypatch, tmp_path, jobs[1].label,
+                               deaths=1)
+        cache = shared(tmp_path)
+        result = SweepRunner(workers=2, cache=cache, batch_size=1).run(spec)
+        assert result.to_dicts() == serial.to_dicts()
+        assert result.report.retried_units >= 1
+        assert "units retried" in result.report.summary()
+        labels = _lines(stored)
+        # No cell is stored twice: nothing a finished unit computed ran
+        # again (a cell stored by a unit that died is a hit on rerun).
+        assert len(labels) == len(set(labels))
+        assert jobs[1].label in labels
+        assert cache.claimed_keys() == []
+        warm = SweepRunner(workers=2, cache=shared(tmp_path)).run(spec)
+        assert warm.report.executed == 0
+
+    def test_second_death_raises_naming_lost_cells(self, tmp_path,
+                                                   monkeypatch):
+        from concurrent.futures.process import BrokenProcessPool
+
+        spec = small_spec(chiplet_counts=(2, 4))
+        victim = spec.expand()[1].label
+        self._kill_in(monkeypatch, tmp_path, victim, deaths=2)
+        runner = SweepRunner(workers=2, cache=shared(tmp_path),
+                             batch_size=1)
+        with pytest.raises(BrokenProcessPool, match="lost cells") as info:
+            runner.run(spec)
+        assert victim in str(info.value)
 
 
 class TestScatterWorkGather:

@@ -127,15 +127,19 @@ class TestSpec:
     def test_each_job_is_keyed_once(self, tmp_path, monkeypatch):
         """The claim, store, release, load and unit-key paths reuse the
         job's key; a pickled job (the fork pool's transport) carries it.
-        Only the stored document builds the payload again."""
+        The key comes from the cached config JSON, and the stored
+        document no longer holds the payload, so nothing builds it."""
+        from repro.engine import spec as spec_module
+
         calls = []
-        original = JobSpec.key_payload
+        original = spec_module._canonical_json
 
-        def counted(self):
-            calls.append(self.label)
-            return original(self)
+        def counted(job):
+            calls.append(job.label)
+            return original(job)
 
-        monkeypatch.setattr(JobSpec, "key_payload", counted)
+        monkeypatch.setattr(spec_module, "_canonical_json", counted)
+        monkeypatch.setattr(JobSpec, "key_payload", None)
         job = small_spec(workloads=("square",),
                          protocols=("cpelide",)).expand()[0]
         cache = SharedResultCache(root=tmp_path / "c")
@@ -144,7 +148,25 @@ class TestSpec:
         assert cache.load(job) == [1, 2]
         unit_key([job])
         assert pickle.loads(pickle.dumps(job)).key == job.key
-        assert calls == [job.label] * 2
+        assert calls == [job.label]
+
+    def test_canonical_json_is_the_payload_dump(self):
+        """The key's canonical JSON, built from the cached config JSON,
+        is byte for byte the sorted compact dump of the key payload —
+        also for configs equal in value but not in field types, which
+        dump apart and so must not share a cached config JSON."""
+        from repro.engine.spec import _canonical_json
+
+        jobs = [job for job, _ in pinned_keys()] + [
+            JobSpec(workload="bfs", protocol="baseline",
+                    config=GPUConfig(gpu_clock_hz=1801000000, scale=1)),
+            JobSpec(workload="bfs", protocol="baseline",
+                    config=GPUConfig(gpu_clock_hz=1801e6, scale=1.0))]
+        assert jobs[-1] == jobs[-2]
+        for job in jobs:
+            assert _canonical_json(job) == json.dumps(
+                job.key_payload(), sort_keys=True, separators=(",", ":"))
+        assert jobs[-1].key != jobs[-2].key
 
     def test_resolve_jobs(self):
         assert resolve_jobs(3) == 3

@@ -24,12 +24,16 @@ import json
 import os
 import pathlib
 import re
+import signal
+import statistics
 import subprocess
 import sys
+import time
 
 import pytest
 
 from repro.engine.cache import SharedResultCache
+from repro.engine.runner import _fork_available
 from repro.errors import ConfigError
 from repro.server import ReproServer
 from repro.server.admission import AdmissionController
@@ -44,6 +48,12 @@ from tests.conftest import TEST_SCALE
 
 #: One cheap cell every test can share.
 SIMULATE_BODY = {"workload": "square", "chiplets": 2, "scale": TEST_SCALE}
+
+#: A cell slow enough to be caught mid-run (31 kernels, under a second).
+SLOW_BODY = {"workload": "lulesh", "chiplets": 4, "scale": 1 / 32}
+
+needs_fork = pytest.mark.skipif(not _fork_available(),
+                                reason="the cell pool needs fork")
 
 
 def run_async(coro):
@@ -451,6 +461,201 @@ class TestServerEndToEnd:
 
 
 # ---------------------------------------------------------------------------
+# The cell pool
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def slow_reference():
+    """The slow cell run directly, in-process: its result dicts and its
+    wall seconds."""
+    from repro.api import sweep
+
+    start = time.perf_counter()
+    direct = sweep(workloads=(SLOW_BODY["workload"],),
+                   protocols=("cpelide",),
+                   chiplet_counts=(SLOW_BODY["chiplets"],),
+                   scale=SLOW_BODY["scale"], jobs=1, cache=False)
+    return direct.to_dicts(), time.perf_counter() - start
+
+
+async def claimant_pid(root: str, timeout: float = 30.0) -> int:
+    """The pid holding the first claim under ``root``, once one exists
+    (a cell has started computing)."""
+    cache = SharedResultCache(root=root)
+    for _ in range(int(timeout / 0.005)):
+        for key in cache.claimed_keys():
+            path = pathlib.Path(root) / key[:2] / f"{key}.claim"
+            try:
+                return int(json.loads(path.read_text())["pid"])
+            except (OSError, ValueError, KeyError):
+                pass  # released or half-visible: look again
+        await asyncio.sleep(0.005)
+    raise AssertionError(f"no cell claimed under {root} in {timeout}s")
+
+
+@needs_fork
+class TestCellPool:
+    def test_single_cell_job_runs_in_a_pool_worker(self, tmp_path):
+        async def scenario():
+            srv = ReproServer(cache=str(tmp_path / "c"))
+            await srv.start_background()
+            try:
+                _, submitted, _ = await call(srv, "POST", "/v1/simulate",
+                                             SIMULATE_BODY)
+                return await wait_terminal(srv, submitted["id"])
+            finally:
+                await srv.stop_background()
+
+        job = run_async(scenario())
+        assert job.state == "done"
+        _, events = job.tracer.drain()
+        [shard] = [e for e in events if e.kind == "shard"]
+        assert shard.args["executed"] == 1
+        assert int(shard.args["worker"].rsplit(":", 1)[1]) != os.getpid()
+        # The worker's kernel events were replayed into the job's feed.
+        assert job.tracer.kernels_done > 0
+        assert job.tracer.runs_done == job.tracer.cells_done == 1
+
+    def test_killed_worker_costs_its_cell_not_the_job(self, tmp_path,
+                                                      slow_reference):
+        expected, _ = slow_reference
+
+        async def scenario():
+            root = str(tmp_path / "c")
+            srv = ReproServer(cache=root)
+            await srv.start_background()
+            try:
+                _, submitted, _ = await call(srv, "POST", "/v1/simulate",
+                                             SLOW_BODY)
+                pid = await claimant_pid(root)
+                assert pid != os.getpid()
+                os.kill(pid, signal.SIGKILL)
+                job = await wait_terminal(srv, submitted["id"])
+                assert job.state == "done", job.error
+                assert job.result["report"]["retried_units"] == 1
+                assert SharedResultCache(root=root).claimed_keys() == []
+                _, later, _ = await call(srv, "POST", "/v1/simulate",
+                                         SIMULATE_BODY)
+                assert (await wait_terminal(srv, later["id"])).state \
+                    == "done"
+                return job.result["results"]
+            finally:
+                await srv.stop_background()
+
+        served = run_async(scenario())
+        assert (json.dumps(served, sort_keys=True)
+                == json.dumps(expected, sort_keys=True))
+
+    def test_cancel_reaches_a_pooled_cell(self, tmp_path, slow_reference):
+        _, cell_seconds = slow_reference
+
+        async def scenario():
+            root = str(tmp_path / "c")
+            srv = ReproServer(cache=root)
+            await srv.start_background()
+            try:
+                _, submitted, _ = await call(srv, "POST", "/v1/simulate",
+                                             SLOW_BODY)
+                await claimant_pid(root)  # the cell runs in a worker
+                status, _, _ = await call(
+                    srv, "POST", f"/v1/jobs/{submitted['id']}/cancel")
+                assert status == 202
+                job = await wait_terminal(srv, submitted["id"])
+                assert SharedResultCache(root=root).claimed_keys() == []
+                return job
+            finally:
+                await srv.stop_background()
+
+        job = run_async(scenario())
+        assert job.state == "cancelled"
+        assert job.error == "cancelled by client"
+        # The cell unwound at a kernel boundary, not at its end.
+        assert job.run_seconds < cell_seconds
+
+    def test_cancel_during_store_leaves_cache_consistent(
+            self, tmp_path, monkeypatch):
+        """A cancel that lands while a pooled cell stores its result:
+        the store completes whole, its claim is released, and the job
+        ends cancelled at its next cell."""
+        storing = tmp_path / "storing"
+        store = SharedResultCache.store
+
+        def slow_store(cache, job, result):
+            storing.write_text(job.label)
+            time.sleep(0.3)
+            store(cache, job, result)
+
+        # Patched before the pool forks, so the worker stores this way.
+        monkeypatch.setattr(SharedResultCache, "store", slow_store)
+
+        async def scenario():
+            root = str(tmp_path / "c")
+            srv = ReproServer(cache=root, max_inflight=1)
+            await srv.start_background()
+            try:
+                body = {"workloads": ["square"],
+                        "protocols": ["baseline", "cpelide"],
+                        "chiplets": 2, "scale": TEST_SCALE}
+                body["chiplet_counts"] = [body.pop("chiplets")]
+                _, submitted, _ = await call(srv, "POST", "/v1/sweep",
+                                             body)
+                for _ in range(6000):
+                    if storing.exists():
+                        break
+                    await asyncio.sleep(0.005)
+                await call(srv, "POST",
+                           f"/v1/jobs/{submitted['id']}/cancel")
+                return await wait_terminal(srv, submitted["id"])
+            finally:
+                await srv.stop_background()
+
+        job = run_async(scenario())
+        assert job.state == "cancelled"
+        cache = SharedResultCache(root=str(tmp_path / "c"))
+        assert cache.claimed_keys() == []
+        assert list((tmp_path / "c").rglob("*.tmp*")) == []
+        [stored] = job.submission.spec.expand()[:1]
+        assert stored.label == storing.read_text()
+        assert cache.load(stored) is not None
+
+    def test_done_frame_is_pushed_not_polled(self, tmp_path):
+        """The ``done`` frame reaches a connected client within 10 ms of
+        the job's end (median of 20 jobs), not at a poll tick."""
+        async def scenario():
+            srv = ReproServer(cache=str(tmp_path / "c"))
+            server = await srv.start(port=0)
+            port = server.sockets[0].getsockname()[1]
+            lags = []
+            try:
+                for i in range(20):
+                    body = {**SIMULATE_BODY,
+                            "config": {"l2_remote_latency": 400 + i}}
+                    _, raw = await raw_request(port, "POST",
+                                               "/v1/simulate", body)
+                    job_id = json.loads(raw)["id"]
+                    reader, writer = await asyncio.open_connection(
+                        "127.0.0.1", port)
+                    writer.write(f"GET /v1/jobs/{job_id}/events HTTP/1.1"
+                                 f"\r\nHost: t\r\n\r\n".encode())
+                    await writer.drain()
+                    while True:
+                        line = await reader.readline()
+                        assert line, "the stream ended before done"
+                        if line == b"event: done\n":
+                            break
+                    arrived = time.time()
+                    writer.close()
+                    lags.append(arrived - srv.jobs[job_id].finished_at)
+            finally:
+                await srv.stop()
+            return lags
+
+        lags = run_async(scenario())
+        assert statistics.median(lags) < 0.010, lags
+
+
+# ---------------------------------------------------------------------------
 # The real socket server + SSE
 # ---------------------------------------------------------------------------
 
@@ -646,3 +851,61 @@ def test_cli_serve_announces_address_with_uvicorn_importable(tmp_path):
         proc.wait(timeout=30)
         proc.stdout.close()
     assert re.search(r"http://127\.0\.0\.1:\d+", line), line
+
+
+def _proc_stat(pid: int):
+    """``(state, parent pid)`` from ``/proc/<pid>/stat``, or ``None``
+    once the process is gone."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            state, parent = handle.read().rsplit(")", 1)[1].split()[:2]
+    except (OSError, ValueError):
+        return None
+    return state, int(parent)
+
+
+def _alive(pid: int) -> bool:
+    stat = _proc_stat(pid)
+    return stat is not None and stat[0] != "Z"
+
+
+def _live_children(pid: int):
+    """Pids of the live (not zombie) processes whose parent is ``pid``."""
+    return [int(entry) for entry in os.listdir("/proc")
+            if entry.isdigit() and _alive(int(entry))
+            and _proc_stat(int(entry))[1] == pid]
+
+
+@needs_fork
+@pytest.mark.skipif(not os.path.isdir("/proc/self"),
+                    reason="lists processes through /proc")
+@pytest.mark.parametrize("signum", [signal.SIGINT, signal.SIGKILL],
+                         ids=["sigint", "sigkill"])
+def test_cli_serve_leaves_no_worker_behind(tmp_path, signum):
+    """The server's pool workers are gone 5 s after the server is
+    interrupted (it shuts the pool down) or killed (each worker watches
+    its parent)."""
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONUNBUFFERED="1", PYTHONPATH=str(src))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--port", "0",
+         "--cache-dir", str(tmp_path / "c")],
+        stdout=subprocess.PIPE, text=True, env=env)
+    try:
+        assert "listening on" in proc.stdout.readline()
+        workers = _live_children(proc.pid)
+        assert len(workers) == 2  # --max-inflight's default
+        proc.send_signal(signum)
+        proc.wait(timeout=30)
+        deadline = time.monotonic() + 5.0
+        while time.monotonic() < deadline:
+            alive = [pid for pid in workers if _alive(pid)]
+            if not alive:
+                break
+            time.sleep(0.05)
+        assert not alive, f"pool workers still alive: {alive}"
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        proc.stdout.close()
