@@ -14,8 +14,10 @@ parent process. The pending cells then run one of two ways:
   reuse interned traces inside one worker) and each worker runs its
   units through the same :func:`run_job_shared`. A runner given an
   ``executor`` (a long-lived :class:`ForkPool`, the server's) runs every
-  pending unit there, even a single cell; otherwise it forks a pool of
-  its own when ``workers > 1`` and more than one unit is pending.
+  pending unit there, even a single cell, one unit at a time, so the
+  runners sharing it each hold at most one worker; otherwise it forks a
+  pool of its own when ``workers > 1`` and more than one unit is
+  pending, and keeps all its workers busy.
 
 A worker killed mid-unit costs its unit, not the sweep: units that
 finished keep their cells, every unfinished unit reruns once on a fresh
@@ -486,9 +488,9 @@ class ForkPool:
     """``workers`` forked processes that can outlive one sweep.
 
     ``SweepRunner(executor=pool)`` runs every pending work unit of its
-    sweeps on the pool; the job server keeps one for its lifetime and
-    shares it between its job threads. Without an executor a runner
-    makes one per sweep.
+    sweeps on the pool, one at a time; the job server keeps one for its
+    lifetime, with a worker for each of its job threads. Without an
+    executor a runner makes one per sweep and drives all its workers.
 
     :meth:`run` checks an idle worker out, and the *calling* thread
     sends it the task and reads its reply over the worker's own pipes:
@@ -504,7 +506,7 @@ class ForkPool:
       a parent thread can hold (job keys travel computed; the cache and
       the tracer a worker uses are its own), and :func:`_init_worker`
       lets go of inherited sockets.
-    * **Cancellation.** ``cancel_slots`` shared flag bytes are allocated
+    * **Cancellation.** One shared flag byte per worker is allocated
       before the first fork. :meth:`cancel_slot` mirrors a job's
       :class:`~repro.engine.jobs.CancelToken` into a free one, and the
       worker's tracer reads it at every kernel boundary.
@@ -513,24 +515,24 @@ class ForkPool:
       kernel boundary and ends the workers.
 
     A ``serving`` pool (the server's) leaves SIGINT to its parent, and
-    when its workers are at least as many as the CPUs this process may
+    when its workers are exactly as many as the CPUs this process may
     use, pins each to a CPU of its own: the pool then keeps every CPU
-    busy anyway, and a pinned cell is not moved to the other CPU (and
-    its cold caches) each time a server thread wakes up.
+    busy anyway, and a pinned cell is not moved to another CPU (and
+    its cold caches) each time a server thread wakes up. Other sizes
+    pin nothing.
     """
 
-    def __init__(self, workers: int, cancel_slots: int = 0,
-                 serving: bool = False) -> None:
+    def __init__(self, workers: int, serving: bool = False) -> None:
         import multiprocessing
 
         self.workers = workers
         self._context = multiprocessing.get_context("fork")
-        self._flags = self._context.RawArray("b", max(1, cancel_slots))
-        self._free = list(range(cancel_slots))
+        self._flags = self._context.RawArray("b", workers)
+        self._free = list(range(workers))
         self._ignore_sigint = serving
         cpus = (sorted(os.sched_getaffinity(0))
                 if serving and hasattr(os, "sched_getaffinity") else [])
-        self._cpus = cpus if len(cpus) <= workers else []
+        self._cpus = cpus if len(cpus) == workers else []
         self._changed = threading.Condition()
         self._idle: List[_Worker] = []
         self._live: List[_Worker] = []
@@ -649,22 +651,27 @@ class ForkPool:
             worker.process.join()
 
 
-def _completed(pool: ForkPool, units: Sequence[WorkUnit], *args: Any,
+def _completed(pool: ForkPool, units: Sequence[WorkUnit], at_once: int,
+               *args: Any,
                ) -> Iterator[Tuple[WorkUnit, Optional[UnitResult]]]:
-    """Run ``_execute_unit(unit, *args)`` for every unit on ``pool`` and
-    yield ``(unit, result)`` as each completes; ``result`` is ``None``
-    for a unit lost with its worker. One unit runs from the calling
-    thread; more are driven by one thread per worker. Closing the
-    generator drops the units not yet started and waits for the rest."""
-    if len(units) == 1:
-        try:
-            yield units[0], pool.run(_execute_unit, units[0], *args)
-        except BrokenProcessPool:
-            yield units[0], None
+    """Run ``_execute_unit(unit, *args)`` for every unit on ``pool``, at
+    most ``at_once`` at a time, and yield ``(unit, result)`` as each
+    completes; ``result`` is ``None`` for a unit lost with its worker.
+    One at a time, the calling thread sends the units one after another;
+    more are sent by that many threads. Closing the generator drops the
+    units not yet started and waits for the rest."""
+    at_once = min(at_once, len(units))
+    if at_once <= 1:
+        for unit in units:
+            try:
+                done = pool.run(_execute_unit, unit, *args)
+            except BrokenProcessPool:
+                done = None
+            yield unit, done
         return
-    with ThreadPoolExecutor(max_workers=min(pool.workers, len(units)),
-                            thread_name_prefix="repro-pool-driver") as drive:
-        futures = {drive.submit(pool.run, _execute_unit, unit, *args): unit
+    with ThreadPoolExecutor(max_workers=at_once,
+                            thread_name_prefix="repro-pool-sender") as send:
+        futures = {send.submit(pool.run, _execute_unit, unit, *args): unit
                    for unit in units}
         try:
             for future in as_completed(futures):
@@ -867,7 +874,8 @@ class SweepRunner:
     ``cache`` is the shared result cache, ``None`` for none;
     ``batch_size`` overrides the cells per work unit on the fork pool;
     ``executor`` is a long-lived :class:`ForkPool` to run every pending
-    unit on (``workers`` is then ignored). ``tracer`` sees every cell;
+    unit on, one at a time (``workers`` is then ignored). ``tracer``
+    sees every cell;
     in-process cells also get full kernel-level detail, and so do
     pooled cells when it is a
     :class:`~repro.obs.streaming.StreamingTracer`.
@@ -978,18 +986,22 @@ class SweepRunner:
     def _run_pool(self, jobs: List[JobSpec], pending: List[int],
                   units: List[WorkUnit],
                   tally: _Tally) -> Iterator[CellResult]:
-        """Run the units on the runner's executor, or on a fork pool of
-        up to ``workers`` processes made for this sweep; yield each
-        unit's cells as the unit completes.
+        """Run the units on a fork pool of up to ``workers`` processes
+        made for this sweep, all workers at once, or one at a time on
+        the runner's executor, which other runners share (so one sweep
+        holds at most one of its workers); yield each unit's cells as
+        the unit completes.
 
         Units lost with a dead worker rerun once, on a fresh worker; a
         unit lost twice raises ``BrokenProcessPool`` naming its cells.
         """
         pool = self.executor
+        at_once = 1
         if pool is None:
             prewarm_pending_traces(jobs, pending)
             pool = ForkPool(min(self.workers, len(units)))
             pool.start()
+            at_once = pool.workers
         tracer = self.tracer
         ship = isinstance(tracer, StreamingTracer)
         slot = getattr(tracer.cancel, "slot", None) if ship else None
@@ -998,7 +1010,8 @@ class SweepRunner:
             while units:
                 lost: List[WorkUnit] = []
                 with contextlib.closing(_completed(
-                        pool, units, self.cache, ship, slot)) as finished:
+                        pool, units, at_once, self.cache, ship,
+                        slot)) as finished:
                     for unit, done in finished:
                         if done is None:
                             lost.append(unit)

@@ -327,8 +327,7 @@ class ReproServer:
         job thread exists and before :meth:`start` binds the listener.
         """
         if self._pool is None and _fork_available():
-            workers = self.admission.max_inflight
-            self._pool = ForkPool(workers, cancel_slots=workers,
+            self._pool = ForkPool(self.admission.max_inflight,
                                   serving=True)
             self._pool.start()
         self._scheduling = True

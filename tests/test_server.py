@@ -517,6 +517,63 @@ class TestCellPool:
         assert job.tracer.kernels_done > 0
         assert job.tracer.runs_done == job.tracer.cells_done == 1
 
+    def test_cold_sweep_leaves_a_worker_to_the_next_job(self, tmp_path):
+        """A cold multi-cell sweep holds one pool worker, not all of
+        them: a single cell submitted after it starts finishes first,
+        while the sweep is still in its first half."""
+        body = {"workloads": ["backprop", "bfs", "hotspot", "lud"],
+                "protocols": ["baseline", "cpelide"],
+                "chiplet_counts": [4], "scale": TEST_SCALE}
+
+        async def scenario():
+            root = str(tmp_path / "c")
+            srv = ReproServer(cache=root, max_inflight=2)
+            await srv.start_background()
+            try:
+                _, many, _ = await call(srv, "POST", "/v1/sweep", body)
+                await claimant_pid(root)  # the sweep's first cell runs
+                _, one, _ = await call(srv, "POST", "/v1/simulate",
+                                       SIMULATE_BODY)
+                single = await wait_terminal(srv, one["id"])
+                sweep = srv.jobs[many["id"]]
+                cells_done = sweep.tracer.cells_done
+                await wait_terminal(srv, many["id"])
+                return single, sweep, cells_done
+            finally:
+                await srv.stop_background()
+
+        single, sweep, cells_done = run_async(scenario())
+        assert single.state == sweep.state == "done"
+        assert single.finished_at < sweep.finished_at
+        assert cells_done < len(sweep.submission.spec.expand()) // 2
+
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"),
+                        reason="needs CPU affinity")
+    def test_pool_pins_workers_only_one_per_cpu(self):
+        """Only the measured layout, a worker per usable CPU, is
+        pinned; a pool of any other size leaves its workers free."""
+        from repro.engine.runner import ForkPool
+
+        cpus = os.sched_getaffinity(0)
+        for workers, pinned in ((len(cpus), True),
+                                (len(cpus) + 1, False)):
+            pool = ForkPool(workers, serving=True)
+            pool.start()
+            try:
+                for _ in range(1000):  # workers pin themselves on start
+                    masks = [os.sched_getaffinity(worker.process.pid)
+                             for worker in pool._live]
+                    if not pinned or all(len(m) == 1 for m in masks):
+                        break
+                    time.sleep(0.01)
+            finally:
+                pool.shutdown()
+            if pinned:
+                assert sorted(len(m) for m in masks) == [1] * workers
+                assert set().union(*masks) == cpus
+            else:
+                assert masks == [cpus] * workers
+
     def test_killed_worker_costs_its_cell_not_the_job(self, tmp_path,
                                                       slow_reference):
         expected, _ = slow_reference
