@@ -30,7 +30,7 @@ the extension: ``.json`` → Chrome trace, ``.csv`` → CSV, else JSONL).
   (``--sanitize`` additionally asserts coherence invariants at every
   kernel boundary; see ``repro.check``).
 * ``dist`` — run a sweep over the shared, file-locked result cache with
-  in-flight dedupe: cells shard into content-keyed work units.
+  in-flight dedupe: cells shard into contiguous work units.
   ``--mode run`` executes locally with ``--workers`` processes;
   ``--mode scatter/work/gather`` splits the sweep across any hosts that
   share ``--work-dir``.
@@ -180,8 +180,6 @@ def cmd_run(args) -> int:
 
 
 def cmd_trace(args) -> int:
-    import json
-
     config = _config(args)
     protocol = args.protocol or (args.protocols[0] if args.protocols
                                  else "cpelide")
@@ -192,25 +190,12 @@ def cmd_trace(args) -> int:
         return 0
     from repro.api import simulate
     from repro.obs import EventTracer
-    from repro.obs.export import (
-        chrome_trace,
-        distributions_csv,
-        events_jsonl,
-        text_summary,
-    )
+    from repro.obs.export import render_trace
 
     tracer = EventTracer()
     simulate(workload, protocol, config=config, scheduler=args.scheduler,
              trace_path=args.trace_path, tracer=tracer)
-    if args.format == "chrome":
-        payload = json.dumps(chrome_trace(tracer))
-    elif args.format == "jsonl":
-        payload = events_jsonl(tracer.events)
-    elif args.format == "csv":
-        payload = distributions_csv(tracer.metrics.aggregate())
-    else:
-        payload = text_summary(tracer, limit=args.limit)
-    _emit(payload, args.out)
+    _emit(render_trace(tracer, args.format, limit=args.limit), args.out)
     return 0
 
 
@@ -265,29 +250,28 @@ def _write_bench_report(report, path: str) -> None:
     _progress(f"wrote {path}")
 
 
-def _check_speedup(report, label: str, floor: float,
-                   cell_floor: float) -> int:
-    """Gate a bench report: the aggregate speedup must clear ``floor``
-    and *every per-cell speedup* must clear ``cell_floor``.
+def _gate(result) -> int:
+    """Print a bench gate's ``(ok, message)``; return its exit status."""
+    ok, message = result
+    _progress(("OK: " if ok else "FAIL: ") + message)
+    return 0 if ok else 1
 
-    The per-cell gate is what catches a single workload regressing
-    (e.g. one memoized cell falling behind the run path) while the
-    aggregate still looks healthy.
-    """
-    rc = 0
-    speedup = report["aggregate"]["speedup"]
-    if speedup < floor:
-        _progress(f"FAIL: {label} aggregate speedup {speedup:.2f}x is "
-                  f"below the --min-speedup floor {floor:g}x")
-        rc = 1
-    for cell in report["cells"]:
-        if cell["speedup"] < cell_floor:
-            _progress(f"FAIL: {label} cell "
-                      f"{cell['workload']}/{cell['protocol']} speedup "
-                      f"{cell['speedup']:.2f}x is below the "
-                      f"--min-cell-speedup floor {cell_floor:g}x")
-            rc = 1
-    return rc
+
+def _check_obs_reference(report, path: str, tolerance: float):
+    """``--sweep obs --check``: gate the disabled-tracer aggregate against
+    the line-vs-run report at ``path``; passes, saying so, without one."""
+    import json
+    import os
+
+    from repro import bench
+
+    if not os.path.exists(path):
+        return True, (f"obs overhead check skipped: no line-vs-run "
+                      f"reference report at {path}")
+    with open(path, encoding="utf-8") as fh:
+        reference = json.load(fh)
+    _warn_environment(report, reference, f"obs reference {path}")
+    return bench.check_obs_overhead(report, reference, tolerance=tolerance)
 
 
 def cmd_bench(args) -> int:
@@ -301,57 +285,24 @@ def cmd_bench(args) -> int:
     if repeats is None:
         repeats = 2 if args.quick else 3
     workloads = args.workloads or None
+    outs = {"trace": args.out, "memo": args.memo_out, "obs": args.obs_out}
+    paired = {"both": ("trace", "memo"), "dist": ()}.get(args.sweep,
+                                                         (args.sweep,))
     rc = 0
-    if args.sweep in ("trace", "both"):
-        _progress(f"benchmarking line vs run trace paths at scale "
-                  f"{scale:g} ({args.chiplets} chiplets, "
-                  f"best of {repeats})")
-        report = bench.run_bench(scale=scale, chiplets=args.chiplets,
+    for name in paired:
+        sweep = bench.SWEEPS[name]
+        report = bench.run_sweep(sweep, scale=scale, chiplets=args.chiplets,
                                  repeats=repeats, workloads=workloads,
                                  progress=_progress)
-        _write_bench_report(report, args.out)
-        print(bench.summarize(report))
-        if args.check:
-            rc |= _check_speedup(report, "line-vs-run", args.min_speedup,
-                                 args.min_cell_speedup)
-    if args.sweep in ("memo", "both"):
-        _progress(f"benchmarking memo vs run trace paths at scale "
-                  f"{scale:g} ({args.chiplets} chiplets, "
-                  f"best of {repeats})")
-        report = bench.run_memo_bench(scale=scale, chiplets=args.chiplets,
-                                      repeats=max(2, repeats),
-                                      workloads=workloads,
-                                      progress=_progress)
-        _write_bench_report(report, args.memo_out)
-        print(bench.summarize_memo(report))
-        if args.check:
-            rc |= _check_speedup(report, "memo-vs-run", args.min_speedup,
-                                 args.min_cell_speedup)
-    if args.sweep == "obs":
-        import json
-        import os
-
-        _progress(f"benchmarking disabled vs recording tracer at scale "
-                  f"{scale:g} ({args.chiplets} chiplets, "
-                  f"best of {repeats})")
-        report = bench.run_obs_bench(scale=scale, chiplets=args.chiplets,
-                                     repeats=repeats, workloads=workloads,
-                                     progress=_progress)
-        _write_bench_report(report, args.obs_out)
-        print(bench.summarize_obs(report))
-        if args.check:
-            if not os.path.exists(args.out):
-                _progress(f"obs overhead check skipped: no line-vs-run "
-                          f"reference report at {args.out}")
-            else:
-                with open(args.out, encoding="utf-8") as fh:
-                    reference = json.load(fh)
-                _warn_environment(report, reference,
-                                  f"obs reference {args.out}")
-                ok, message = bench.check_obs_overhead(
-                    report, reference, tolerance=args.max_overhead)
-                _progress(("OK: " if ok else "FAIL: ") + message)
-                rc |= 0 if ok else 1
+        _write_bench_report(report, outs[name])
+        print(bench.summarize_sweep(sweep, report))
+        if args.check and name == "obs":
+            rc |= _gate(_check_obs_reference(report, args.out,
+                                             args.max_overhead))
+        elif args.check:
+            rc |= _gate(bench.check_speedup(report, sweep.label,
+                                            args.min_speedup,
+                                            args.min_cell_speedup))
     if args.sweep == "dist":
         # The dist sweep times orchestration, not simulation fidelity —
         # default to the quick scale so the four worker counts plus the
@@ -371,10 +322,8 @@ def cmd_bench(args) -> int:
         _write_bench_report(report, args.dist_out)
         print(bench.summarize_dist(report))
         if args.check:
-            ok, message = bench.check_dist_scaling(
-                report, min_efficiency=args.min_dist_efficiency)
-            _progress(("OK: " if ok else "FAIL: ") + message)
-            rc |= 0 if ok else 1
+            rc |= _gate(bench.check_dist_scaling(
+                report, min_efficiency=args.min_dist_efficiency))
     return rc
 
 

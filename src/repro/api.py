@@ -309,7 +309,7 @@ def sweep(spec: Optional[SweepSpec] = None,
     ``workers`` (or its other name ``jobs``; passing both with different
     values raises :class:`~repro.errors.ConfigError`) is the process
     count: 1 (the default) runs every cell in this process, more fans
-    pending cells out over that many forked workers as content-keyed
+    pending cells out over that many forked workers as contiguous
     work units, and ``0`` or less means one per CPU. Results are
     bit-identical for every count.
 

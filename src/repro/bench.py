@@ -1,26 +1,38 @@
-"""Throughput benchmark: batched run-based trace path vs per-line path.
+"""Throughput benchmarks: the trace paths timed against each other, and
+distributed sweep scaling.
 
-The run-based trace path (``trace_path="run"``) replaces the simulator's
-per-line protocol walk with interval (``LineRun``) traces served by bulk
-cache/protocol operations. It is required to be *bit-identical* to the
-per-line reference — ``tests/test_batched_equivalence.py`` is the
-referee — so its only observable difference is wall-clock time. This
-module measures that difference and emits a machine-readable report
-(``BENCH_trace.json``).
+The simulator has three trace paths that must agree byte for byte: the
+per-line reference (``line``), the batched run path (``run``: interval
+``LineRun`` traces served by bulk cache/protocol operations) and the
+memo path (``memo``: kernels recorded once, then replayed).
+``tests/test_batched_equivalence.py`` is the referee, so a fast path's
+only observable difference is wall-clock time. :func:`run_sweep`
+measures it with one paired timing loop over three sweep definitions:
 
-Sweep composition: the **partitioned sweep** — every Table II workload
-whose kernels access *only* ``PatternKind.PARTITIONED`` data structures
-(the regular GPGPU case the batched path targets) with moderate-to-high
-inter-kernel reuse, plus the multi-stream ``streams`` benchmark, under
-the paper's protocol (``cpelide``) and its elision upper bound
-(``nosync``), on 4 chiplets, single process (``jobs=1``).
+* :data:`TRACE_SWEEP` — line vs run on the **partitioned sweep**: every
+  Table II workload whose kernels access *only*
+  ``PatternKind.PARTITIONED`` data structures (the regular GPGPU case
+  the batched path targets) with moderate-to-high inter-kernel reuse,
+  plus the multi-stream ``streams`` benchmark (``BENCH_trace.json``).
+* :data:`MEMO_SWEEP` — run vs memo on the **iterative sweep**
+  (``BENCH_memo.json``).
+* :data:`OBS_SWEEP` — the run path under the default disabled tracer
+  (``NULL_TRACER``) vs a recording :class:`~repro.obs.EventTracer`, on
+  the partitioned sweep (``BENCH_obs.json``).
 
-Methodology: each (workload, protocol) cell simulates both trace paths
-``repeats`` times in interleaved order (to decorrelate machine-load
-drift) and keeps the fastest wall time of each. Every repetition also
-re-asserts bit-identity of ``SimulationResult.to_dict()`` between the
-two paths, so a benchmark run doubles as an end-to-end equivalence
-check.
+Every sweep runs under the paper's protocol (``cpelide``) and its
+elision upper bound (``nosync``), on 4 chiplets, single process
+(``jobs=1``). Methodology: each (workload, protocol) cell simulates both
+sides ``repeats`` times, alternating within each repetition (to
+decorrelate machine-load drift), and keeps the fastest wall time of
+each; only ``Simulator.run`` is timed. Every repetition, untimed ones
+included, re-asserts that both sides give the same
+``SimulationResult.to_dict()`` and trace-line count, so a benchmark run
+doubles as an end-to-end equivalence check (and the obs sweep as the
+tracer-purity check).
+
+:func:`run_dist_bench` times the Pareto seed sweep serially and on
+forked workers over a shared result cache (``BENCH_dist.json``).
 """
 
 from __future__ import annotations
@@ -28,12 +40,14 @@ from __future__ import annotations
 import json
 import platform
 import time
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigError, OracleDivergence
 from repro.gpu.config import GPUConfig
 from repro.gpu.sim import Simulator
 from repro.gpu.trace_path import TracePath
+from repro.obs.tracer import EventTracer
 from repro.workloads.suite import build_workload
 
 #: Table II workloads whose every kernel argument is PARTITIONED and that
@@ -62,6 +76,11 @@ QUICK_SCALE = 1 / 16
 
 #: Worker counts the distributed scaling bench sweeps.
 DIST_WORKER_COUNTS = (1, 2, 4, 8)
+
+#: Per-cell counters a side may report beside its timings, in this order: a
+#: tracer's event count, and the kernels the memo path replayed and
+#: recorded.
+COUNTERS = ("events", "memo_hits", "memo_misses")
 
 
 class EquivalenceError(OracleDivergence):
@@ -117,291 +136,173 @@ def compare_environments(report: Dict, reference: Dict) -> List[str]:
     return diffs
 
 
-def _time_cell(config: GPUConfig, workload_name: str, protocol: str,
-               trace_path: TracePath) -> Tuple[float, int, dict]:
-    """Simulate one cell; return (wall seconds, trace lines, result dict)."""
-    sim = Simulator(config, protocol=protocol, trace_path=trace_path)
-    workload = build_workload(workload_name, config)
-    t0 = time.perf_counter()
-    result = sim.run(workload)
-    dt = time.perf_counter() - t0
-    return dt, sim.last_trace_lines, result.to_dict()
+@dataclass(frozen=True)
+class Side:
+    """One timed side of a paired sweep: a trace path, with or without a
+    recording :class:`~repro.obs.EventTracer` attached. ``name``
+    prefixes the side's report columns (``<name>_seconds``, ...)."""
+
+    name: str
+    trace_path: TracePath
+    traced: bool = False
 
 
-def run_bench(scale: float = FULL_SCALE, chiplets: int = 4,
-              repeats: int = 3,
-              workloads: Optional[Sequence[str]] = None,
-              protocols: Optional[Sequence[str]] = None,
-              progress: Optional[Callable[[str], None]] = None) -> Dict:
-    """Run the line-vs-run sweep and return the report dictionary."""
-    if repeats < 1:
-        raise ConfigError(f"repeats must be >= 1, got {repeats}")
-    workloads = list(workloads) if workloads else list(PARTITIONED_SWEEP)
-    protocols = list(protocols) if protocols else list(BENCH_PROTOCOLS)
-    config = GPUConfig(num_chiplets=chiplets, scale=scale)
-    cells: List[Dict] = []
-    agg_line = agg_run = 0.0
-    agg_lines = 0
-    for protocol in protocols:
-        for workload in workloads:
-            line_best = run_best = float("inf")
-            lines = 0
-            for rep in range(repeats):
-                dt_l, n_l, d_l = _time_cell(config, workload, protocol,
-                                            TracePath.LINE)
-                dt_r, n_r, d_r = _time_cell(config, workload, protocol,
-                                            TracePath.RUN)
-                if d_l != d_r or n_l != n_r:
-                    raise EquivalenceError(
-                        f"trace paths diverged: {workload}/{protocol} "
-                        f"(scale {scale:g}, rep {rep})")
-                line_best = min(line_best, dt_l)
-                run_best = min(run_best, dt_r)
-                lines = n_l
-            cells.append({
-                "workload": workload,
-                "protocol": protocol,
-                "lines": lines,
-                "line_seconds": round(line_best, 6),
-                "run_seconds": round(run_best, 6),
-                "speedup": round(line_best / run_best, 3),
-                "line_lines_per_sec": round(lines / line_best, 1),
-                "run_lines_per_sec": round(lines / run_best, 1),
-                "identical": True,
-            })
-            agg_line += line_best
-            agg_run += run_best
-            agg_lines += lines
-            if progress is not None:
-                progress(f"  {workload}/{protocol}: line {line_best:.3f}s, "
-                         f"run {run_best:.3f}s "
-                         f"({line_best / run_best:.1f}x)")
-    report = {
-        "benchmark": "batched run-based trace path vs per-line trace path",
-        "sweep": "partitioned" if workloads == PARTITIONED_SWEEP else "custom",
-        "meta": {
-            "scale": scale,
-            "chiplets": chiplets,
-            "repeats": repeats,
-            "jobs": 1,
-            "workloads": workloads,
-            "protocols": protocols,
-            "python": platform.python_version(),
-            "environment": bench_environment(),
-            "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        },
-        "cells": cells,
-        "aggregate": {
-            "lines": agg_lines,
-            "line_seconds": round(agg_line, 6),
-            "run_seconds": round(agg_run, 6),
-            "speedup": round(agg_line / agg_run, 3),
-            "line_lines_per_sec": round(agg_lines / agg_line, 1),
-            "run_lines_per_sec": round(agg_lines / agg_run, 1),
-        },
-    }
-    return report
+@dataclass(frozen=True)
+class PairedSweep:
+    """A candidate side timed against a reference side on every
+    (workload, protocol) cell."""
+
+    #: Names the sweep in progress lines, errors and gate messages.
+    label: str
+    #: The report's ``benchmark`` line.
+    benchmark: str
+    #: The report's ``sweep`` name when it runs ``workloads``, its default.
+    workload_set: str
+    workloads: Tuple[str, ...]
+    reference: Side
+    candidate: Side
+    #: Called as ``setup(workloads, config)`` before the first cell.
+    setup: Optional[Callable[[Sequence[str], GPUConfig], None]] = None
+    #: Untimed candidate repetitions per cell before the timed ones.
+    warmups: int = 0
+    #: Fewest timed repetitions per cell, whatever ``repeats`` asks.
+    min_repeats: int = 1
 
 
-def _time_cell_memo(config: GPUConfig, workload_name: str,
-                    protocol: str) -> Tuple[float, int, dict,
-                                            Tuple[int, int]]:
-    """Simulate one cell on the memo path; also return its
-    (hits, misses) counters."""
-    sim = Simulator(config, protocol=protocol, trace_path=TracePath.MEMO)
-    workload = build_workload(workload_name, config)
-    t0 = time.perf_counter()
-    result = sim.run(workload)
-    dt = time.perf_counter() - t0
-    return (dt, sim.last_trace_lines, result.to_dict(),
-            (result.memo_hits, result.memo_misses))
-
-
-def run_memo_bench(scale: float = FULL_SCALE, chiplets: int = 4,
-                   repeats: int = 3,
-                   workloads: Optional[Sequence[str]] = None,
-                   protocols: Optional[Sequence[str]] = None,
-                   progress: Optional[Callable[[str], None]] = None) -> Dict:
-    """Run the memo-vs-run sweep and return the report dictionary.
-
-    Same methodology as :func:`run_bench`, with the memo store cleared
-    up front so the report is reproducible: each cell runs one untimed
-    recording repetition that populates the store (miss-run), then
-    ``repeats`` timed repetitions that replay from it (hit-runs) —
-    exactly the bench/engine repeat pattern the memo path exists for.
-    Timing the recording rep would leave the memo side one warm sample
-    short of the run side under best-of-``repeats``. Every repetition,
-    including the untimed one, re-asserts bit-identity against the run
-    path.
-    """
+def _fresh_memo_store(workloads: Sequence[str], config: GPUConfig) -> None:
+    """Empty the memo store, so the report is reproducible, and intern
+    the seeded traces, so both sides time simulation, not RNG sampling."""
     from repro.gpu.memo import clear_memo_stores
-
-    if repeats < 1:
-        raise ConfigError(f"repeats must be >= 1, got {repeats}")
-    workloads = list(workloads) if workloads else list(ITERATIVE_SWEEP)
-    protocols = list(protocols) if protocols else list(BENCH_PROTOCOLS)
-    config = GPUConfig(num_chiplets=chiplets, scale=scale)
-    clear_memo_stores()
-    # Intern the seeded traces once up front so both paths' timings
-    # measure simulation, not RNG sampling.
     from repro.workloads.suite import prewarm_traces
+
+    clear_memo_stores()
     prewarm_traces(workloads, config)
-    cells: List[Dict] = []
-    agg_run = agg_memo = 0.0
-    agg_lines = 0
-    for protocol in protocols:
-        for workload in workloads:
-            run_best = memo_best = float("inf")
-            lines = 0
-            counters = (0, 0)
-            # Untimed recording rep: populates the memo store so every
-            # timed rep below measures the warm (replay) path.
-            _, n_w, d_w, _ = _time_cell_memo(config, workload, protocol)
-            for rep in range(repeats):
-                dt_r, n_r, d_r = _time_cell(config, workload, protocol,
-                                            TracePath.RUN)
-                dt_m, n_m, d_m, counters = _time_cell_memo(
-                    config, workload, protocol)
-                if rep == 0 and (d_w != d_r or n_w != n_r):
-                    raise EquivalenceError(
-                        f"memo recording rep diverged from run path: "
-                        f"{workload}/{protocol} (scale {scale:g})")
-                if d_r != d_m or n_r != n_m:
-                    raise EquivalenceError(
-                        f"memo path diverged from run path: "
-                        f"{workload}/{protocol} (scale {scale:g}, "
-                        f"rep {rep})")
-                run_best = min(run_best, dt_r)
-                memo_best = min(memo_best, dt_m)
-                lines = n_r
-            hits, misses = counters
-            cells.append({
-                "workload": workload,
-                "protocol": protocol,
-                "lines": lines,
-                "run_seconds": round(run_best, 6),
-                "memo_seconds": round(memo_best, 6),
-                "speedup": round(run_best / memo_best, 3),
-                "memo_hits": hits,
-                "memo_misses": misses,
-                "identical": True,
-            })
-            agg_run += run_best
-            agg_memo += memo_best
-            agg_lines += lines
-            if progress is not None:
-                progress(f"  {workload}/{protocol}: run {run_best:.3f}s, "
-                         f"memo {memo_best:.3f}s "
-                         f"({run_best / memo_best:.1f}x; "
-                         f"{hits}h/{misses}m)")
-    report = {
-        "benchmark": "kernel-outcome memoization vs batched run path",
-        "sweep": "iterative" if workloads == ITERATIVE_SWEEP else "custom",
-        "meta": {
-            "scale": scale,
-            "chiplets": chiplets,
-            "repeats": repeats,
-            "jobs": 1,
-            "workloads": workloads,
-            "protocols": protocols,
-            "python": platform.python_version(),
-            "environment": bench_environment(),
-            "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        },
-        "cells": cells,
-        "aggregate": {
-            "lines": agg_lines,
-            "run_seconds": round(agg_run, 6),
-            "memo_seconds": round(agg_memo, 6),
-            "speedup": round(agg_run / agg_memo, 3),
-            "run_lines_per_sec": round(agg_lines / agg_run, 1),
-            "memo_lines_per_sec": round(agg_lines / agg_memo, 1),
-        },
-    }
-    return report
 
 
-def _time_cell_traced(config: GPUConfig, workload_name: str,
-                      protocol: str) -> Tuple[float, int, dict, int]:
-    """Simulate one cell with a recording :class:`EventTracer` attached;
-    also return the number of events captured."""
-    from repro.obs import EventTracer
+TRACE_SWEEP = PairedSweep(
+    label="line-vs-run",
+    benchmark="batched run-based trace path vs per-line trace path",
+    workload_set="partitioned", workloads=tuple(PARTITIONED_SWEEP),
+    reference=Side("line", TracePath.LINE),
+    candidate=Side("run", TracePath.RUN))
 
-    tracer = EventTracer()
-    sim = Simulator(config, protocol=protocol, trace_path=TracePath.RUN,
+#: Each cell's one untimed recording repetition fills the store, so every
+#: timed repetition measures the warm replay path the store exists for;
+#: timing it would leave the memo side one warm sample short of the run
+#: side under best-of-``repeats``.
+MEMO_SWEEP = PairedSweep(
+    label="memo-vs-run",
+    benchmark="kernel-outcome memoization vs batched run path",
+    workload_set="iterative", workloads=tuple(ITERATIVE_SWEEP),
+    reference=Side("run", TracePath.RUN),
+    candidate=Side("memo", TracePath.MEMO),
+    setup=_fresh_memo_store, warmups=1, min_repeats=2)
+
+OBS_SWEEP = PairedSweep(
+    label="null-vs-traced",
+    benchmark="tracing overhead: disabled (null) vs recording tracer",
+    workload_set="partitioned", workloads=tuple(PARTITIONED_SWEEP),
+    reference=Side("null", TracePath.RUN),
+    candidate=Side("traced", TracePath.RUN, traced=True))
+
+#: The paired sweeps by their ``bench --sweep`` name.
+SWEEPS = {"trace": TRACE_SWEEP, "memo": MEMO_SWEEP, "obs": OBS_SWEEP}
+
+
+def _time(config: GPUConfig, workload_name: str, protocol: str,
+          side: Side) -> Tuple[float, int, dict, Dict[str, int]]:
+    """Simulate one cell on one side; return (wall seconds of
+    ``Simulator.run``, trace lines, result dict, counters)."""
+    tracer = EventTracer() if side.traced else None
+    sim = Simulator(config, protocol=protocol, trace_path=side.trace_path,
                     tracer=tracer)
     workload = build_workload(workload_name, config)
     t0 = time.perf_counter()
     result = sim.run(workload)
     dt = time.perf_counter() - t0
-    return dt, sim.last_trace_lines, result.to_dict(), len(tracer.events)
+    counts = (None if tracer is None else len(tracer.events),
+              result.memo_hits, result.memo_misses)
+    return dt, sim.last_trace_lines, result.to_dict(), {
+        name: n for name, n in zip(COUNTERS, counts) if n is not None}
 
 
-def run_obs_bench(scale: float = FULL_SCALE, chiplets: int = 4,
-                  repeats: int = 3,
-                  workloads: Optional[Sequence[str]] = None,
-                  protocols: Optional[Sequence[str]] = None,
-                  progress: Optional[Callable[[str], None]] = None) -> Dict:
-    """Run the tracing-overhead sweep and return the report dictionary.
+def _columns(sweep: PairedSweep, ref_seconds: float, cand_seconds: float,
+             lines: int, counts: Dict[str, int]) -> Dict:
+    """A cell's (or the aggregate's) columns, named after the sides."""
+    ref, cand = sweep.reference.name, sweep.candidate.name
+    return {
+        "lines": lines,
+        f"{ref}_seconds": round(ref_seconds, 6),
+        f"{cand}_seconds": round(cand_seconds, 6),
+        "speedup": round(ref_seconds / cand_seconds, 3),
+        f"{cand}_overhead": round(cand_seconds / ref_seconds - 1.0, 4),
+        f"{ref}_lines_per_sec": round(lines / ref_seconds, 1),
+        f"{cand}_lines_per_sec": round(lines / cand_seconds, 1),
+        **counts,
+    }
 
-    Two variants per cell, interleaved like :func:`run_bench`: the
-    default *disabled* tracer (``NULL_TRACER`` — the production
-    configuration, timed as ``null_seconds``) and a recording :class:`~repro.obs.EventTracer`
-    (``traced_seconds``). Every repetition asserts the traced run's
-    serialized result is bit-identical to the untraced one, so the bench
-    doubles as the tracer-purity differential check.
 
-    The aggregate also carries ``run_seconds`` (an alias of the
-    disabled-tracer total) so :func:`check_obs_overhead` can compare it
-    against a ``BENCH_trace.json`` report timed on the same machine.
-    """
+def run_sweep(sweep: PairedSweep, scale: float = FULL_SCALE,
+              chiplets: int = 4, repeats: int = 3,
+              workloads: Optional[Sequence[str]] = None,
+              progress: Optional[Callable[[str], None]] = None) -> Dict:
+    """Time ``sweep``'s two sides against each other on every
+    (workload, protocol) cell and return the report dictionary."""
     if repeats < 1:
         raise ConfigError(f"repeats must be >= 1, got {repeats}")
-    workloads = list(workloads) if workloads else list(PARTITIONED_SWEEP)
-    protocols = list(protocols) if protocols else list(BENCH_PROTOCOLS)
+    repeats = max(sweep.min_repeats, repeats)
+    workloads = list(workloads) if workloads else list(sweep.workloads)
+    protocols = list(BENCH_PROTOCOLS)
     config = GPUConfig(num_chiplets=chiplets, scale=scale)
+    if progress is not None:
+        progress(f"benchmarking {sweep.label} at scale {scale:g} "
+                 f"({chiplets} chiplets, best of {repeats})")
+    if sweep.setup is not None:
+        sweep.setup(workloads, config)
+    ref, cand = sweep.reference.name, sweep.candidate.name
     cells: List[Dict] = []
-    agg_null = agg_traced = 0.0
-    agg_lines = agg_events = 0
+    agg_ref = agg_cand = 0.0
+    agg_lines = 0
+    agg_counts: Dict[str, int] = {}
     for protocol in protocols:
         for workload in workloads:
-            null_best = traced_best = float("inf")
-            lines = events = 0
+            # Candidate runs wait here for a reference run to be checked
+            # against: the untimed ones for the first timed repetition's.
+            pending = [("untimed rep",
+                        _time(config, workload, protocol, sweep.candidate))
+                       for _ in range(sweep.warmups)]
+            ref_best = cand_best = float("inf")
             for rep in range(repeats):
-                dt_n, n_n, d_n = _time_cell(config, workload, protocol,
-                                            TracePath.RUN)
-                dt_t, n_t, d_t, events = _time_cell_traced(
-                    config, workload, protocol)
-                if d_n != d_t or n_n != n_t:
-                    raise EquivalenceError(
-                        f"tracer perturbed the simulation: "
-                        f"{workload}/{protocol} (scale {scale:g}, "
-                        f"rep {rep})")
-                null_best = min(null_best, dt_n)
-                traced_best = min(traced_best, dt_t)
-                lines = n_n
-            cells.append({
-                "workload": workload,
-                "protocol": protocol,
-                "lines": lines,
-                "events": events,
-                "null_seconds": round(null_best, 6),
-                "traced_seconds": round(traced_best, 6),
-                "traced_overhead": round(traced_best / null_best - 1.0, 4),
-                "identical": True,
-            })
-            agg_null += null_best
-            agg_traced += traced_best
+                ref_dt, lines, expected, _ = _time(config, workload, protocol,
+                                                   sweep.reference)
+                timed = _time(config, workload, protocol, sweep.candidate)
+                pending.append((f"rep {rep}", timed))
+                for where, (_, n, d, _) in pending:
+                    if d != expected or n != lines:
+                        raise EquivalenceError(
+                            f"{sweep.label}: {cand} diverged from {ref}: "
+                            f"{workload}/{protocol} (scale {scale:g}, "
+                            f"{where})")
+                pending = []
+                cand_dt, _, _, counts = timed
+                ref_best = min(ref_best, ref_dt)
+                cand_best = min(cand_best, cand_dt)
+            cells.append({"workload": workload, "protocol": protocol,
+                          **_columns(sweep, ref_best, cand_best, lines,
+                                     counts),
+                          "identical": True})
+            agg_ref += ref_best
+            agg_cand += cand_best
             agg_lines += lines
-            agg_events += events
+            for name, n in counts.items():
+                agg_counts[name] = agg_counts.get(name, 0) + n
             if progress is not None:
-                progress(f"  {workload}/{protocol}: null {null_best:.3f}s, "
-                         f"traced {traced_best:.3f}s "
-                         f"({traced_best / null_best - 1.0:+.1%}, "
-                         f"{events} events)")
-    report = {
-        "benchmark": "tracing overhead: disabled (null) vs recording tracer",
-        "sweep": "partitioned" if workloads == PARTITIONED_SWEEP else "custom",
+                progress(f"  {workload}/{protocol}: "
+                         + _summary_row(sweep, cells[-1]))
+    return {
+        "benchmark": sweep.benchmark,
+        "sweep": (sweep.workload_set if workloads == list(sweep.workloads)
+                  else "custom"),
         "meta": {
             "scale": scale,
             "chiplets": chiplets,
@@ -414,29 +315,73 @@ def run_obs_bench(scale: float = FULL_SCALE, chiplets: int = 4,
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         },
         "cells": cells,
-        "aggregate": {
-            "lines": agg_lines,
-            "events": agg_events,
-            "null_seconds": round(agg_null, 6),
-            "run_seconds": round(agg_null, 6),
-            "traced_seconds": round(agg_traced, 6),
-            "traced_overhead": round(agg_traced / agg_null - 1.0, 4),
-        },
+        "aggregate": _columns(sweep, agg_ref, agg_cand, agg_lines,
+                              agg_counts),
     }
-    return report
+
+
+def _summary_row(sweep: PairedSweep, row: Dict) -> str:
+    """One cell's (or the aggregate's) timings, speedup and counters."""
+    ref, cand = sweep.reference.name, sweep.candidate.name
+    counts = ", ".join(f"{row[name]:,} {name}" for name in COUNTERS
+                       if name in row)
+    return (f"{ref} {row[f'{ref}_seconds']:7.3f}s  "
+            f"{cand} {row[f'{cand}_seconds']:7.3f}s  "
+            f"{row['speedup']:6.2f}x ({row[f'{cand}_overhead']:+.1%})  "
+            f"{row[f'{cand}_lines_per_sec']:,.0f} {cand} lines/sec"
+            + (f"  ({counts})" if counts else ""))
+
+
+def summarize_sweep(sweep: PairedSweep, report: Dict) -> str:
+    """Human-readable summary of a paired sweep's report."""
+    rows = [f"  {cell['workload']:<14s} {cell['protocol']:<8s} "
+            + _summary_row(sweep, cell) for cell in report["cells"]]
+    meta = report["meta"]
+    rows.append(
+        f"aggregate (scale {meta['scale']:g}, {meta['chiplets']} chiplets, "
+        f"best of {meta['repeats']}): "
+        + _summary_row(sweep, report["aggregate"]))
+    return "\n".join(rows)
+
+
+def check_speedup(report: Dict, label: str, floor: float,
+                  cell_floor: float) -> Tuple[bool, str]:
+    """Gate a paired sweep's report: the aggregate speedup must clear
+    ``floor`` and *every per-cell speedup* must clear ``cell_floor``.
+
+    Returns ``(ok, message)``. The per-cell gate is what catches a
+    single workload regressing (e.g. one memoized cell falling behind
+    the run path) while the aggregate still looks healthy.
+    """
+    problems = []
+    speedup = report["aggregate"]["speedup"]
+    if speedup < floor:
+        problems.append(f"{label} aggregate speedup {speedup:.2f}x is "
+                        f"below the floor {floor:g}x")
+    for cell in report["cells"]:
+        if cell["speedup"] < cell_floor:
+            problems.append(f"{label} cell "
+                            f"{cell['workload']}/{cell['protocol']} "
+                            f"speedup {cell['speedup']:.2f}x is below the "
+                            f"cell floor {cell_floor:g}x")
+    if problems:
+        return False, "; ".join(problems)
+    return True, (f"{label} aggregate speedup {speedup:.2f}x "
+                  f"(>= {floor:g}x), every cell >= {cell_floor:g}x")
 
 
 def check_obs_overhead(report: Dict, reference: Dict,
                        tolerance: float = 0.02) -> Tuple[bool, str]:
-    """Compare the obs bench's disabled-tracer aggregate against a
-    line-vs-run bench report's run-path aggregate.
+    """Compare the obs sweep's disabled-tracer aggregate
+    (``null_seconds``) against a line-vs-run report's run-path aggregate
+    (``run_seconds``).
 
     Returns ``(ok, message)``. Both aggregates time the same program
-    (:func:`_time_cell` on the run path under ``NULL_TRACER``), so the
-    check bounds host drift between the two sweeps; it does not measure
-    what the tracer hooks cost, which needs a reference run without
-    them. It only means something when both sweeps timed the same
-    simulations on the same machine, so a reference with different
+    (the run path under ``NULL_TRACER``), so the check bounds host drift
+    between the two sweeps; it does not measure what the tracer hooks
+    cost, which needs a reference run without them. It only means
+    something when both sweeps timed the same simulations on the same
+    machine, so a reference with different
     scale/chiplets/workloads/protocols passes vacuously with an
     explanatory message instead of failing.
     """
@@ -455,71 +400,11 @@ def check_obs_overhead(report: Dict, reference: Dict,
     return overhead <= tolerance, message
 
 
-def summarize_obs(report: Dict) -> str:
-    """Human-readable summary of a tracing-overhead bench report."""
-    rows = []
-    for cell in report["cells"]:
-        rows.append(f"  {cell['workload']:<14s} {cell['protocol']:<8s} "
-                    f"null {cell['null_seconds']:7.3f}s  "
-                    f"traced {cell['traced_seconds']:7.3f}s  "
-                    f"{cell['traced_overhead']:+7.1%}  "
-                    f"({cell['events']} events)")
-    agg = report["aggregate"]
-    meta = report["meta"]
-    rows.append(
-        f"aggregate (scale {meta['scale']:g}, {meta['chiplets']} chiplets, "
-        f"best of {meta['repeats']}): "
-        f"null {agg['null_seconds']:.2f}s, "
-        f"traced {agg['traced_seconds']:.2f}s "
-        f"-> {agg['traced_overhead']:+.1%} recording overhead "
-        f"({agg['events']:,} events)")
-    return "\n".join(rows)
-
-
-def summarize_memo(report: Dict) -> str:
-    """Human-readable summary of a memo bench report."""
-    rows = []
-    for cell in report["cells"]:
-        rows.append(f"  {cell['workload']:<14s} {cell['protocol']:<8s} "
-                    f"run {cell['run_seconds']:7.3f}s  "
-                    f"memo {cell['memo_seconds']:7.3f}s  "
-                    f"{cell['speedup']:5.1f}x  "
-                    f"({cell['memo_hits']}h/{cell['memo_misses']}m)")
-    agg = report["aggregate"]
-    meta = report["meta"]
-    rows.append(
-        f"aggregate (scale {meta['scale']:g}, {meta['chiplets']} chiplets, "
-        f"best of {meta['repeats']}): "
-        f"run {agg['run_seconds']:.2f}s, memo {agg['memo_seconds']:.2f}s "
-        f"-> {agg['speedup']:.2f}x "
-        f"({agg['memo_lines_per_sec']:,.0f} lines/sec memoized)")
-    return "\n".join(rows)
-
-
 def write_report(report: Dict, path: str) -> None:
     """Write ``report`` as pretty-printed JSON to ``path``."""
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2, sort_keys=False)
         fh.write("\n")
-
-
-def summarize(report: Dict) -> str:
-    """Human-readable summary of a bench report."""
-    rows = []
-    for cell in report["cells"]:
-        rows.append(f"  {cell['workload']:<12s} {cell['protocol']:<8s} "
-                    f"line {cell['line_seconds']:7.3f}s  "
-                    f"run {cell['run_seconds']:7.3f}s  "
-                    f"{cell['speedup']:5.1f}x")
-    agg = report["aggregate"]
-    meta = report["meta"]
-    rows.append(
-        f"aggregate (scale {meta['scale']:g}, {meta['chiplets']} chiplets, "
-        f"best of {meta['repeats']}): "
-        f"line {agg['line_seconds']:.2f}s, run {agg['run_seconds']:.2f}s "
-        f"-> {agg['speedup']:.2f}x "
-        f"({agg['run_lines_per_sec']:,.0f} lines/sec batched)")
-    return "\n".join(rows)
 
 
 def run_dist_bench(scale: float = QUICK_SCALE, chiplets: int = 4,

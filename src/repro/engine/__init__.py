@@ -13,7 +13,7 @@ the HTTP server:
   that computes each cell once;
 * :class:`~repro.engine.runner.SweepRunner` — the one runner: serves
   cached cells, runs the rest in-process or, with ``workers > 1``, as
-  content-keyed work units on a ``fork`` pool, and aggregates results
+  contiguous work units on a ``fork`` pool, and aggregates results
   deterministically in spec order with a
   :class:`~repro.engine.runner.SweepReport`. ``cache=None`` means no
   cache;

@@ -30,7 +30,7 @@ import json
 import os
 import pathlib
 import socket
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.engine.spec import JobSpec
@@ -120,30 +120,29 @@ class CacheStats:
 
     def snapshot(self) -> "CacheStats":
         """Copy of the current counters."""
-        return CacheStats(self.hits, self.misses, self.invalidations,
-                          self.stores, self.deduped, self.claims,
-                          self.reclaims)
+        return CacheStats(**self.to_dict())
 
     def since(self, earlier: "CacheStats") -> "CacheStats":
         """Counter deltas relative to an earlier snapshot."""
-        return CacheStats(self.hits - earlier.hits,
-                          self.misses - earlier.misses,
-                          self.invalidations - earlier.invalidations,
-                          self.stores - earlier.stores,
-                          self.deduped - earlier.deduped,
-                          self.claims - earlier.claims,
-                          self.reclaims - earlier.reclaims)
+        mine, theirs = self.__dict__, earlier.__dict__
+        return CacheStats(*(mine[name] - theirs[name]
+                            for name in _STATS_FIELDS))
 
     def merge(self, other: "CacheStats") -> None:
         """Fold another instance's counters into this one (the parent
         aggregates per-worker cache stats after a distributed sweep)."""
-        self.hits += other.hits
-        self.misses += other.misses
-        self.invalidations += other.invalidations
-        self.stores += other.stores
-        self.deduped += other.deduped
-        self.claims += other.claims
-        self.reclaims += other.reclaims
+        mine, theirs = self.__dict__, other.__dict__
+        for name in _STATS_FIELDS:
+            mine[name] += theirs[name]
+
+    def to_dict(self) -> Dict[str, int]:
+        """The counters by name, as the server reports them to clients."""
+        values = self.__dict__
+        return {name: values[name] for name in _STATS_FIELDS}
+
+
+#: Counter field names in field order, read by every method above.
+_STATS_FIELDS = tuple(f.name for f in fields(CacheStats))
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,9 @@
 
 :class:`~repro.engine.runner.SweepRunner` runs a sweep on one host, in
 its own process or on a fork pool. This module takes the same
-content-keyed :class:`~repro.engine.runner.WorkUnit`\\ s past one
-machine: :func:`scatter` serializes a spec and its units as JSON into a
-*work directory* on a shared filesystem, :func:`work` lets any host
+:class:`~repro.engine.runner.WorkUnit`\\ s past one machine:
+:func:`scatter` serializes a spec and its units as JSON into a *work
+directory* on a shared filesystem, :func:`work` lets any host
 claim and execute units against the directory's
 :class:`~repro.engine.cache.SharedResultCache`, and :func:`gather`
 reassembles the :class:`~repro.engine.runner.SweepResult` in spec order,
@@ -93,7 +93,7 @@ def work_dir_cache(work_dir: "os.PathLike[str] | str") -> SharedResultCache:
 def scatter(spec: SweepSpec, work_dir: "os.PathLike[str] | str",
             workers: int = 2, batch_size: Optional[int] = None,
             tracer: Optional[Tracer] = None) -> List[WorkUnit]:
-    """Serialize ``spec`` into a work directory as content-keyed units.
+    """Serialize ``spec`` into a work directory as numbered units.
 
     Every cell is scattered (workers serve cached cells instantly via
     the shared cache, so pre-filtering here would only hide the hit

@@ -9,10 +9,10 @@ parent process. The pending cells then run one of two ways:
   tracer threaded into every simulation and one ``[i/n] label (s)``
   progress line per computed cell;
 * **on a fork pool**: :func:`shard_jobs` splits the pending cells into
-  deterministic, content-keyed :class:`WorkUnit`\\ s (contiguous
-  batches, so cheap cells amortize process start-up and adjacent cells
-  reuse interned traces inside one worker) and each worker runs its
-  units through the same :func:`run_job_shared`. A runner given an
+  deterministic :class:`WorkUnit`\\ s (contiguous batches, so cheap
+  cells amortize process start-up and adjacent cells reuse interned
+  traces inside one worker) and each worker runs its units through the
+  same :func:`run_job_shared`. A runner given an
   ``executor`` (a long-lived :class:`ForkPool`, the server's) runs every
   pending unit there, even a single cell, one unit at a time, so the
   runners sharing it each hold at most one worker; otherwise it forks a
@@ -51,7 +51,6 @@ cached runs of the same spec are bit-identical. Every run produces a
 from __future__ import annotations
 
 import contextlib
-import hashlib
 import os
 import signal
 import stat
@@ -182,21 +181,17 @@ def _fork_available() -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Work units: content-keyed shards of a sweep's pending cells
+# Work units: contiguous shards of a sweep's pending cells
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class WorkUnit:
-    """One shard of a sweep: a contiguous batch of (index, job) cells.
-
-    ``key`` is a blake2b digest over the member jobs' cache keys — the
-    unit's content address, stable across processes and hosts.
-    """
+    """One shard of a sweep: a contiguous batch of (index, job) cells,
+    claimed and gathered by ``index``."""
 
     index: int
     items: Tuple[Tuple[int, JobSpec], ...]
-    key: str
 
     @property
     def cells(self) -> int:
@@ -206,7 +201,6 @@ class WorkUnit:
         """JSON round-trip payload (one scattered ``unit-*.json``)."""
         return {
             "index": self.index,
-            "key": self.key,
             "items": [[i, job.to_payload()] for i, job in self.items],
         }
 
@@ -214,16 +208,7 @@ class WorkUnit:
     def from_payload(cls, payload: Dict[str, Any]) -> "WorkUnit":
         items = tuple((int(i), JobSpec.from_payload(jp))
                       for i, jp in payload["items"])
-        return cls(index=int(payload["index"]), items=items,
-                   key=payload["key"])
-
-
-def unit_key(jobs: Sequence[JobSpec]) -> str:
-    """Content address of one batch of jobs."""
-    digest = hashlib.blake2b(digest_size=16)
-    for job in jobs:
-        digest.update(job.key.encode())
-    return digest.hexdigest()
+        return cls(index=int(payload["index"]), items=items)
 
 
 def shard_jobs(jobs: Sequence[JobSpec], pending: Sequence[int],
@@ -246,8 +231,7 @@ def shard_jobs(jobs: Sequence[JobSpec], pending: Sequence[int],
     units: List[WorkUnit] = []
     for start in range(0, len(pending), batch_size):
         items = tuple((i, jobs[i]) for i in pending[start:start + batch_size])
-        units.append(WorkUnit(index=len(units), items=items,
-                              key=unit_key([job for _, job in items])))
+        units.append(WorkUnit(index=len(units), items=items))
     return units
 
 

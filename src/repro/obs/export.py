@@ -23,6 +23,7 @@ __all__ = [
     "chrome_trace",
     "events_jsonl",
     "distributions_csv",
+    "render_trace",
     "text_summary",
     "write_trace",
 ]
@@ -162,6 +163,24 @@ def text_summary(tracer: EventTracer, limit: Optional[int] = 40) -> str:
     return "\n".join(lines)
 
 
+def render_trace(tracer: EventTracer, fmt: str,
+                 limit: Optional[int] = 40) -> str:
+    """The trace as text in ``fmt``: ``chrome`` (Chrome trace JSON, no
+    trailing newline), ``jsonl``, ``csv`` (metric distributions) or
+    ``text`` (:func:`text_summary` showing ``limit`` sync events)."""
+    if fmt == "chrome":
+        return json.dumps(chrome_trace(tracer))
+    if fmt == "csv":
+        return distributions_csv(tracer.metrics.aggregate())
+    if fmt == "jsonl":
+        return events_jsonl(tracer.events)
+    if fmt == "text":
+        return text_summary(tracer, limit=limit) + "\n"
+    from repro.errors import ConfigError
+    raise ConfigError(f"unknown trace export format {fmt!r}; choose "
+                      "from chrome/csv/jsonl/text")
+
+
 def write_trace(tracer: EventTracer, path: str,
                 fmt: Optional[str] = None) -> str:
     """Write the trace to ``path`` in ``fmt`` (inferred from the
@@ -174,18 +193,7 @@ def write_trace(tracer: EventTracer, path: str,
             fmt = "csv"
         else:
             fmt = "jsonl"
-    if fmt == "chrome":
-        payload = json.dumps(chrome_trace(tracer))
-    elif fmt == "csv":
-        payload = distributions_csv(tracer.metrics.aggregate())
-    elif fmt == "jsonl":
-        payload = events_jsonl(tracer.events)
-    elif fmt == "text":
-        payload = text_summary(tracer) + "\n"
-    else:
-        from repro.errors import ConfigError
-        raise ConfigError(f"unknown trace export format {fmt!r}; choose "
-                          "from chrome/csv/jsonl/text")
+    payload = render_trace(tracer, fmt)
     with open(path, "w") as fh:
         fh.write(payload)
     return fmt

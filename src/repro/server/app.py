@@ -53,7 +53,7 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, Dict, List, Optional, Union
 
-from repro.engine.cache import CacheStats, SharedResultCache
+from repro.engine.cache import SharedResultCache
 from repro.engine.runner import ForkPool, SweepRunner, _fork_available
 from repro.errors import ConfigError, JobCancelled
 from repro.obs.metrics import MetricRegistry
@@ -86,19 +86,6 @@ __all__ = ["DEFAULT_HOST", "DEFAULT_PORT", "ReproServer", "run"]
 
 DEFAULT_HOST = "127.0.0.1"
 DEFAULT_PORT = 8642
-
-
-def _stats_dict(stats: CacheStats) -> Dict[str, int]:
-    """A cache-stats counter block as reported to clients."""
-    return {
-        "hits": stats.hits,
-        "misses": stats.misses,
-        "stores": stats.stores,
-        "deduped": stats.deduped,
-        "claims": stats.claims,
-        "reclaims": stats.reclaims,
-        "invalidations": stats.invalidations,
-    }
 
 
 class ReproServer:
@@ -310,7 +297,7 @@ class ReproServer:
         for job in self.jobs.values():
             states[job.state] = states.get(job.state, 0) + 1
         with self._stats_lock:
-            cache = _stats_dict(self.cache.stats)
+            cache = self.cache.stats.to_dict()
         return json_response({
             "admission": self.admission.snapshot(),
             "cache": cache,
@@ -397,15 +384,15 @@ class ReproServer:
                 "state": DONE,
                 "results": sweep.to_dicts(),
                 "report": sweep.report.to_dict(),
-                "cache": _stats_dict(cache.stats),
+                "cache": cache.stats.to_dict(),
             }
-            job.cache_stats = _stats_dict(cache.stats)
+            job.cache_stats = cache.stats.to_dict()
             job.mark_finished(DONE)
         except JobCancelled as exc:
-            job.cache_stats = _stats_dict(cache.stats)
+            job.cache_stats = cache.stats.to_dict()
             job.mark_finished(CANCELLED, error=job.cancel.reason or str(exc))
         except Exception as exc:
-            job.cache_stats = _stats_dict(cache.stats)
+            job.cache_stats = cache.stats.to_dict()
             job.mark_finished(
                 FAILED, error=f"{type(exc).__name__}: {exc}")
         finally:

@@ -174,6 +174,153 @@ class TestBenchEnvironment:
         ok, message = check_dist_scaling(recomputed)
         assert not ok and "recomputed" in message
 
+    def test_check_speedup_gates(self):
+        from repro.bench import check_speedup
+
+        fast = {"workload": "square", "protocol": "cpelide",
+                "speedup": 4.0}
+        report = {"aggregate": {"speedup": 4.0}, "cells": [fast]}
+        ok, message = check_speedup(report, "line-vs-run", 1.0, 0.95)
+        assert ok and "line-vs-run" in message
+        low = dict(report, aggregate={"speedup": 0.9})
+        ok, message = check_speedup(low, "line-vs-run", 1.0, 0.95)
+        assert not ok and "aggregate speedup 0.90x" in message
+        # One slow cell fails the gate though the aggregate clears it.
+        slow = dict(report, cells=[fast, dict(fast, workload="bfs",
+                                              speedup=0.5)])
+        ok, message = check_speedup(slow, "memo-vs-run", 1.0, 0.95)
+        assert not ok and "bfs/cpelide" in message
+        assert "square" not in message
+
+
+#: Keys of a tracing-overhead report (``bench --sweep obs``), per
+#: section. Nothing is committed to compare it with; the aggregate's
+#: ``run_seconds`` alias is not pinned (nothing reads it).
+OBS_REPORT_KEYS = {
+    "report": {"benchmark", "sweep", "meta", "cells", "aggregate"},
+    "meta": {"scale", "chiplets", "repeats", "jobs", "workloads",
+             "protocols", "python", "environment", "timestamp"},
+    "environment": {"python", "numpy", "cpu_count", "platform",
+                    "hostname_hash"},
+    "cells": {"workload", "protocol", "lines", "events", "null_seconds",
+              "traced_seconds", "traced_overhead", "identical"},
+    "aggregate": {"lines", "events", "null_seconds", "traced_seconds",
+                  "traced_overhead"},
+}
+
+
+def _report_keys(report):
+    """A bench report's keys per section (cells: the union over cells)."""
+    return {
+        "report": set(report),
+        "meta": set(report["meta"]),
+        "environment": set(report["meta"]["environment"]),
+        "cells": set().union(*(set(cell) for cell in report["cells"])),
+        "aggregate": set(report["aggregate"]),
+    }
+
+
+class TestBenchSweeps:
+    """The paired timing sweeps (line vs run, run vs memo, null vs
+    recording tracer) through ``bench``, on one tiny cell each."""
+
+    @pytest.fixture
+    def tiny_bench(self, monkeypatch, tmp_path):
+        """Run ``bench`` on square/cpelide at 1/256, one repetition;
+        returns ``(rc, {sweep: report})``."""
+        import json
+
+        from repro import bench
+
+        monkeypatch.setattr(bench, "BENCH_PROTOCOLS", ["cpelide"])
+        paths = {"trace": tmp_path / "trace.json",
+                 "memo": tmp_path / "memo.json",
+                 "obs": tmp_path / "obs.json"}
+
+        def run(sweep, *extra):
+            rc = repro_main([
+                "--scale", "0.00390625", "bench", "--sweep", sweep,
+                "--workloads", "square", "--repeats", "1",
+                "--out", str(paths["trace"]),
+                "--memo-out", str(paths["memo"]),
+                "--obs-out", str(paths["obs"]), *extra])
+            return rc, {name: json.loads(path.read_text())
+                        for name, path in paths.items() if path.exists()}
+        return run
+
+    def test_reports_keep_every_key(self, tiny_bench):
+        import json
+        import pathlib
+
+        root = pathlib.Path(__file__).resolve().parent.parent
+        rc, reports = tiny_bench("both")
+        assert rc == 0
+        rc, obs = tiny_bench("obs")
+        assert rc == 0
+        reports["obs"] = obs["obs"]
+        expected = {
+            "trace": _report_keys(json.loads(
+                (root / "BENCH_trace.json").read_text())),
+            "memo": _report_keys(json.loads(
+                (root / "BENCH_memo.json").read_text())),
+            "obs": OBS_REPORT_KEYS,
+        }
+        for sweep, report in reports.items():
+            keys = _report_keys(report)
+            for section, names in expected[sweep].items():
+                assert names <= keys[section], (sweep, section)
+            assert [cell["workload"] for cell in report["cells"]] == [
+                "square"]
+            assert all(cell["identical"] is True
+                       for cell in report["cells"])
+        assert reports["memo"]["meta"]["repeats"] == 2
+
+    def test_check_fails_a_sweep_below_its_floor(self, tiny_bench):
+        rc, reports = tiny_bench("trace", "--check", "--min-speedup", "1e9")
+        assert rc == 1
+        assert reports["trace"]["cells"][0]["identical"] is True
+        rc, _ = tiny_bench("trace", "--check", "--min-speedup", "0",
+                           "--min-cell-speedup", "1e9")
+        assert rc == 1
+
+    @pytest.mark.parametrize("sweep, perturbs", [
+        ("trace", "line"), ("trace", "run-lines"), ("memo", "memo"),
+        ("memo", "memo-recording"), ("obs", "traced")])
+    def test_a_diverging_side_raises(self, tiny_bench, monkeypatch,
+                                     sweep, perturbs):
+        """One side's result (or trace-line count) perturbed on every
+        repetition, or only on the memo sweep's untimed recording
+        repetition, fails the sweep."""
+        from repro.bench import EquivalenceError
+        from repro.gpu.sim import Simulator
+        from repro.gpu.trace_path import TracePath
+        from repro.obs import EventTracer
+
+        original = Simulator.run
+        memo_runs = []
+
+        def run(sim, workload):
+            result = original(sim, workload)
+            if sim.trace_path is TracePath.MEMO:
+                memo_runs.append(sim)
+            hit = {
+                "line": sim.trace_path is TracePath.LINE,
+                "run-lines": (sim.trace_path is TracePath.RUN
+                              and not isinstance(sim.tracer, EventTracer)),
+                "memo": sim.trace_path is TracePath.MEMO,
+                "memo-recording": memo_runs == [sim],
+                "traced": isinstance(sim.tracer, EventTracer),
+            }[perturbs]
+            if hit and perturbs == "run-lines":
+                sim.last_trace_lines += 1
+            elif hit:
+                result.wall_cycles += 1.0
+            return result
+
+        monkeypatch.setattr(Simulator, "run", run)
+        with pytest.raises(EquivalenceError):
+            tiny_bench(sweep)
+
 
 class TestExperimentsCLI:
     def test_table1(self, capsys):

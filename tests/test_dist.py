@@ -23,8 +23,7 @@ from repro.engine.cache import (
     SharedResultCache,
 )
 from repro.engine.dist import gather, scatter, work
-from repro.engine.runner import (SweepRunner, _fork_available, shard_jobs,
-                                 unit_key)
+from repro.engine.runner import SweepRunner, _fork_available, shard_jobs
 from repro.engine.spec import JobSpec, SweepSpec
 from repro.errors import CacheError
 from repro.gpu.config import GPUConfig
@@ -358,15 +357,11 @@ class TestShardJobs:
         covered = [index for unit in units for index, _ in unit.items]
         assert covered == pending
 
-    def test_unit_keys_are_content_addressed_and_deterministic(self):
+    def test_sharding_is_deterministic(self):
         jobs = small_spec().expand()
-        key_a = unit_key(jobs[:2])
-        key_b = unit_key(jobs[:2])
-        assert key_a == key_b
-        assert key_a != unit_key(jobs[2:4])
         units = shard_jobs(jobs, list(range(len(jobs))), 2)
-        again = shard_jobs(jobs, list(range(len(jobs))), 2)
-        assert [u.key for u in units] == [u.key for u in again]
+        again = shard_jobs(small_spec().expand(), list(range(len(jobs))), 2)
+        assert [u.items for u in units] == [u.items for u in again]
 
     def test_batch_size_override(self):
         jobs = small_spec().expand()

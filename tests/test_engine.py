@@ -24,7 +24,6 @@ from repro.engine.runner import (
     SweepRunner,
     resolve_jobs,
     shard_jobs,
-    unit_key,
 )
 from repro.engine.spec import (
     JobSpec,
@@ -125,10 +124,10 @@ class TestSpec:
             assert ResultCache.key(job) == key
 
     def test_each_job_is_keyed_once(self, tmp_path, monkeypatch):
-        """The claim, store, release, load and unit-key paths reuse the
-        job's key; a pickled job (the fork pool's transport) carries it.
-        The key comes from the cached config JSON, and the stored
-        document no longer holds the payload, so nothing builds it."""
+        """The claim, store, release and load paths reuse the job's key;
+        a pickled job (the fork pool's transport) carries it. The key
+        comes from the cached config JSON, and the stored document no
+        longer holds the payload, so nothing builds it."""
         from repro.engine import spec as spec_module
 
         calls = []
@@ -146,7 +145,6 @@ class TestSpec:
         _, token = cache.acquire(job)
         cache.store_and_release(job, [1, 2], token)
         assert cache.load(job) == [1, 2]
-        unit_key([job])
         assert pickle.loads(pickle.dumps(job)).key == job.key
         assert calls == [job.label]
 
@@ -261,6 +259,13 @@ class TestCache:
         assert cache.stats.hits == 1
         delta = cache.stats.since(CacheStats())
         assert (delta.hits, delta.misses, delta.stores) == (1, 1, 1)
+        assert delta.to_dict() == {"hits": 1, "misses": 1, "stores": 1,
+                                   "invalidations": 0, "deduped": 0,
+                                   "claims": 0, "reclaims": 0}
+        doubled = cache.stats.snapshot()
+        doubled.merge(delta)
+        assert doubled.to_dict() == {name: 2 * count for name, count
+                                     in delta.to_dict().items()}
 
     def test_key_ignores_salt_but_depends_on_config(self, tmp_path):
         a = ResultCache(root=tmp_path / "c", salt="a")

@@ -192,6 +192,30 @@ class TestTraceCLI:
         ts = [e["ts"] for e in doc["traceEvents"] if e["ph"] != "M"]
         assert ts == sorted(ts)
 
+    @pytest.mark.parametrize("fmt", ["chrome", "jsonl", "csv", "text"])
+    def test_trace_out_and_write_trace_bytes(self, traced, tmp_path, fmt):
+        """``trace --out`` and :func:`write_trace` render each format
+        alike, except that only the CLI ends Chrome JSON with a
+        newline."""
+        from repro.__main__ import main
+
+        tracer, _, _ = traced
+        expected = {
+            "chrome": json.dumps(chrome_trace(tracer)),
+            "jsonl": events_jsonl(tracer.events),
+            "csv": distributions_csv(tracer.metrics.aggregate()),
+            "text": text_summary(tracer) + "\n",
+        }[fmt]
+        cli_out = tmp_path / f"cli.{fmt}"
+        rc = main(["--scale", str(TEST_SCALE), "trace", "square", "cpelide",
+                   "--format", fmt, "--out", str(cli_out)])
+        assert rc == 0
+        written = tmp_path / f"written.{fmt}"
+        assert write_trace(tracer, str(written), fmt=fmt) == fmt
+        cli_tail = "\n" if fmt == "chrome" else ""
+        assert cli_out.read_bytes() == (expected + cli_tail).encode()
+        assert written.read_bytes() == expected.encode()
+
     def test_trace_csv_to_stdout(self, capsys):
         from repro.__main__ import main
 
