@@ -1,18 +1,19 @@
 #!/usr/bin/env python3
 """Inspect CPElide's decisions kernel by kernel.
 
-Uses the analysis tooling to (a) trace every acquire/release the
-protocols issue on a producer-consumer sequence — showing Baseline's
-blanket synchronization against CPElide's targeted, lazy operations — and
-(b) profile the Chiplet Coherence Table's occupancy over a real workload,
-checking the paper's never-overflows claim (Sec. IV-D).
+Uses the event tracer and the analysis tooling to (a) trace every
+acquire/release the protocols issue on a producer-consumer sequence —
+showing Baseline's blanket synchronization against CPElide's targeted,
+lazy operations — and (b) profile the Chiplet Coherence Table's
+occupancy over a real workload, checking the paper's never-overflows
+claim (Sec. IV-D).
 
 Run:  python examples/inspect_elision.py
 """
 
-from repro.api import build_workload, default_config
+from repro.api import EventTracer, build_workload, default_config, simulate
 from repro.analysis.occupancy import profile_table_occupancy
-from repro.analysis.sync_trace import trace_sync_ops
+from repro.obs.export import render_trace
 from repro.cp.packets import AccessMode
 from repro.memory.address import AddressSpace
 from repro.workloads.base import Kernel, KernelArg, Workload
@@ -37,11 +38,11 @@ def producer_consumer_workload() -> Workload:
 
 
 def main() -> None:
-    workload = producer_consumer_workload()
     for protocol in ("baseline", "cpelide"):
-        trace = trace_sync_ops(producer_consumer_workload(), CONFIG, protocol)
-        print(trace.render(limit=24))
-        print()
+        tracer = EventTracer()
+        simulate(producer_consumer_workload(), protocol, config=CONFIG,
+                 tracer=tracer)
+        print(render_trace(tracer, "sync", limit=24))
 
     print("Table occupancy over a real workload (rnn-lstm-large):")
     profile = profile_table_occupancy(

@@ -57,7 +57,6 @@ from repro.analysis import (
     bar_chart,
     grouped_bar_chart,
     profile_table_occupancy,
-    trace_sync_ops,
 )
 from repro.engine import (
     ResultCache,
@@ -109,7 +108,6 @@ __all__ = [
     "build_workload",
     "grouped_bar_chart",
     "profile_table_occupancy",
-    "trace_sync_ops",
     "format_table",
     "geomean",
     "CPElideTimestampProtocol",

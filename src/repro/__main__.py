@@ -10,8 +10,9 @@ Subcommands:
   event trace: ``--format text`` (default: event census, aggregated
   metrics, and the human-readable sync trace), ``chrome`` (Perfetto /
   ``chrome://tracing`` ``trace_event`` JSON), ``jsonl``, ``csv``
-  (metric distributions), or ``sync`` (the legacy analytic sync-op
-  trace). ``--out FILE`` writes to a file instead of stdout.
+  (metric distributions), or ``sync`` (every acquire and release by
+  kernel boundary, with the share of silent boundaries). ``--out FILE``
+  writes to a file instead of stdout.
 * ``occupancy [<workload> ...]`` — Chiplet Coherence Table occupancy.
 * ``bench`` — time the trace paths against each other: the batched run
   path vs the per-line reference on the partitioned sweep
@@ -59,7 +60,7 @@ import argparse
 import sys
 from typing import List
 
-from repro.analysis.sync_trace import trace_sync_ops
+from repro.check.oracle import DEFAULT_PROTOCOLS, DEFAULT_TRACE_PATHS
 from repro.coherence.base import protocol_names
 from repro.experiments import occupancy as occupancy_experiment
 from repro.gpu.config import GPUConfig
@@ -184,10 +185,6 @@ def cmd_trace(args) -> int:
     protocol = args.protocol or (args.protocols[0] if args.protocols
                                  else "cpelide")
     workload = build_workload(args.workload, config)
-    if args.format == "sync":
-        trace = trace_sync_ops(workload, config, protocol)
-        _emit(trace.render(limit=args.limit), args.out)
-        return 0
     from repro.api import simulate
     from repro.obs import EventTracer
     from repro.obs.export import render_trace
@@ -445,11 +442,7 @@ def cmd_serve(args) -> int:
 def cmd_check(args) -> int:
     import dataclasses
 
-    from repro.check.oracle import (
-        DEFAULT_PROTOCOLS,
-        DEFAULT_TRACE_PATHS,
-        run_oracle,
-    )
+    from repro.check.oracle import run_oracle
 
     config = _config(args)
     if args.sanitize:
@@ -529,7 +522,7 @@ def main(argv=None) -> int:
                               "with the sync trace (default), Chrome "
                               "trace_event JSON for Perfetto, JSON "
                               "lines, metric-distribution CSV, or the "
-                              "legacy analytic sync-op trace")
+                              "sync ops by kernel boundary")
     trace_p.add_argument("--out", default="-",
                          help="output file ('-' = stdout, the default)")
     trace_p.add_argument("--limit", type=int, default=40,
@@ -728,11 +721,10 @@ def main(argv=None) -> int:
                          choices=WORKLOAD_NAMES + EXTRA_WORKLOADS,
                          help="workload subset (default: all 24)")
     check_p.add_argument("--protocols", nargs="+",
-                         default=["baseline", "hmg", "cpelide",
-                                  "timestamp", "cpelide-ts"],
+                         default=list(DEFAULT_PROTOCOLS),
                          choices=protocol_names())
     check_p.add_argument("--trace-paths", nargs="+",
-                         default=list(TRACE_PATH_CHOICES),
+                         default=list(DEFAULT_TRACE_PATHS),
                          choices=TRACE_PATH_CHOICES,
                          help="trace paths to compare; the first is the "
                               "reference (default: line run memo)")

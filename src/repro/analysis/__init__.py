@@ -1,7 +1,7 @@
-"""Analysis tooling: table-occupancy profiling, sync traces, charts."""
+"""Analysis tooling: table-occupancy profiling, annotation inference,
+charts."""
 
 from repro.analysis.occupancy import TableOccupancyProfile, profile_table_occupancy
-from repro.analysis.sync_trace import SyncEvent, SyncTrace, trace_sync_ops
 from repro.analysis.charts import bar_chart, grouped_bar_chart
 from repro.analysis.inference import (
     compare_annotations,
@@ -12,9 +12,6 @@ from repro.analysis.inference import (
 __all__ = [
     "TableOccupancyProfile",
     "profile_table_occupancy",
-    "SyncEvent",
-    "SyncTrace",
-    "trace_sync_ops",
     "bar_chart",
     "grouped_bar_chart",
     "compare_annotations",

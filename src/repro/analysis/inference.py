@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.cp.packets import AccessMode, ArgAccess, RangeAnnotation
 from repro.cp.wg_scheduler import WGScheduler

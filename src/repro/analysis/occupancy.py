@@ -110,15 +110,3 @@ def profile_table_occupancy(workload: Workload,
     profile.peak_entries = table.peak_entries
     profile.overflow_evictions = table.overflow_evictions
     return profile
-
-
-def profile_suite(config: GPUConfig,
-                  names: "List[str] | None" = None
-                  ) -> Dict[str, TableOccupancyProfile]:
-    """Profile every (or the given) Table II workload."""
-    from repro.workloads.suite import WORKLOAD_NAMES, build_workload
-    out: Dict[str, TableOccupancyProfile] = {}
-    for name in (names or WORKLOAD_NAMES):
-        out[name] = profile_table_occupancy(build_workload(name, config),
-                                            config)
-    return out

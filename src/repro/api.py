@@ -33,11 +33,15 @@ The commonly-needed building blocks (:class:`GPUConfig`,
 :func:`build_workload`, :class:`HipRuntime`, …) are re-exported so one
 import serves a typical script.
 
-Every sweep — :func:`simulate`, :func:`sweep`, the experiment
-harnesses, the CLIs and the HTTP server — runs through one runner,
+:func:`simulate` of a named workload, :func:`sweep`, the sweeps of
+both CLIs and the HTTP server run through one runner,
 :class:`~repro.engine.runner.SweepRunner`, with one process-count
 setting (``workers``, also accepted as ``jobs``). ``cache=False`` means
-no cache on every path: nothing is read or written.
+no cache on every path: nothing is read or written. So do the experiment
+harnesses, except ``table2``, ``fig2``, ``capacity``, ``scheduler`` and
+``inference``: they run :class:`Simulator` directly, so they ignore
+``--jobs`` and ``--no-cache`` and never read or write the result
+cache.
 
 This surface is versioned: :data:`__api_version__` bumps whenever a
 documented signature changes. Everything in ``__all__`` is stable;
@@ -101,7 +105,25 @@ from repro.workloads.suite import (
     build_workload,
 )
 
-#: Version of the documented :mod:`repro.api` surface. Bumped to ``7.0``
+#: Version of the documented :mod:`repro.api` surface. Bumped to ``8.0``
+#: when a traced run came to be recorded once, by its tracer:
+#: :class:`SimulationResult` lost ``obs`` and ``to_dict(include_obs=)``
+#: (``to_dict()`` takes no argument) and :class:`SweepResult` lost
+#: ``obs``: read ``tracer.metrics.aggregate()`` instead. The sync-op
+#: trace is ``render_trace(tracer, "sync")`` of an
+#: :class:`~repro.obs.EventTracer` (:func:`repro.obs.export.sync_trace`);
+#: ``repro.analysis.sync_trace`` with ``trace_sync_ops``, ``SyncTrace``
+#: and ``SyncEvent`` is gone, from :mod:`repro` and
+#: :mod:`repro.analysis` too. Knobs and code nothing used went with it:
+#: :class:`Simulator`'s ``energy_model`` (always the default
+#: :class:`~repro.energy.model.EnergyModel`),
+#: :class:`~repro.obs.streaming.StreamingTracer`'s ``max_events`` (the
+#: module constant ``MAX_EVENTS``), ``repro.experiments.run_one`` (call
+#: :func:`simulate`), ``repro.metrics.export`` (``matrix_to_csv``,
+#: ``run_to_csv``, ``MATRIX_COLUMNS``, ``KERNEL_COLUMNS``),
+#: ``repro.experiments.scaling.ScaledCPElideProtocol``,
+#: ``repro.analysis.occupancy.profile_suite`` and
+#: ``KernelTiming.execution_cycles``. ``7.0`` came
 #: when :class:`~repro.coherence.base.CoherenceProtocol` took over the
 #: demand-access skeleton: ``access`` and ``access_run`` are defined
 #: there only, and a registered factory's direct subclass implements
@@ -142,7 +164,7 @@ from repro.workloads.suite import (
 #: keyword-only ``simulate``/``sweep`` signatures, the
 #: ``trace_path=``/``tracer=`` parameters, and the :mod:`repro.errors`
 #: hierarchy.
-__api_version__ = "7.0"
+__api_version__ = "8.0"
 
 __all__ = [
     "CacheError",

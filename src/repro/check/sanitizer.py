@@ -41,7 +41,7 @@ or globally with ``REPRO_CHECK=1``.
 from __future__ import annotations
 
 import os
-from typing import Dict, List, Optional, Set, Tuple
+from typing import List, Optional, Set, Tuple
 
 from repro.core.coarsening import coarsen_regions
 from repro.errors import InvariantViolation

@@ -231,7 +231,7 @@ class CoherenceProtocol(abc.ABC):
 # Historical import location: the registry of
 # :class:`~repro.coherence.registry.ProtocolSpec`\ s is the single
 # source of truth since v4.0; these are the same callables.
-from repro.coherence.registry import (  # noqa: E402
+from repro.coherence.registry import (  # noqa: E402, F401
     make_protocol,
     protocol_names,
 )

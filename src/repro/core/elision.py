@@ -21,7 +21,7 @@ This is the launch-time algorithm of Sec. III-C:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Set
 
 from repro.core.coarsening import coarsen_regions
 from repro.core.regions import (

@@ -105,20 +105,16 @@ PARENT_WATCH_SECONDS = 0.5
 
 
 def _execute_job(job: JobSpec, tracer: Optional[Tracer] = None,
-                 ) -> Tuple[JobPayload, MemoCounters,
-                            Optional[Dict[str, Any]], float]:
-    """Run one job; return ``(payload, memo counters, obs, seconds)``.
+                 ) -> Tuple[JobPayload, MemoCounters, float]:
+    """Run one job; return ``(payload, memo counters, seconds)``.
 
     Imports are local so forked workers pay them only when first used.
-    Like the memo counters, the run's ``obs`` metrics travel *beside*
-    the payload so cached payloads stay bit-identical to untraced runs.
     """
     from repro.engine.spec import build_for_job
 
     start = time.perf_counter()
     workload = build_for_job(job.workload, job.config)
     memo: MemoCounters = None
-    obs: Optional[Dict[str, Any]] = None
     if job.kind == "occupancy":
         from repro.analysis.occupancy import profile_table_occupancy
         payload = profile_table_occupancy(workload, job.config).to_dict()
@@ -134,9 +130,8 @@ def _execute_job(job: JobSpec, tracer: Optional[Tracer] = None,
             # the payload and reattach after reconstruction.
             memo = (result.memo_hits, result.memo_misses,
                     result.memo_bypasses)
-        obs = result.obs
         payload = result.to_record()
-    return payload, memo, obs, time.perf_counter() - start
+    return payload, memo, time.perf_counter() - start
 
 
 def _reconstruct(job: JobSpec, payload: JobPayload) -> JobResult:
@@ -244,7 +239,6 @@ class CellResult:
     how: str
     seconds: float
     memo: MemoCounters = None
-    obs: Optional[Dict[str, Any]] = None
     #: The cell's coarse tracer events, recorded in a forked worker for
     #: the parent's :class:`~repro.obs.streaming.StreamingTracer`.
     events: Optional[List[ShippedEvent]] = None
@@ -281,8 +275,8 @@ def run_job_shared(cache: Optional[SharedResultCache], job: JobSpec,
     the cell take over without waiting out the lease.
     """
     if cache is None:
-        payload, memo, obs, seconds = _execute_job(job, tracer)
-        return CellResult(-1, payload, HOW_RUN, seconds, memo, obs)
+        payload, memo, seconds = _execute_job(job, tracer)
+        return CellResult(-1, payload, HOW_RUN, seconds, memo)
     t0 = time.perf_counter()
     deduped_before = cache.stats.deduped
     status, value = cache.acquire(job)
@@ -292,12 +286,12 @@ def run_job_shared(cache: Optional[SharedResultCache], job: JobSpec,
         return CellResult(-1, value, how, time.perf_counter() - t0)
     assert status == CLAIM_ACQUIRED
     try:
-        payload, memo, obs, seconds = _execute_job(job, tracer)
+        payload, memo, seconds = _execute_job(job, tracer)
     except BaseException:
         cache.abandon(job, value)
         raise
     cache.store_and_release(job, payload, value)
-    return CellResult(-1, payload, HOW_RUN, seconds, memo, obs)
+    return CellResult(-1, payload, HOW_RUN, seconds, memo)
 
 
 def _worker_id() -> str:
@@ -773,12 +767,6 @@ class SweepResult:
     spec: SweepSpec
     outcomes: List[JobOutcome] = field(default_factory=list)
     report: SweepReport = field(default_factory=SweepReport)
-    #: Sweep-level aggregated observability metrics (the tracer's
-    #: :class:`~repro.obs.metrics.MetricRegistry` folded per-kernel →
-    #: per-run → per-sweep, as a dict). ``None`` on untraced sweeps;
-    #: excluded from :meth:`to_dicts` so traced and untraced sweeps
-    #: serialize identically.
-    obs: Optional[Dict[str, Any]] = None
 
     @property
     def results(self) -> List[JobResult]:
@@ -815,12 +803,9 @@ def outcome_of(job: JobSpec, cell: CellResult,
             # Cache-served simulation results never fabricate memo
             # counters: they stay None and the result is marked.
             result.from_cache = True
-    else:
-        if cell.memo is not None:
-            (result.memo_hits, result.memo_misses,
-             result.memo_bypasses) = cell.memo
-        if cell.obs is not None and hasattr(result, "obs"):
-            result.obs = cell.obs
+    elif cell.memo is not None:
+        (result.memo_hits, result.memo_misses,
+         result.memo_bypasses) = cell.memo
     if tracer.enabled:
         tracer.sweep_cell(phase="end", label=job.label, cached=cached,
                           seconds=cell.seconds)
@@ -939,13 +924,7 @@ class SweepRunner:
                                 invalidations, time.perf_counter() - start,
                                 tally.retried_units)
         self._emit(f"sweep done: {report.summary()}")
-        obs = None
-        if tracer.enabled:
-            registry = getattr(tracer, "metrics", None)
-            if registry is not None:
-                obs = registry.aggregate().to_dict(include_children=False)
-        return SweepResult(spec=spec, outcomes=done_outcomes, report=report,
-                           obs=obs)
+        return SweepResult(spec=spec, outcomes=done_outcomes, report=report)
 
     # ------------------------------------------------------------------
 

@@ -14,7 +14,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.engine.runner import ProgressFn, SweepReport
 from repro.engine.spec import DEFAULT_SCALE, SweepSpec
-from repro.gpu.config import GPUConfig
 from repro.gpu.sim import SimulationResult
 
 #: Chiplet counts evaluated in Fig. 8 (Sec. IV-E: ROCm memory-aperture
@@ -53,15 +52,6 @@ class MatrixResult:
             if name not in seen:
                 seen.append(name)
         return seen
-
-
-def run_one(workload: str, protocol: str, num_chiplets: int = 4,
-            scale: float = DEFAULT_SCALE, *,
-            cache: bool = False) -> SimulationResult:
-    """Run one (workload, protocol, chiplet-count) cell."""
-    from repro.api import simulate
-    config = GPUConfig(num_chiplets=num_chiplets, scale=scale)
-    return simulate(workload, protocol, config=config, cache=cache)
 
 
 def run_matrix(workloads: Optional[Sequence[str]] = None,

@@ -13,10 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from repro.coherence.cpelide import CPElideProtocol
-from repro.cp.local_cp import SyncOp
-from repro.cp.packets import KernelPacket
-from repro.cp.wg_scheduler import Placement
 from repro.experiments.runner import DEFAULT_SCALE
 from repro.metrics.report import format_table, geomean
 
@@ -26,34 +22,6 @@ MIMICKED = {1: 8, 3: 16}
 #: Representative subset (full-suite runs are the benches' fig8 job).
 DEFAULT_WORKLOADS = ("babelstream", "hotspot3d", "color", "lud",
                      "rnn-gru-large", "srad")
-
-
-class ScaledCPElideProtocol(CPElideProtocol):
-    """CPElide plus ``extra_sets`` duplicated boundary operations.
-
-    Each op the elision engine issues is replayed ``extra_sets`` more
-    times, serialized, to mimic the synchronization work of a
-    proportionally larger chiplet count (Sec. VI).
-    """
-
-    def __init__(self, config, device, extra_sets: int) -> None:
-        super().__init__(config, device)
-        if extra_sets < 0:
-            raise ValueError(f"extra_sets must be >= 0, got {extra_sets}")
-        self.extra_sets = extra_sets
-        self.name = f"cpelide-x{extra_sets + 1}"
-
-    def on_kernel_launch(self, packet: KernelPacket,
-                         placement: Placement) -> List[SyncOp]:
-        ops = super().on_kernel_launch(packet, placement)
-        mimicked: List[SyncOp] = list(ops)
-        for repeat in range(self.extra_sets):
-            mimicked.extend(
-                SyncOp(op.kind, op.chiplet,
-                       reason=f"scaling-mimic-{repeat}:{op.reason}",
-                       ranges=op.ranges)
-                for op in ops)
-        return mimicked
 
 
 @dataclass

@@ -46,7 +46,7 @@ from repro.workloads.base import (
 #: Canonical trace-path selection API — the enum and resolver live in
 #: :mod:`repro.gpu.trace_path` and are re-exported here for the
 #: historical import site.
-from repro.gpu.trace_path import (  # noqa: E402  (re-export)
+from repro.gpu.trace_path import (  # noqa: E402, F401  (re-export)
     TRACE_PATH_ENV,
     TracePath,
     resolve_trace_path,
@@ -78,13 +78,6 @@ class SimulationResult:
     #: True when the engine served this result from its persistent
     #: :class:`~repro.engine.cache.ResultCache` instead of simulating.
     from_cache: bool = False
-    #: Aggregated per-run observability metrics (the run's
-    #: :class:`~repro.obs.metrics.MetricRegistry` as a dict), attached
-    #: only when the run carried an enabled tracer. Like the memo
-    #: counters, it is excluded from the *default* :meth:`to_dict` so
-    #: traced and untraced dumps stay bit-identical; pass
-    #: ``include_obs=True`` to serialize it.
-    obs: Optional[Dict[str, Any]] = None
 
     @property
     def cycles(self) -> float:
@@ -101,27 +94,22 @@ class SimulationResult:
         out["energy_total"] = float(self.energy["total"])
         return out
 
-    def to_dict(self, *, include_obs: bool = False) -> Dict[str, Any]:
+    def to_dict(self) -> Dict[str, Any]:
         """Lossless JSON-serializable dump of the result.
 
         ``SimulationResult.from_dict(json.loads(json.dumps(r.to_dict())))``
         reproduces ``r`` bit-for-bit. This is the public form (API sweep
         dumps, server result bodies, the benchmark's digests); the
         engine's worker transport and result cache carry the equivalent
-        :meth:`to_record`. The default dump never includes the
-        :attr:`obs` metrics (tracing must not perturb serialized
-        results); ``include_obs=True`` adds them.
+        :meth:`to_record`.
         """
-        out = {
+        return {
             "protocol": self.protocol,
             "num_chiplets": int(self.num_chiplets),
             "wall_cycles": float(self.wall_cycles),
             "energy": {k: float(v) for k, v in self.energy.items()},
             "metrics": self.metrics.to_dict(),
         }
-        if include_obs and self.obs is not None:
-            out["obs"] = self.obs
-        return out
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "SimulationResult":
@@ -132,7 +120,6 @@ class SimulationResult:
             wall_cycles=float(data["wall_cycles"]),
             protocol=data["protocol"],
             num_chiplets=int(data["num_chiplets"]),
-            obs=data.get("obs"),
         )
 
     def to_record(self) -> List[Any]:
@@ -140,8 +127,8 @@ class SimulationResult:
         ``[protocol, num_chiplets, wall_cycles, energy, metrics]``, the
         metrics as :meth:`RunMetrics.to_record`.
 
-        It carries exactly what :meth:`to_dict` carries (never
-        :attr:`obs`), normalised the same way, without a key per field:
+        It carries exactly what :meth:`to_dict` carries, normalised the
+        same way, without a key per field:
         the sweep engine moves results between processes and stores them
         in its result cache in this form. :meth:`from_record` of its JSON
         wire form equals ``r`` and has ``r``'s :meth:`to_dict`.
@@ -164,12 +151,10 @@ class Simulator:
 
     ``protocol`` is either a registry name (see
     :func:`repro.coherence.base.make_protocol`) or a factory callable
-    ``(config, device) -> CoherenceProtocol`` for custom protocols (used
-    by the Sec. VI scaling study).
+    ``(config, device) -> CoherenceProtocol`` for custom protocols.
     """
 
     def __init__(self, config: GPUConfig, protocol="baseline",
-                 energy_model: Optional[EnergyModel] = None,
                  scheduler: str = "static",
                  trace_path: Optional[str] = None,
                  tracer: Optional[Tracer] = None) -> None:
@@ -186,7 +171,6 @@ class Simulator:
         #: Memo outcome ("hit"/"miss") of the kernel currently executing,
         #: consumed by the kernel-complete tracepoint.
         self._memo_outcome: Optional[str] = None
-        self.energy_model = energy_model or EnergyModel()
         #: Trace lines swept by the most recent :meth:`run` (all kernels);
         #: the bench harness reads this for its lines/sec figures.
         self.last_trace_lines = 0
@@ -279,8 +263,8 @@ class Simulator:
                 stream_clocks[0] = finalize.cycles
 
         wall = max(stream_clocks.values()) if stream_clocks else 0.0
-        energy = self.energy_model.breakdown(metrics.total_accesses(),
-                                             metrics.total_traffic())
+        energy = EnergyModel().breakdown(metrics.total_accesses(),
+                                         metrics.total_traffic())
         result = SimulationResult(metrics=metrics, energy=energy,
                                   wall_cycles=wall,
                                   protocol=protocol.name,
@@ -291,20 +275,8 @@ class Simulator:
             result.memo_bypasses = 0
         if tracer.enabled:
             tracer.run_end(wall_cycles=wall, kernels=len(workload.kernels))
-            result.obs = self._harvest_obs(tracer)
         self._sanitizer = None
         return result
-
-    def _harvest_obs(self, tracer: Tracer) -> Optional[Dict[str, Any]]:
-        """Aggregate the just-finished run's metric scope into a dict
-        (attached to the result as :attr:`SimulationResult.obs`)."""
-        registry = getattr(tracer, "metrics", None)
-        if registry is None:
-            return None
-        if registry.children:
-            last_run = registry.children[list(registry.children)[-1]]
-            return last_run.aggregate().to_dict(include_children=False)
-        return registry.aggregate().to_dict(include_children=False)
 
     def _make_memoizer(self, device, protocol, global_cp, driver,
                        wg_scheduler):

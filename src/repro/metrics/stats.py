@@ -288,9 +288,8 @@ class RunMetrics:
     def summary(self) -> Dict[str, float]:
         """Compact scalar summary used by the experiment harnesses.
 
-        Every value is a plain Python ``float``/``int`` so the summary can
-        be serialized with :mod:`json` as-is (the engine's result cache
-        relies on this).
+        Every value is a plain Python ``float``/``int``, so the summary
+        can be serialized with :mod:`json` as-is.
         """
         acc = self.total_accesses()
         sync = self.total_sync()

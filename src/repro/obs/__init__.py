@@ -2,8 +2,8 @@
 
 Kernel-boundary event tracing (:class:`Tracer` / :class:`EventTracer`),
 a hierarchical :class:`MetricRegistry`, and exporters (JSONL, Chrome
-``trace_event`` for Perfetto, CSV, plain text). Attach a tracer through
-the facade::
+``trace_event`` for Perfetto, CSV, plain text, the sync-op view).
+Attach a tracer through the facade::
 
     from repro.api import simulate
     from repro.obs import EventTracer, chrome_trace

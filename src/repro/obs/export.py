@@ -1,4 +1,5 @@
-"""Trace exporters: JSONL, Chrome ``trace_event`` (Perfetto), CSV, text.
+"""Trace exporters: JSONL, Chrome ``trace_event`` (Perfetto), CSV, text,
+and the per-boundary sync-op view.
 
 All exporters consume a finished :class:`~repro.obs.tracer.EventTracer`
 (or its event list / metric registry) and are deterministic: the same
@@ -14,8 +15,9 @@ chiplet. See ``docs/observability.md`` for the how-to.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Iterable, List, Optional, Sequence, TextIO
+from typing import Any, Dict, Iterable, List, Optional
 
+from repro.errors import ConfigError
 from repro.obs.metrics import MetricRegistry
 from repro.obs.tracer import Event, EventTracer
 
@@ -24,6 +26,7 @@ __all__ = [
     "events_jsonl",
     "distributions_csv",
     "render_trace",
+    "sync_trace",
     "text_summary",
     "write_trace",
 ]
@@ -163,11 +166,61 @@ def text_summary(tracer: EventTracer, limit: Optional[int] = 40) -> str:
     return "\n".join(lines)
 
 
+def sync_trace(tracer: EventTracer, limit: Optional[int] = 40) -> str:
+    """Every acquire and release of the tracer's one run, by kernel
+    boundary: a header counting the ops and the *silent* boundaries
+    (kernels with no op at launch or completion, CPElide's headline on
+    iterative workloads), then the first ``limit`` ops, each with its
+    kernel, boundary, target chiplet and the elision engine's reason.
+    The run-end release is not a kernel boundary and is left out.
+
+    Raises :class:`~repro.errors.ConfigError` unless the tracer holds
+    exactly one run, or when a kernel was replayed from the memo store:
+    a replay executes no ops, so its boundary would read as silent.
+    """
+    runs = tracer.events_of("run", "begin")
+    if len(runs) != 1:
+        raise ConfigError(f"the sync view needs a tracer holding one "
+                          f"run; this one holds {len(runs)}")
+    ops: List[str] = []
+    boundaries = 0
+    kernels_with_ops = set()
+    kernel: Dict[str, Any] = {}
+    for ev in tracer.events:
+        if ev.kind == "kernel" and ev.phase == "launch":
+            kernel = ev.args
+            boundaries += 1
+        elif ev.kind == "memo" and ev.phase == "hit":
+            raise ConfigError(
+                f"kernel {ev.args['index']} was replayed from the memo "
+                f"store and executed no sync ops; trace a run on the "
+                f"line or run path")
+        elif ev.kind == "sync" and ev.args["boundary"] != "run-end":
+            kernels_with_ops.add(kernel["index"])
+            phase = ("launch" if ev.args["boundary"] == "launch"
+                     else "complete")
+            verb = "flush" if ev.phase == "release" else "invalidate"
+            ops.append(f"k{kernel['index']:<4d} {kernel['name']:<22s} "
+                       f"{phase:<8s} {verb:<10s} chiplet "
+                       f"{ev.args['chiplet']} [{ev.args['reason']}]")
+    run = runs[0].args
+    silent = ((boundaries - len(kernels_with_ops)) / boundaries
+              if boundaries else 0.0)
+    lines = [f"sync trace: {run['workload']} / {run['protocol']} — "
+             f"{len(ops)} ops over {boundaries} boundaries "
+             f"({silent:.0%} silent)"]
+    lines.extend(ops if limit is None else ops[:limit])
+    if limit is not None and len(ops) > limit:
+        lines.append(f"... {len(ops) - limit} more")
+    return "\n".join(lines)
+
+
 def render_trace(tracer: EventTracer, fmt: str,
                  limit: Optional[int] = 40) -> str:
     """The trace as text in ``fmt``: ``chrome`` (Chrome trace JSON, no
-    trailing newline), ``jsonl``, ``csv`` (metric distributions) or
-    ``text`` (:func:`text_summary` showing ``limit`` sync events)."""
+    trailing newline), ``jsonl``, ``csv`` (metric distributions),
+    ``text`` (:func:`text_summary` showing ``limit`` sync events) or
+    ``sync`` (:func:`sync_trace` showing ``limit`` ops)."""
     if fmt == "chrome":
         return json.dumps(chrome_trace(tracer))
     if fmt == "csv":
@@ -176,9 +229,10 @@ def render_trace(tracer: EventTracer, fmt: str,
         return events_jsonl(tracer.events)
     if fmt == "text":
         return text_summary(tracer, limit=limit) + "\n"
-    from repro.errors import ConfigError
+    if fmt == "sync":
+        return sync_trace(tracer, limit=limit) + "\n"
     raise ConfigError(f"unknown trace export format {fmt!r}; choose "
-                      "from chrome/csv/jsonl/text")
+                      "from chrome/csv/jsonl/sync/text")
 
 
 def write_trace(tracer: EventTracer, path: str,

@@ -19,7 +19,7 @@ attaching one can never perturb simulation results.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, Optional
+from typing import Any, Dict, Iterable
 
 __all__ = ["Distribution", "MetricRegistry"]
 

@@ -43,6 +43,10 @@ __all__ = ["StreamingTracer"]
 #: A recorded event as shipped across the fork: ``(kind, phase, args)``.
 ShippedEvent = Tuple[str, str, Dict[str, Any]]
 
+#: Events one tracer keeps; later ones are counted in
+#: :attr:`StreamingTracer.dropped`, not stored.
+MAX_EVENTS = 100_000
+
 
 class StreamingTracer(Tracer):
     """Thread-safe progress tracer with an incremental drain cursor.
@@ -57,15 +61,13 @@ class StreamingTracer(Tracer):
 
     enabled = True
 
-    def __init__(self, cancel: "Optional[Any]" = None,
-                 max_events: int = 100_000) -> None:
+    def __init__(self, cancel: "Optional[Any]" = None) -> None:
         self.cancel = cancel
         self.kernels_done = 0
         self.runs_done = 0
         self.cells_done = 0
         self._events: List[Event] = []
         self._dropped = 0
-        self._max_events = max_events
         self._seq = 0
         self._lock = threading.Lock()
         self._listeners: Tuple[Callable[[], None], ...] = ()
@@ -74,7 +76,7 @@ class StreamingTracer(Tracer):
 
     def _append(self, kind: str, phase: str, args: Dict[str, Any]) -> None:
         """Record one event; the caller holds the lock."""
-        if len(self._events) >= self._max_events:
+        if len(self._events) >= MAX_EVENTS:
             # Bound memory on pathological sweeps; the counter keeps
             # the loss visible to consumers instead of silent.
             self._dropped += 1
@@ -139,7 +141,7 @@ class StreamingTracer(Tracer):
 
     @property
     def dropped(self) -> int:
-        """Events discarded after ``max_events`` was reached."""
+        """Events discarded after :data:`MAX_EVENTS` was reached."""
         return self._dropped
 
     def __len__(self) -> int:

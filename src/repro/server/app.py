@@ -70,7 +70,6 @@ from repro.server.queue import (
     DONE,
     FAILED,
     QUEUED,
-    RUNNING,
     Job,
     JobQueue,
 )

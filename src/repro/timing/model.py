@@ -39,11 +39,6 @@ class KernelTiming:
     bandwidth_cycles: float
     sync_cycles: float
 
-    @property
-    def execution_cycles(self) -> float:
-        """Cycles excluding boundary synchronization."""
-        return self.total_cycles - self.sync_cycles
-
 
 class TimingModel:
     """Converts counters into kernel durations."""

@@ -1,14 +1,18 @@
-"""Tests for the analysis tooling: occupancy, sync traces, charts."""
+"""Tests for the analysis tooling: occupancy, the sync view of a traced
+run, charts."""
+
+import re
 
 import pytest
 
 from repro.analysis.charts import bar_chart, grouped_bar_chart
 from repro.analysis.occupancy import profile_table_occupancy
-from repro.analysis.sync_trace import trace_sync_ops
-from repro.cp.local_cp import SyncOpKind
+from repro.api import simulate
 from repro.cp.packets import AccessMode
 from repro.gpu.config import GPUConfig
 from repro.memory.address import AddressSpace
+from repro.obs import EventTracer
+from repro.obs.export import render_trace
 from repro.workloads.base import Kernel, KernelArg, Workload
 from repro.workloads.suite import build_workload
 
@@ -52,18 +56,32 @@ class TestOccupancyProfile:
         assert profile.releases_issued > 0
 
 
+def traced_sync_view(workload, protocol, limit=None):
+    """``(sync view, result)`` of one traced run of ``workload``."""
+    tracer = EventTracer()
+    result = simulate(workload, protocol, config=CONFIG, tracer=tracer)
+    return render_trace(tracer, "sync", limit=limit), result
+
+
+def boundaries_and_silent_percent(view):
+    match = re.search(r"over (\d+) boundaries \((\d+)% silent\)", view)
+    return int(match.group(1)), int(match.group(2))
+
+
 class TestSyncTrace:
     def test_cpelide_trace_mostly_silent_on_iterative(self):
-        trace = trace_sync_ops(iterative_workload(8), CONFIG, "cpelide")
-        assert trace.boundaries == 8
-        assert trace.silent_fraction >= 0.9
-        assert "silent" in trace.render()
+        view, _ = traced_sync_view(iterative_workload(8), "cpelide")
+        boundaries, silent = boundaries_and_silent_percent(view)
+        assert boundaries == 8
+        assert silent >= 90
 
     def test_baseline_trace_never_silent(self):
-        trace = trace_sync_ops(iterative_workload(4), CONFIG, "baseline")
-        assert trace.silent_fraction == 0.0
-        kinds = {e.kind for e in trace.events}
-        assert kinds == {SyncOpKind.ACQUIRE, SyncOpKind.RELEASE}
+        view, _ = traced_sync_view(iterative_workload(4), "baseline")
+        # One silent boundary of four would read 25%.
+        assert boundaries_and_silent_percent(view) == (4, 0)
+        ops = view.splitlines()[1:]
+        verbs = {line.split()[3] for line in ops}
+        assert verbs == {"invalidate", "flush"}
 
     def test_trace_carries_reasons(self):
         space = AddressSpace()
@@ -74,18 +92,20 @@ class TestSyncTrace:
                    num_wgs=1),
         ]
         workload = Workload(name="pc", space=space, kernels=kernels)
-        trace = trace_sync_ops(workload, CONFIG, "cpelide")
-        assert any(e.reason == "remote-consumer" for e in trace.events)
+        view, _ = traced_sync_view(workload, "cpelide")
+        assert "[remote-consumer]" in view
 
     def test_render_truncation(self):
-        trace = trace_sync_ops(iterative_workload(4), CONFIG, "baseline")
-        rendered = trace.render(limit=3)
-        assert "more" in rendered
+        full, _ = traced_sync_view(iterative_workload(4), "baseline")
+        view, _ = traced_sync_view(iterative_workload(4), "baseline", limit=3)
+        ops = len(full.splitlines()) - 1
+        lines = view.splitlines()
+        assert lines[:4] == full.splitlines()[:4]
+        assert lines[4:] == [f"... {ops - 3} more"]
 
     def test_result_attached(self):
-        trace = trace_sync_ops(iterative_workload(4), CONFIG, "cpelide")
-        assert trace.result is not None
-        assert trace.result.wall_cycles > 0
+        _, result = traced_sync_view(iterative_workload(4), "cpelide")
+        assert result.wall_cycles > 0
 
 
 class TestCharts:

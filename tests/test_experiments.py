@@ -13,10 +13,6 @@ SUBSET = ("square", "btree")
 
 
 class TestRunner:
-    def test_run_one(self):
-        result = runner.run_one("square", "cpelide", scale=TEST_SCALE)
-        assert result.wall_cycles > 0
-
     def test_matrix_speedup_normalization(self):
         matrix = runner.run_matrix(workloads=SUBSET, scale=TEST_SCALE)
         assert matrix.speedup_over_baseline("square", "baseline", 4) \

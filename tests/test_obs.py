@@ -14,6 +14,8 @@ from repro.obs.export import (
     chrome_trace,
     distributions_csv,
     events_jsonl,
+    render_trace,
+    sync_trace,
     text_summary,
     write_trace,
 )
@@ -56,12 +58,11 @@ class TestEventOrdering:
             assert by_index[e.args["index"]] < e.seq
 
     def test_result_carries_aggregated_obs(self, traced):
-        _, result, _ = traced
-        assert result.obs is not None
-        assert result.obs["counters"]["kernel.launches"] > 0
-        # obs stays out of the default serialization (bit-identity).
-        assert "obs" not in result.to_dict()
-        assert "obs" in result.to_dict(include_obs=True)
+        tracer, result, num_kernels = traced
+        counters = tracer.metrics.aggregate().counters
+        assert counters["kernel.launches"] == num_kernels
+        # The run's metrics stay with the tracer, not on the result.
+        assert not hasattr(result, "obs")
 
 
 class TestExporters:
@@ -163,9 +164,11 @@ class TestSweepTracing:
         # In-process sweeps record full kernel-level detail inside the
         # cell, whichever name the process count goes by.
         assert tracer.events_of("kernel", "complete")
-        assert res.obs is not None
-        assert res.obs["counters"]["sweep.cells_executed"] == 1
-        assert res.outcomes[0].result.obs is not None
+        counters = tracer.metrics.aggregate().counters
+        assert counters["sweep.cells_executed"] == 1
+        assert counters["kernel.launches"] == len(
+            tracer.events_of("kernel", "launch"))
+        assert not hasattr(res, "obs")
 
     def test_sweep_records_cells_and_obs(self, config):
         self.check_sweep_records_cells_and_obs(config, jobs=1)
@@ -192,7 +195,8 @@ class TestTraceCLI:
         ts = [e["ts"] for e in doc["traceEvents"] if e["ph"] != "M"]
         assert ts == sorted(ts)
 
-    @pytest.mark.parametrize("fmt", ["chrome", "jsonl", "csv", "text"])
+    @pytest.mark.parametrize("fmt", ["chrome", "jsonl", "csv", "text",
+                                     "sync"])
     def test_trace_out_and_write_trace_bytes(self, traced, tmp_path, fmt):
         """``trace --out`` and :func:`write_trace` render each format
         alike, except that only the CLI ends Chrome JSON with a
@@ -205,6 +209,7 @@ class TestTraceCLI:
             "jsonl": events_jsonl(tracer.events),
             "csv": distributions_csv(tracer.metrics.aggregate()),
             "text": text_summary(tracer) + "\n",
+            "sync": sync_trace(tracer) + "\n",
         }[fmt]
         cli_out = tmp_path / f"cli.{fmt}"
         rc = main(["--scale", str(TEST_SCALE), "trace", "square", "cpelide",
@@ -225,10 +230,28 @@ class TestTraceCLI:
         out = capsys.readouterr().out
         assert out.startswith("scope,name,count,total,mean,min,max")
 
-    def test_trace_legacy_sync_format(self, capsys):
-        from repro.__main__ import main
 
-        rc = main(["--scale", str(TEST_SCALE), "trace", "square",
-                   "--format", "sync", "--limit", "3"])
-        assert rc == 0
-        assert "sync trace" in capsys.readouterr().out
+class TestSyncView:
+    """``render_trace(..., "sync")`` refuses tracers it would misread."""
+
+    def test_refuses_a_tracer_holding_no_run(self):
+        with pytest.raises(ConfigError, match="holds 0"):
+            render_trace(EventTracer(), "sync")
+
+    def test_refuses_a_tracer_holding_several_runs(self):
+        config = GPUConfig(num_chiplets=4, scale=TEST_SCALE)
+        tracer = EventTracer()
+        workload = build_workload("square", config)
+        for protocol in ("baseline", "cpelide"):
+            Simulator(config, protocol, tracer=tracer).run(workload)
+        with pytest.raises(ConfigError, match="holds 2"):
+            render_trace(tracer, "sync")
+
+    def test_refuses_a_memo_replay(self):
+        config = GPUConfig(num_chiplets=4, scale=TEST_SCALE)
+        tracer = EventTracer()
+        Simulator(config, "cpelide", trace_path="memo",
+                  tracer=tracer).run(build_workload("hotspot", config))
+        assert tracer.events_of("memo", "hit")
+        with pytest.raises(ConfigError, match="replayed from the memo"):
+            render_trace(tracer, "sync")

@@ -35,7 +35,7 @@ from tests.conftest import TEST_SCALE
 #: SimulationResult fields that are runtime diagnostics/provenance, not
 #: result identity. Everything else must survive serialization.
 SIM_RESULT_UNSERIALIZED = {"memo_hits", "memo_misses", "memo_bypasses",
-                           "from_cache", "obs"}
+                           "from_cache"}
 
 counters = st.integers(min_value=0, max_value=2**40)
 cycles = st.floats(min_value=0, max_value=1e12,
