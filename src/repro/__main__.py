@@ -13,7 +13,9 @@ Subcommands:
   (metric distributions), or ``sync`` (every acquire and release by
   kernel boundary, with the share of silent boundaries). ``--out FILE``
   writes to a file instead of stdout.
-* ``occupancy [<workload> ...]`` — Chiplet Coherence Table occupancy.
+* ``occupancy [<workload> ...]`` — Chiplet Coherence Table occupancy,
+  replayed in-process through the elision engine (no simulation, so no
+  sweep engine and no result cache).
 * ``bench`` — time the trace paths against each other: the batched run
   path vs the per-line reference on the partitioned sweep
   (``BENCH_trace.json``), the memoized path vs the run path on the
@@ -22,9 +24,9 @@ Subcommands:
   ``BENCH_obs.json``), or distributed sweep scaling (``--sweep dist``,
   ``BENCH_dist.json``). Reports land at the repo root by default.
 
-``run`` and ``occupancy`` also accept ``--trace-out FILE`` to attach an
-observability tracer to the sweep and export it (format inferred from
-the extension: ``.json`` → Chrome trace, ``.csv`` → CSV, else JSONL).
+``run`` also accepts ``--trace-out FILE`` to attach an observability
+tracer to the sweep and export it (format inferred from the extension:
+``.json`` → Chrome trace, ``.csv`` → CSV, else JSONL).
 * ``check`` — the differential oracle: run the suite across trace paths
   x protocols, demand bit-identical serialized results and final
   machine state, and report the first divergent kernel otherwise
@@ -44,12 +46,15 @@ the extension: ``.json`` → Chrome trace, ``.csv`` → CSV, else JSONL).
   dedupe through the shared result cache; admission control sheds
   overload with ``429`` + ``Retry-After``. See ``docs/server.md``.
 
-``run`` and ``occupancy`` execute through the sweep engine's one runner:
-``--jobs N`` fans simulations out over N worker processes, and completed
-cells are served from the on-disk result cache (``--no-cache`` reads and
-writes nothing).
+``run`` executes through the sweep engine's one runner: ``--jobs N``
+fans simulations out over N worker processes, and completed cells are
+served from the on-disk result cache (``--no-cache`` reads and writes
+nothing).
 Protocol choices come from the coherence registry, so a newly registered
 protocol is immediately runnable here.
+
+A refused command (a :class:`~repro.errors.ConfigError`) prints
+``repro: error: <reason>`` on stderr and exits 2.
 
 Figures and tables have their own CLI: ``python -m repro.experiments``.
 """
@@ -62,6 +67,7 @@ from typing import List
 
 from repro.check.oracle import DEFAULT_PROTOCOLS, DEFAULT_TRACE_PATHS
 from repro.coherence.base import protocol_names
+from repro.errors import ConfigError
 from repro.experiments import occupancy as occupancy_experiment
 from repro.gpu.config import GPUConfig
 from repro.gpu.trace_path import TracePath
@@ -197,18 +203,11 @@ def cmd_trace(args) -> int:
 
 
 def cmd_occupancy(args) -> int:
-    tracer = None
-    if args.trace_out:
-        from repro.obs import EventTracer
-        tracer = EventTracer()
     profiles = occupancy_experiment.run(
         workloads=args.workloads or None,
         scale=DEFAULT_SCALE if args.scale is None else args.scale,
-        num_chiplets=args.chiplets, jobs=args.jobs,
-        cache=not args.no_cache, progress=_progress, tracer=tracer)
+        num_chiplets=args.chiplets)
     print(occupancy_experiment.report(profiles))
-    if tracer is not None:
-        _write_sweep_trace(tracer, args.trace_out)
     return 0
 
 
@@ -538,9 +537,6 @@ def main(argv=None) -> int:
     occ_p = sub.add_parser("occupancy", help="coherence-table occupancy")
     occ_p.add_argument("workloads", nargs="*",
                        help="workload subset (default: all 24)")
-    occ_p.add_argument("--trace-out", default=None,
-                       help="attach an observability tracer and export "
-                            "the event trace to this file")
 
     bench_p = sub.add_parser(
         "bench", help="time the trace paths against each other")
@@ -741,7 +737,14 @@ def main(argv=None) -> int:
                 "occupancy": cmd_occupancy, "bench": cmd_bench,
                 "dist": cmd_dist, "explore": cmd_explore,
                 "serve": cmd_serve, "check": cmd_check}
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except ConfigError as exc:
+        # A refused request prints its reason alone, as argparse does;
+        # a simulator bug (InvariantViolation, OracleDivergence) keeps
+        # its traceback.
+        print(f"repro: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

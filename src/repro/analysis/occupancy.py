@@ -11,7 +11,7 @@ claim can be checked against our workload models directly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import List
 
 from repro.core.elision import ElisionEngine
 from repro.core.table import ChipletCoherenceTable
@@ -49,37 +49,6 @@ class TableOccupancyProfile:
         elided = self.acquires_elided + self.releases_elided
         total = issued + elided
         return elided / total if total else 1.0
-
-    def to_dict(self) -> Dict[str, object]:
-        """Lossless JSON-serializable dump (for the engine's cache)."""
-        return {
-            "workload": self.workload,
-            "num_kernels": int(self.num_kernels),
-            "occupancy": [int(n) for n in self.occupancy],
-            "peak_entries": int(self.peak_entries),
-            "capacity": int(self.capacity),
-            "overflow_evictions": int(self.overflow_evictions),
-            "acquires_issued": int(self.acquires_issued),
-            "releases_issued": int(self.releases_issued),
-            "acquires_elided": int(self.acquires_elided),
-            "releases_elided": int(self.releases_elided),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "TableOccupancyProfile":
-        """Rebuild from :meth:`to_dict` output."""
-        return cls(
-            workload=data["workload"],
-            num_kernels=int(data["num_kernels"]),
-            occupancy=[int(n) for n in data["occupancy"]],
-            peak_entries=int(data["peak_entries"]),
-            capacity=int(data["capacity"]),
-            overflow_evictions=int(data["overflow_evictions"]),
-            acquires_issued=int(data["acquires_issued"]),
-            releases_issued=int(data["releases_issued"]),
-            acquires_elided=int(data["acquires_elided"]),
-            releases_elided=int(data["releases_elided"]),
-        )
 
 
 def profile_table_occupancy(workload: Workload,

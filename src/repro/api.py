@@ -33,15 +33,15 @@ The commonly-needed building blocks (:class:`GPUConfig`,
 :func:`build_workload`, :class:`HipRuntime`, …) are re-exported so one
 import serves a typical script.
 
-:func:`simulate` of a named workload, :func:`sweep`, the sweeps of
-both CLIs and the HTTP server run through one runner,
+The sweep engine runs every cell that names a registry workload and a
+registered protocol, and nothing else. :func:`simulate` of a named
+workload, :func:`sweep`, the sweeps of both CLIs, the experiment
+harnesses and the HTTP server run such cells through one runner,
 :class:`~repro.engine.runner.SweepRunner`, with one process-count
 setting (``workers``, also accepted as ``jobs``). ``cache=False`` means
-no cache on every path: nothing is read or written. So do the experiment
-harnesses, except ``table2``, ``fig2``, ``capacity``, ``scheduler`` and
-``inference``: they run :class:`Simulator` directly, so they ignore
-``--jobs`` and ``--no-cache`` and never read or write the result
-cache.
+no cache on every path: nothing is read or written. A :class:`Workload`
+instance runs directly, uncached; so do the ``scheduler`` and
+``inference`` harnesses, which build their own workloads.
 
 This surface is versioned: :data:`__api_version__` bumps whenever a
 documented signature changes. Everything in ``__all__`` is stable;
@@ -105,8 +105,13 @@ from repro.workloads.suite import (
     build_workload,
 )
 
-#: Version of the documented :mod:`repro.api` surface. Bumped to ``8.0``
-#: when a traced run came to be recorded once, by its tracer:
+#: Version of the documented :mod:`repro.api` surface. Bumped to ``9.0``
+#: when the engine came to run one kind of job, a simulation:
+#: :class:`SweepSpec` lost ``kind`` and :meth:`SweepSpec.grid` its
+#: ``kind=`` parameter (``JobSpec.kind`` and ``JOB_KINDS`` went too), and
+#: ``TableOccupancyProfile`` lost ``to_dict``/``from_dict``; occupancy
+#: profiles come from ``repro.experiments.occupancy.run`` in-process.
+#: ``8.0`` came when a traced run was recorded once, by its tracer:
 #: :class:`SimulationResult` lost ``obs`` and ``to_dict(include_obs=)``
 #: (``to_dict()`` takes no argument) and :class:`SweepResult` lost
 #: ``obs``: read ``tracer.metrics.aggregate()`` instead. The sync-op
@@ -164,7 +169,7 @@ from repro.workloads.suite import (
 #: keyword-only ``simulate``/``sweep`` signatures, the
 #: ``trace_path=``/``tracer=`` parameters, and the :mod:`repro.errors`
 #: hierarchy.
-__api_version__ = "8.0"
+__api_version__ = "9.0"
 
 __all__ = [
     "CacheError",

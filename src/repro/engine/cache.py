@@ -40,11 +40,12 @@ from repro.errors import CacheError
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 
 #: Subpackages whose source text determines simulation results. Edits
-#: anywhere else (engine/, experiments/, analysis CLI glue, docs, tests)
-#: do not invalidate cached results.
+#: anywhere else (engine/, experiments/, analysis/, docs, tests) do not
+#: invalidate cached results: the engine runs simulations only, and no
+#: simulation imports analysis/.
 _SALT_PACKAGES = ("core", "coherence", "cp", "memory", "interconnect",
                   "gpu", "timing", "energy", "workloads", "metrics",
-                  "analysis", "hip")
+                  "hip")
 
 #: Individual modules outside those subpackages that also shape results:
 #: the multi-stream workload builder feeds ``("multistream", ...)`` jobs,

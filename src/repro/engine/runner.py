@@ -31,15 +31,15 @@ sharing the cache root — compute each cell once and serve each other's
 completed *and in-flight* cells.
 
 A computed cell leaves :func:`_execute_job` as one compact payload,
-its result's positional :meth:`~repro.gpu.sim.SimulationResult.to_record`
-(occupancy jobs: ``to_dict()``). That payload is what the fork pool
-returns, what the shared cache stores as JSON and what a
-:mod:`repro.engine.dist` work directory carries; :func:`_reconstruct`
-rebuilds the typed result from it in the parent. When the runner's
-tracer is a :class:`~repro.obs.streaming.StreamingTracer` (a server
-job's), a worker records each cell under a streaming tracer of its own,
-ships the coarse events beside the payload, and the parent replays them
-into the job's tracer before the cell's ``end`` event; the job's
+its result's positional :meth:`~repro.gpu.sim.SimulationResult.to_record`.
+That payload is what the fork pool returns, what the shared cache
+stores as JSON and what a :mod:`repro.engine.dist` work directory
+carries; :func:`outcome_of` rebuilds the typed result from it in the
+parent. When the runner's tracer is a
+:class:`~repro.obs.streaming.StreamingTracer` (a server job's), a
+worker records each cell under a streaming tracer of its own, ships the
+coarse events beside the payload, and the parent replays them into the
+job's tracer before the cell's ``end`` event; the job's
 :class:`~repro.engine.jobs.CancelToken` reaches the worker through a
 shared flag (:meth:`ForkPool.cancel_slot`). Other tracers see the
 sweep's cell and shard events, and kernel detail only for in-process
@@ -59,8 +59,8 @@ import time
 from concurrent.futures import ThreadPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import (Any, Callable, Dict, Iterator, List, Optional, Sequence,
-                    Set, Tuple, Union)
+from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterator, List,
+                    Optional, Sequence, Set, Tuple)
 
 from repro.engine.cache import (
     CLAIM_ACQUIRED,
@@ -73,14 +73,12 @@ from repro.engine.spec import JobSpec, SweepSpec, workload_label
 from repro.obs.streaming import ShippedEvent, StreamingTracer
 from repro.obs.tracer import NULL_TRACER, Tracer
 
-#: Result types a job can produce (SimulationResult or
-#: TableOccupancyProfile; both expose ``to_dict``/``from_dict``).
-JobResult = Any
+if TYPE_CHECKING:  # pragma: no cover - typing-only import
+    from repro.gpu.sim import SimulationResult
 
 #: A computed cell in transport and in the cache: the JSON-stable
-#: ``SimulationResult.to_record()`` of a simulation job, the
-#: ``TableOccupancyProfile.to_dict()`` of an occupancy job.
-JobPayload = Union[List[Any], Dict[str, Any]]
+#: ``SimulationResult.to_record()`` of the job's simulation.
+JobPayload = List[Any]
 
 ProgressFn = Callable[[str], None]
 
@@ -111,42 +109,25 @@ def _execute_job(job: JobSpec, tracer: Optional[Tracer] = None,
     Imports are local so forked workers pay them only when first used.
     """
     from repro.engine.spec import build_for_job
+    from repro.gpu.sim import Simulator
 
     start = time.perf_counter()
     workload = build_for_job(job.workload, job.config)
+    result = Simulator(job.config, job.protocol, scheduler=job.scheduler,
+                       trace_path=job.trace_path,
+                       tracer=tracer).run(workload)
     memo: MemoCounters = None
-    if job.kind == "occupancy":
-        from repro.analysis.occupancy import profile_table_occupancy
-        payload = profile_table_occupancy(workload, job.config).to_dict()
-    else:
-        from repro.gpu.sim import Simulator
-        result = Simulator(job.config, job.protocol,
-                           scheduler=job.scheduler,
-                           trace_path=job.trace_path,
-                           tracer=tracer).run(workload)
-        if result.memo_hits is not None:
-            # The run took the memo trace path (REPRO_TRACE_PATH): the
-            # counters are not part of the record, so carry them beside
-            # the payload and reattach after reconstruction.
-            memo = (result.memo_hits, result.memo_misses,
-                    result.memo_bypasses)
-        payload = result.to_record()
-    return payload, memo, time.perf_counter() - start
-
-
-def _reconstruct(job: JobSpec, payload: JobPayload) -> JobResult:
-    """Rebuild a job's typed result from its payload."""
-    if job.kind == "occupancy":
-        from repro.analysis.occupancy import TableOccupancyProfile
-        return TableOccupancyProfile.from_dict(payload)
-    from repro.gpu.sim import Simulator  # noqa: F401  (import cycle guard)
-    from repro.gpu.sim import SimulationResult
-    return SimulationResult.from_record(payload)
+    if result.memo_hits is not None:
+        # The run took the memo trace path (REPRO_TRACE_PATH): the
+        # counters are not part of the record, so carry them beside
+        # the payload and reattach after reconstruction.
+        memo = (result.memo_hits, result.memo_misses, result.memo_bypasses)
+    return result.to_record(), memo, time.perf_counter() - start
 
 
 def prewarm_pending_traces(jobs: List[JobSpec],
                            pending: List[int]) -> None:
-    """Generate the pending simulation jobs' RANDOM/INDIRECT run-traces
+    """Generate the pending jobs' RANDOM/INDIRECT run-traces
     in the parent (deduplicated per workload/config) so ``fork``-started
     workers inherit the interned traces copy-on-write instead of each
     re-sampling them from scratch."""
@@ -156,8 +137,6 @@ def prewarm_pending_traces(jobs: List[JobSpec],
     seen = set()
     for index in pending:
         job = jobs[index]
-        if job.kind == "occupancy":
-            continue
         key = (workload_label(job.workload), repr(job.config))
         if key in seen:
             continue
@@ -672,7 +651,7 @@ class JobOutcome:
     """One completed cell: the job, its result, and how it was served."""
 
     job: JobSpec
-    result: JobResult
+    result: SimulationResult
     cached: bool
     seconds: float = 0.0
 
@@ -769,12 +748,12 @@ class SweepResult:
     report: SweepReport = field(default_factory=SweepReport)
 
     @property
-    def results(self) -> List[JobResult]:
+    def results(self) -> List[SimulationResult]:
         """Bare results in spec order."""
         return [outcome.result for outcome in self.outcomes]
 
     def get(self, workload: str, protocol: str,
-            num_chiplets: Optional[int] = None) -> JobResult:
+            num_chiplets: Optional[int] = None) -> SimulationResult:
         """Fetch one cell by workload label / protocol (/ chiplets)."""
         for outcome in self.outcomes:
             if (outcome.workload == workload
@@ -794,15 +773,16 @@ def outcome_of(job: JobSpec, cell: CellResult,
                tracer: Tracer = NULL_TRACER) -> JobOutcome:
     """Rebuild one served cell's typed result and record its end (after
     replaying the events a worker shipped for it)."""
-    result = _reconstruct(job, cell.payload)
+    from repro.gpu.sim import SimulationResult
+
+    result = SimulationResult.from_record(cell.payload)
     if cell.events is not None and isinstance(tracer, StreamingTracer):
         tracer.replay(cell.events)
     cached = cell.how != HOW_RUN
     if cached:
-        if hasattr(result, "from_cache"):
-            # Cache-served simulation results never fabricate memo
-            # counters: they stay None and the result is marked.
-            result.from_cache = True
+        # Cache-served results never fabricate memo counters: they stay
+        # None and the result is marked.
+        result.from_cache = True
     elif cell.memo is not None:
         (result.memo_hits, result.memo_misses,
          result.memo_bypasses) = cell.memo
@@ -873,7 +853,7 @@ class SweepRunner:
         jobs = spec.expand()
         tracer, cache = self.tracer, self.cache
         if tracer.enabled:
-            tracer.sweep_begin(label=f"{spec.kind}:{len(jobs)} cells",
+            tracer.sweep_begin(label=f"{len(jobs)} cells",
                                cells=len(jobs))
         outcomes: List[Optional[JobOutcome]] = [None] * len(jobs)
         stats_before = cache.stats.snapshot() if cache is not None else None

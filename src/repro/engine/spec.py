@@ -40,9 +40,6 @@ DEFAULT_PROTOCOLS = ("baseline", "hmg", "cpelide")
 #: A workload reference: registry name or special-builder tuple.
 WorkloadSpec = Union[str, Tuple[Any, ...]]
 
-#: Job kinds the engine knows how to execute.
-JOB_KINDS = ("simulate", "occupancy")
-
 #: :class:`GPUConfig` field names in field order. Every field is a
 #: scalar, so a shallow field dict is the ``dataclasses.asdict`` payload.
 _CONFIG_FIELDS = tuple(f.name for f in dataclasses.fields(GPUConfig))
@@ -79,7 +76,7 @@ def _canonical_json(job: "JobSpec") -> str:
     workload = (json.dumps(job.workload) if isinstance(job.workload, str)
                 else json.dumps(list(job.workload), separators=(",", ":")))
     return (f'{{"config":{_config_json(job.config)},'
-            f'"kind":{json.dumps(job.kind)},'
+            '"kind":"simulate",'
             f'"protocol":{json.dumps(job.protocol)},'
             f'"scheduler":{json.dumps(job.scheduler)},'
             f'"workload":{workload}}}')
@@ -115,7 +112,6 @@ class JobSpec:
     protocol: str
     config: GPUConfig
     scheduler: str = "static"
-    kind: str = "simulate"
     #: Trace representation the job's simulator should use (``None``
     #: defers to ``REPRO_TRACE_PATH``/the default). Deliberately NOT part
     #: of :meth:`key_payload`: every path produces bit-identical results,
@@ -124,9 +120,6 @@ class JobSpec:
     trace_path: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.kind not in JOB_KINDS:
-            raise ConfigError(
-                f"kind must be one of {JOB_KINDS}, got {self.kind!r}")
         if not isinstance(self.protocol, str):
             raise TypeError(
                 "JobSpec.protocol must be a registry name (callable "
@@ -143,13 +136,15 @@ class JobSpec:
 
     def key_payload(self) -> Dict[str, Any]:
         """Canonical JSON-able identity of this job (drives the cache
-        key): workload spec, protocol, scheduler, kind, and every
-        :class:`GPUConfig` field."""
+        key): workload spec, protocol, scheduler and every
+        :class:`GPUConfig` field. ``kind`` is the constant
+        ``"simulate"``: every stored key was hashed with it, so it stays
+        and no entry on disk is orphaned."""
         workload = (self.workload if isinstance(self.workload, str)
                     else list(self.workload))
         config = self.config
         return {
-            "kind": self.kind,
+            "kind": "simulate",
             "workload": workload,
             "protocol": self.protocol,
             "scheduler": self.scheduler,
@@ -185,7 +180,6 @@ class JobSpec:
                    protocol=payload["protocol"],
                    config=GPUConfig(**payload["config"]),
                    scheduler=payload["scheduler"],
-                   kind=payload["kind"],
                    trace_path=payload.get("trace_path"))
 
 
@@ -198,7 +192,6 @@ class SweepSpec:
     configs: Tuple[GPUConfig, ...] = (GPUConfig(num_chiplets=4,
                                                 scale=DEFAULT_SCALE),)
     scheduler: str = "static"
-    kind: str = "simulate"
     #: Trace path for every expanded job (see :attr:`JobSpec.trace_path`).
     trace_path: Optional[str] = None
 
@@ -209,7 +202,6 @@ class SweepSpec:
              scale: float = DEFAULT_SCALE,
              scheduler: str = "static",
              base_config: Optional[GPUConfig] = None,
-             kind: str = "simulate",
              trace_path: Optional[str] = None) -> "SweepSpec":
         """Build a spec from the common (chiplet_counts, scale) grid.
 
@@ -224,7 +216,7 @@ class SweepSpec:
             dataclasses.replace(base, num_chiplets=n, scale=scale)
             for n in chiplet_counts)
         return cls(workloads=tuple(workloads), protocols=tuple(protocols),
-                   configs=configs, scheduler=scheduler, kind=kind,
+                   configs=configs, scheduler=scheduler,
                    trace_path=trace_path)
 
     @property
@@ -242,7 +234,6 @@ class SweepSpec:
             "configs": [{name: getattr(c, name) for name in _CONFIG_FIELDS}
                         for c in self.configs],
             "scheduler": self.scheduler,
-            "kind": self.kind,
             "trace_path": self.trace_path,
         }
 
@@ -255,7 +246,6 @@ class SweepSpec:
                    protocols=tuple(payload["protocols"]),
                    configs=tuple(GPUConfig(**c) for c in payload["configs"]),
                    scheduler=payload["scheduler"],
-                   kind=payload["kind"],
                    trace_path=payload.get("trace_path"))
 
     def expand(self) -> List[JobSpec]:
@@ -264,7 +254,7 @@ class SweepSpec:
         ``run_matrix`` loop nest."""
         return [
             JobSpec(workload=workload, protocol=protocol, config=config,
-                    scheduler=self.scheduler, kind=self.kind,
+                    scheduler=self.scheduler,
                     trace_path=self.trace_path)
             for config in self.configs
             for workload in self.workloads

@@ -34,7 +34,10 @@ from repro.experiments import (
 )
 
 def _engine_kwargs(args) -> dict:
-    """``--jobs``/``--no-cache`` threaded to the engine-backed sweeps.
+    """``--jobs``/``--no-cache`` threaded to the engine-backed sweeps:
+    every experiment whose cells name a registry workload and protocol.
+    ``table1``, ``table3`` and ``occupancy`` simulate nothing;
+    ``scheduler`` and ``inference`` build their own workloads.
 
     Progress (including each sweep's jobs-run / cache-hit / wall-seconds
     summary line) prints as the sweep executes.
@@ -45,9 +48,11 @@ def _engine_kwargs(args) -> dict:
 
 EXPERIMENTS = {
     "table1": lambda args: table1.report(table1.run()),
-    "table2": lambda args: reuse.report(reuse.run(scale=args.scale)),
+    "table2": lambda args: reuse.report(
+        reuse.run(scale=args.scale, **_engine_kwargs(args))),
     "table3": lambda args: table3.report(table3.run()),
-    "fig2": lambda args: fig2.report(fig2.run(scale=args.scale)),
+    "fig2": lambda args: fig2.report(
+        fig2.run(scale=args.scale, **_engine_kwargs(args))),
     "fig8": lambda args: fig8.report(
         fig8.run(chiplet_counts=args.chiplets, scale=args.scale,
                  **_engine_kwargs(args))),
@@ -64,13 +69,13 @@ EXPERIMENTS = {
     "range-flush": lambda args: range_flush.report(
         range_flush.run(scale=args.scale, **_engine_kwargs(args))),
     "occupancy": lambda args: occupancy.report(
-        occupancy.run(scale=args.scale, **_engine_kwargs(args))),
+        occupancy.run(scale=args.scale)),
     "driver-sync": lambda args: driver_sync.report(
         driver_sync.run(scale=args.scale, **_engine_kwargs(args))),
     "scheduler": lambda args: scheduler_ablation.report(
         scheduler_ablation.run(scale=args.scale)),
     "capacity": lambda args: capacity.report(
-        capacity.run(scale=args.scale)),
+        capacity.run(scale=args.scale, **_engine_kwargs(args))),
     "inference": lambda args: inference.report(
         inference.run(scale=args.scale)),
 }

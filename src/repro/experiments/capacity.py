@@ -16,7 +16,6 @@ from typing import Dict, List, Sequence
 
 from repro.experiments.runner import DEFAULT_SCALE
 from repro.gpu.config import GPUConfig
-from repro.gpu.sim import Simulator
 from repro.metrics.report import format_table
 from repro.workloads.suite import build_workload
 
@@ -53,25 +52,26 @@ class CapacityResult:
 
 def run(workload: str = DEFAULT_WORKLOAD,
         factors: Sequence[float] = DEFAULT_FACTORS,
-        scale: float = DEFAULT_SCALE,
-        num_chiplets: int = 4) -> CapacityResult:
-    """Sweep the workload's footprint against fixed caches."""
+        scale: float = DEFAULT_SCALE, jobs: int = 1,
+        cache: bool = False, progress=None) -> CapacityResult:
+    """Sweep the workload's footprint against fixed 4-chiplet caches."""
+    from repro.api import sweep
+
+    configs = tuple(GPUConfig(num_chiplets=4,
+                              scale=scale).with_footprint_factor(factor)
+                    for factor in factors)
+    result = sweep(workloads=(workload,), protocols=("baseline", "cpelide"),
+                   configs=configs, jobs=jobs, cache=cache,
+                   progress=progress)
+    # Cells come in spec order: per config, baseline then cpelide.
+    cells = iter(result.results)
     points: Dict[float, "tuple[float, float, float]"] = {}
-    for factor in factors:
-        config = GPUConfig(num_chiplets=num_chiplets,
-                           scale=scale).with_footprint_factor(factor)
-        cycles = {}
-        miss_rate = 0.0
-        for protocol in ("baseline", "cpelide"):
-            result = Simulator(config, protocol).run(
-                build_workload(workload, config))
-            cycles[protocol] = result.wall_cycles
-            if protocol == "cpelide":
-                miss_rate = result.metrics.total_accesses().l2_miss_rate
+    for factor, config in zip(factors, configs):
+        base, cpelide = next(cells), next(cells)
         footprint = build_workload(workload, config).footprint_bytes()
-        fits = config.aggregate_l2_size / footprint
-        points[factor] = (fits, cycles["baseline"] / cycles["cpelide"],
-                          miss_rate)
+        points[factor] = (config.aggregate_l2_size / footprint,
+                          base.wall_cycles / cpelide.wall_cycles,
+                          cpelide.metrics.total_accesses().l2_miss_rate)
     return CapacityResult(workload=workload, points=points)
 
 

@@ -43,19 +43,19 @@ class DriverSyncResult:
 
 
 def run(workloads: Optional[Sequence[str]] = None,
-        scale: float = DEFAULT_SCALE,
-        num_chiplets: int = 4, jobs: int = 1,
+        scale: float = DEFAULT_SCALE, jobs: int = 1,
         cache: bool = False, progress=None) -> DriverSyncResult:
-    """Compare CP-resident CPElide against the driver-resident variant."""
+    """Compare CP-resident CPElide against the driver-resident variant
+    (4 chiplets)."""
     names = list(workloads) if workloads is not None else list(DEFAULT_WORKLOADS)
     matrix = run_matrix(workloads=names,
                         protocols=("cpelide", "cpelide-driver"),
-                        chiplet_counts=(num_chiplets,), scale=scale,
-                        jobs=jobs, cache=cache, progress=progress)
+                        scale=scale, jobs=jobs, cache=cache,
+                        progress=progress)
     cycles: Dict[str, Dict[str, float]] = {}
     for name in names:
         cycles[name] = {
-            p: matrix.get(name, p, num_chiplets).wall_cycles
+            p: matrix.get(name, p, 4).wall_cycles
             for p in ("cpelide", "cpelide-driver")
         }
     return DriverSyncResult(cycles=cycles)

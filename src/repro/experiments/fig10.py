@@ -54,18 +54,17 @@ class Fig10Result:
 
 
 def run(workloads: Optional[Sequence[str]] = None,
-        scale: float = DEFAULT_SCALE,
-        num_chiplets: int = 4, jobs: int = 1,
+        scale: float = DEFAULT_SCALE, jobs: int = 1,
         cache: bool = False, progress=None) -> Fig10Result:
     """Run the Fig. 10 sweep (4 chiplets)."""
     matrix = run_matrix(workloads=workloads, protocols=PROTOCOLS,
-                        chiplet_counts=(num_chiplets,), scale=scale,
-                        jobs=jobs, cache=cache, progress=progress)
+                        scale=scale, jobs=jobs, cache=cache,
+                        progress=progress)
     traffic: Dict[str, Dict[str, Dict[str, int]]] = {}
     for name in matrix.workloads():
         traffic[name] = {}
         for protocol in PROTOCOLS:
-            res = matrix.get(name, protocol, num_chiplets)
+            res = matrix.get(name, protocol, 4)
             traffic[name][protocol] = res.metrics.total_traffic().as_dict()
     return Fig10Result(matrix=matrix, traffic=traffic)
 

@@ -13,9 +13,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.experiments.runner import DEFAULT_SCALE
 from repro.gpu.config import GPUConfig, monolithic_equivalent
-from repro.gpu.sim import Simulator
 from repro.metrics.report import format_table, geomean
-from repro.workloads.suite import WORKLOAD_NAMES, build_workload
 
 
 @dataclass
@@ -31,19 +29,22 @@ class Fig2Result:
 
 
 def run(workloads: Optional[Sequence[str]] = None,
-        scale: float = DEFAULT_SCALE,
-        num_chiplets: int = 4) -> Fig2Result:
-    """Measure Baseline-vs-monolithic slowdown per workload."""
-    names = list(workloads) if workloads is not None else list(WORKLOAD_NAMES)
-    chiplet_cfg = GPUConfig(num_chiplets=num_chiplets, scale=scale)
-    mono_cfg = monolithic_equivalent(chiplet_cfg)
-    slowdowns: Dict[str, float] = {}
-    for name in names:
-        chiplet_cycles = Simulator(chiplet_cfg, "baseline").run(
-            build_workload(name, chiplet_cfg)).wall_cycles
-        mono_cycles = Simulator(mono_cfg, "monolithic").run(
-            build_workload(name, mono_cfg)).wall_cycles
-        slowdowns[name] = chiplet_cycles / mono_cycles
+        scale: float = DEFAULT_SCALE, jobs: int = 1,
+        cache: bool = False, progress=None) -> Fig2Result:
+    """Measure Baseline-vs-monolithic slowdown per workload: one sweep
+    on 4 chiplets and one on their monolithic equivalent, in the same
+    workload order."""
+    from repro.api import sweep
+
+    chiplet_cfg = GPUConfig(num_chiplets=4, scale=scale)
+    engine = {"jobs": jobs, "cache": cache, "progress": progress}
+    chiplet = sweep(workloads=workloads, protocols=("baseline",),
+                    configs=(chiplet_cfg,), **engine)
+    mono = sweep(workloads=workloads, protocols=("monolithic",),
+                 configs=(monolithic_equivalent(chiplet_cfg),), **engine)
+    slowdowns: Dict[str, float] = {
+        chip.workload: chip.result.wall_cycles / flat.result.wall_cycles
+        for chip, flat in zip(chiplet.outcomes, mono.outcomes)}
     return Fig2Result(slowdowns=slowdowns)
 
 

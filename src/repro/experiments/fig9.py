@@ -39,19 +39,18 @@ class Fig9Result:
 
 
 def run(workloads: Optional[Sequence[str]] = None,
-        scale: float = DEFAULT_SCALE,
-        num_chiplets: int = 4, jobs: int = 1,
+        scale: float = DEFAULT_SCALE, jobs: int = 1,
         cache: bool = False, progress=None) -> Fig9Result:
     """Run the Fig. 9 sweep (4 chiplets)."""
     matrix = run_matrix(workloads=workloads, protocols=PROTOCOLS,
-                        chiplet_counts=(num_chiplets,), scale=scale,
-                        jobs=jobs, cache=cache, progress=progress)
+                        scale=scale, jobs=jobs, cache=cache,
+                        progress=progress)
     model = EnergyModel()
     breakdowns: Dict[str, Dict[str, Dict[str, float]]] = {}
     for name in matrix.workloads():
         breakdowns[name] = {}
         for protocol in PROTOCOLS:
-            res = matrix.get(name, protocol, num_chiplets)
+            res = matrix.get(name, protocol, 4)
             breakdowns[name][protocol] = res.metrics.energy(model)
     return Fig9Result(matrix=matrix, breakdowns=breakdowns)
 

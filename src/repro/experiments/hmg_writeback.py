@@ -38,19 +38,18 @@ class HMGWritebackResult:
 
 
 def run(workloads: Optional[Sequence[str]] = None,
-        scale: float = DEFAULT_SCALE,
-        num_chiplets: int = 4, jobs: int = 1,
+        scale: float = DEFAULT_SCALE, jobs: int = 1,
         cache: bool = False, progress=None) -> HMGWritebackResult:
-    """Compare HMG write-through against HMG write-back."""
+    """Compare HMG write-through against HMG write-back (4 chiplets)."""
     names = list(workloads) if workloads is not None else list(DEFAULT_WORKLOADS)
     matrix = run_matrix(workloads=names, protocols=("hmg", "hmg-wb"),
-                        chiplet_counts=(num_chiplets,), scale=scale,
-                        jobs=jobs, cache=cache, progress=progress)
+                        scale=scale, jobs=jobs, cache=cache,
+                        progress=progress)
     cycles: Dict[str, Dict[str, float]] = {}
     for name in names:
         cycles[name] = {
-            "hmg": matrix.get(name, "hmg", num_chiplets).wall_cycles,
-            "hmg-wb": matrix.get(name, "hmg-wb", num_chiplets).wall_cycles,
+            "hmg": matrix.get(name, "hmg", 4).wall_cycles,
+            "hmg-wb": matrix.get(name, "hmg-wb", 4).wall_cycles,
         }
     return HMGWritebackResult(cycles=cycles)
 

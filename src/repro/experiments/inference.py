@@ -46,11 +46,10 @@ class InferenceResult:
 
 
 def run(workloads: Optional[Sequence[str]] = None,
-        scale: float = DEFAULT_SCALE,
-        num_chiplets: int = 4) -> InferenceResult:
-    """Compare hand vs inferred annotations under CPElide."""
+        scale: float = DEFAULT_SCALE) -> InferenceResult:
+    """Compare hand vs inferred annotations under CPElide (4 chiplets)."""
     names = list(workloads) if workloads is not None else list(DEFAULT_WORKLOADS)
-    config = GPUConfig(num_chiplets=num_chiplets, scale=scale)
+    config = GPUConfig(num_chiplets=4, scale=scale)
     rows: Dict[str, "tuple[float, float, int, int, float]"] = {}
     for name in names:
         hand_workload = build_workload(name, config)

@@ -75,33 +75,28 @@ class MultiStreamResult:
 
 
 def run(workloads: Optional[Sequence[str]] = None,
-        scale: float = DEFAULT_SCALE, num_streams: int = 2,
-        num_chiplets: int = 4,
-        include_streams_bench: bool = True, jobs: int = 1,
+        scale: float = DEFAULT_SCALE, jobs: int = 1,
         cache: bool = False, progress=None) -> MultiStreamResult:
-    """Run the multi-stream comparison.
+    """Run the multi-stream comparison on 4 chiplets.
 
     Includes gem5-resources' natively multi-stream ``streams`` benchmark
     (the one existing multi-stream GPU benchmark, Sec. VI) alongside the
     two-job variants of the Table II subset. The multi-stream variants
-    enter the sweep engine as ``("multistream", name, num_streams)``
-    workload specs, so they parallelize and cache like any other cell.
+    enter the sweep engine as ``("multistream", name, 2)`` workload
+    specs, so they parallelize and cache like any other cell.
     """
     from repro.api import sweep
     from repro.engine.spec import WorkloadSpec
 
     names = list(workloads) if workloads is not None else list(DEFAULT_WORKLOADS)
-    specs: List[WorkloadSpec] = []
-    if include_streams_bench:
-        specs.append("streams")
-    specs.extend(("multistream", name, num_streams) for name in names)
-    result = sweep(workloads=specs, protocols=PROTOCOLS,
-                   chiplet_counts=(num_chiplets,), scale=scale,
+    specs: List[WorkloadSpec] = ["streams"]
+    specs.extend(("multistream", name, 2) for name in names)
+    result = sweep(workloads=specs, protocols=PROTOCOLS, scale=scale,
                    jobs=jobs, cache=cache, progress=progress)
     cycles: Dict[str, Dict[str, float]] = {}
     for outcome in result.outcomes:
-        label = ("streams" if outcome.workload == "streams"
-                 else outcome.workload[:-len(f"-ms{num_streams}")])
+        spec = outcome.job.workload
+        label = spec if isinstance(spec, str) else spec[1]
         cycles.setdefault(label, {})[outcome.job.protocol] = \
             outcome.result.wall_cycles
     return MultiStreamResult(cycles=cycles)

@@ -11,32 +11,29 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from repro.analysis.occupancy import TableOccupancyProfile
-from repro.engine.spec import SweepSpec
+from repro.analysis.occupancy import (
+    TableOccupancyProfile,
+    profile_table_occupancy,
+)
 from repro.experiments.runner import DEFAULT_SCALE
+from repro.gpu.config import GPUConfig
 from repro.metrics.report import format_table
+from repro.workloads.suite import WORKLOAD_NAMES, build_workload
 
 
 def run(workloads: Optional[Sequence[str]] = None,
         scale: float = DEFAULT_SCALE,
-        num_chiplets: int = 4, jobs: int = 1,
-        cache: bool = False, progress=None,
-        tracer=None) -> Dict[str, TableOccupancyProfile]:
+        num_chiplets: int = 4) -> Dict[str, TableOccupancyProfile]:
     """Profile table occupancy for every (or the given) workload.
 
-    Runs ``kind="occupancy"`` jobs through the sweep engine (the protocol
-    axis is collapsed to CPElide — occupancy is a property of the elision
-    engine replay, not of the comparator protocols). ``tracer`` attaches
-    an observability sink to the sweep (see :mod:`repro.obs`).
+    The replay runs in this process: it simulates no caches, so it is no
+    sweep-engine cell and never reaches the result cache.
     """
-    from repro.api import sweep as run_sweep
-
-    spec = SweepSpec.grid(workloads=workloads, protocols=("cpelide",),
-                          chiplet_counts=(num_chiplets,), scale=scale,
-                          kind="occupancy")
-    sweep = run_sweep(spec, jobs=jobs, cache=cache, progress=progress,
-                      tracer=tracer)
-    return {outcome.workload: outcome.result for outcome in sweep.outcomes}
+    names = list(workloads) if workloads is not None else list(WORKLOAD_NAMES)
+    config = GPUConfig(num_chiplets=num_chiplets, scale=scale)
+    return {name: profile_table_occupancy(build_workload(name, config),
+                                          config)
+            for name in names}
 
 
 def report(profiles: Dict[str, TableOccupancyProfile]) -> str:

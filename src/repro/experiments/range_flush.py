@@ -40,22 +40,22 @@ class RangeFlushResult:
 
 
 def run(workloads: Optional[Sequence[str]] = None,
-        scale: float = DEFAULT_SCALE,
-        num_chiplets: int = 4, jobs: int = 1,
+        scale: float = DEFAULT_SCALE, jobs: int = 1,
         cache: bool = False, progress=None) -> RangeFlushResult:
-    """Compare whole-cache CPElide against the range extension."""
+    """Compare whole-cache CPElide against the range extension
+    (4 chiplets)."""
     names = list(workloads) if workloads is not None else list(DEFAULT_WORKLOADS)
     matrix = run_matrix(workloads=names,
                         protocols=("cpelide", "cpelide-range"),
-                        chiplet_counts=(num_chiplets,), scale=scale,
-                        jobs=jobs, cache=cache, progress=progress)
+                        scale=scale, jobs=jobs, cache=cache,
+                        progress=progress)
     cycles: Dict[str, Dict[str, float]] = {}
     lines: Dict[str, Dict[str, int]] = {}
     for name in names:
         cycles[name] = {}
         lines[name] = {}
         for protocol in ("cpelide", "cpelide-range"):
-            res = matrix.get(name, protocol, num_chiplets)
+            res = matrix.get(name, protocol, 4)
             cycles[name][protocol] = res.wall_cycles
             sync = res.metrics.total_sync()
             lines[name][protocol] = (sync.lines_flushed

@@ -13,11 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from repro.experiments.runner import DEFAULT_SCALE
-from repro.gpu.config import GPUConfig
-from repro.gpu.sim import Simulator
+from repro.experiments.runner import DEFAULT_SCALE, run_matrix
 from repro.metrics.report import format_table
-from repro.workloads.suite import HIGH_REUSE, WORKLOAD_NAMES, build_workload
+from repro.workloads.suite import HIGH_REUSE
 
 #: Miss-rate-reduction threshold between the two groups. The paper calls
 #: ">15%" larger reuse (Sec. V-A).
@@ -55,19 +53,17 @@ class ReuseResult:
 
 
 def run(workloads: Optional[Sequence[str]] = None,
-        scale: float = DEFAULT_SCALE,
-        num_chiplets: int = 4) -> ReuseResult:
-    """Measure miss-rate reduction for each workload."""
-    names = list(workloads) if workloads is not None else list(WORKLOAD_NAMES)
-    config = GPUConfig(num_chiplets=num_chiplets, scale=scale)
+        scale: float = DEFAULT_SCALE, jobs: int = 1,
+        cache: bool = False, progress=None) -> ReuseResult:
+    """Measure miss-rate reduction for each workload (4 chiplets)."""
+    matrix = run_matrix(workloads=workloads, protocols=("baseline", "nosync"),
+                        scale=scale, jobs=jobs, cache=cache,
+                        progress=progress)
     miss_rates: Dict[str, "tuple[float, float]"] = {}
-    for name in names:
-        base = Simulator(config, "baseline").run(build_workload(name, config))
-        nosync = Simulator(config, "nosync").run(build_workload(name, config))
-        miss_rates[name] = (
-            base.metrics.total_accesses().l2_miss_rate,
-            nosync.metrics.total_accesses().l2_miss_rate,
-        )
+    for name in matrix.workloads():
+        base, nosync = (matrix.get(name, protocol, 4).metrics.total_accesses()
+                        for protocol in ("baseline", "nosync"))
+        miss_rates[name] = (base.l2_miss_rate, nosync.l2_miss_rate)
     return ReuseResult(miss_rates=miss_rates)
 
 

@@ -55,10 +55,10 @@ class SchedulerAblationResult:
         return per["static"] / per["locality"]
 
 
-def run(scale: float = DEFAULT_SCALE,
-        num_chiplets: int = 4) -> SchedulerAblationResult:
-    """Run the producer-consumer scenario under both schedulers."""
-    config = GPUConfig(num_chiplets=num_chiplets, scale=scale)
+def run(scale: float = DEFAULT_SCALE) -> SchedulerAblationResult:
+    """Run the producer-consumer scenario under both schedulers
+    (4 chiplets)."""
+    config = GPUConfig(num_chiplets=4, scale=scale)
     cycles: Dict[str, Dict[str, float]] = {}
     remote: Dict[str, Dict[str, int]] = {}
     for protocol in ("baseline", "cpelide"):

@@ -6,9 +6,9 @@ from repro.gpu.config import GPUConfig
 from repro.metrics.report import format_table
 
 
-def run(num_chiplets: int = 4) -> GPUConfig:
-    """Build the Table I configuration."""
-    return GPUConfig(num_chiplets=num_chiplets)
+def run() -> GPUConfig:
+    """Build the Table I configuration (4 chiplets)."""
+    return GPUConfig(num_chiplets=4)
 
 
 def report(config: GPUConfig) -> str:

@@ -1,9 +1,18 @@
 """Tests for the two command-line interfaces."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
+import repro.__main__
 from repro.__main__ import main as repro_main
+from repro.errors import InvariantViolation
 from repro.experiments.__main__ import main as experiments_main
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 class TestReproCLI:
@@ -70,6 +79,28 @@ class TestReproCLI:
                          "run", "square", "--protocols", "baseline"])
         assert rc == 0
         assert "2 chiplets" in capsys.readouterr().out
+
+    def test_refusal_prints_its_reason_alone(self, tmp_path):
+        """A ConfigError (here: the sync view refusing memo replays)
+        ends ``python -m repro`` with one stderr line and exit 2."""
+        env = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1",
+                   REPRO_CACHE_DIR=str(tmp_path))
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "--scale", "0.00390625",
+             "trace", "hotspot", "--format", "sync", "--trace-path", "memo"],
+            capture_output=True, text=True, cwd=ROOT, env=env)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("repro: error: kernel ")
+        assert proc.stderr.count("\n") == 1
+
+    def test_simulator_bugs_keep_their_traceback(self, monkeypatch):
+        def broken(args):
+            raise InvariantViolation("a coherence invariant failed")
+
+        monkeypatch.setattr(repro.__main__, "cmd_list", broken)
+        with pytest.raises(InvariantViolation):
+            repro_main(["list"])
 
 
 class TestDistCLI:
@@ -338,3 +369,15 @@ class TestExperimentsCLI:
     def test_scale_flag_threads_through(self, capsys):
         assert experiments_main(["scheduler", "--scale", "0.015625"]) == 0
         assert "Scheduler ablation" in capsys.readouterr().out
+
+    def test_capacity_second_run_computes_nothing(self, capsys, tmp_path,
+                                                 monkeypatch):
+        """``--jobs``/``--no-cache`` reach capacity: a second run over
+        the same cache directory is served whole."""
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        argv = ["capacity", "--scale", "0.00390625", "--jobs", "2"]
+        assert experiments_main(argv) == 0
+        assert "8 jobs: 0 cache hits" in capsys.readouterr().out
+        assert experiments_main(argv) == 0
+        assert ("8 jobs: 8 cache hits, 0 served from in-flight, 0 run"
+                in capsys.readouterr().out)

@@ -11,7 +11,6 @@ import pickle
 import pytest
 
 import repro
-from repro.analysis.occupancy import TableOccupancyProfile
 from repro.coherence.registry import protocols
 from repro.engine.cache import (
     _SALT_PACKAGES,
@@ -89,11 +88,6 @@ class TestSpec:
         assert workload_label("square") == "square"
         assert workload_label(("multistream", "square", 2)) == "square-ms2"
 
-    def test_jobspec_rejects_unknown_kind(self):
-        with pytest.raises(ValueError):
-            JobSpec(workload="square", protocol="cpelide",
-                    config=GPUConfig(scale=TEST_SCALE), kind="profile")
-
     def test_jobspec_rejects_non_string_protocol(self):
         with pytest.raises(TypeError):
             JobSpec(workload="square", protocol=object(),
@@ -113,7 +107,7 @@ class TestSpec:
             workload = (job.workload if isinstance(job.workload, str)
                         else list(job.workload))
             assert job.key_payload() == {
-                "kind": job.kind, "workload": workload,
+                "kind": "simulate", "workload": workload,
                 "protocol": job.protocol, "scheduler": job.scheduler,
                 "config": dataclasses.asdict(job.config)}
 
@@ -420,16 +414,3 @@ class TestSerialization:
             for key, value in summary.items():
                 assert type(value) in (str, int, float), (key, value)
             assert json.loads(json.dumps(summary)) == summary
-
-
-class TestOccupancyJobs:
-    def test_occupancy_kind_runs_and_caches(self, tmp_path):
-        spec = small_spec(workloads=("square", "bfs"),
-                          protocols=("cpelide",), kind="occupancy")
-        cache_dir = tmp_path / "cache"
-        first = SweepRunner(cache=SharedResultCache(root=cache_dir)).run(spec)
-        assert all(isinstance(o.result, TableOccupancyProfile)
-                   for o in first.outcomes)
-        second = SweepRunner(cache=SharedResultCache(root=cache_dir)).run(spec)
-        assert second.report.cache_hits == spec.num_jobs
-        assert second.to_dicts() == first.to_dicts()

@@ -56,8 +56,8 @@ class TestApiSurface:
     def test_api_version(self):
         import repro as repro_pkg
 
-        assert repro.api.__api_version__ == "8.0"
-        assert repro_pkg.__api_version__ == "8.0"
+        assert repro.api.__api_version__ == "9.0"
+        assert repro_pkg.__api_version__ == "9.0"
 
     def test_simulate_rejects_cache_with_workload_instance(self):
         config = GPUConfig(num_chiplets=4, scale=TEST_SCALE)

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.experiments import fig2, fig8, fig9, fig10
+from repro.engine.cache import SharedResultCache
+from repro.experiments import capacity, fig2, fig8, fig9, fig10
 from repro.experiments import hmg_writeback, multistream, range_flush, reuse
 from repro.experiments import runner, scaling, table1, table3
 
@@ -149,7 +150,6 @@ class TestAblations:
 
 class TestCapacityCrossover:
     def test_sweep_runs_and_peaks_inside_l2(self):
-        from repro.experiments import capacity
         result = capacity.run(workload="hotspot3d",
                               factors=(1.0, 4.0), scale=TEST_SCALE)
         assert result.benefit_shrinks_with_pressure()
@@ -193,3 +193,41 @@ class TestOccupancyExperiment:
                                  scale=TEST_SCALE)
         assert all(p.never_overflows for p in profiles.values())
         assert "occupancy" in occupancy.report(profiles).lower()
+
+
+#: table2, fig2 and capacity on two workloads each (capacity: one
+#: workload at two footprints).
+ENGINE_HARNESSES = {
+    "table2": lambda cache: reuse.run(workloads=("square", "pathfinder"),
+                                      scale=TEST_SCALE, cache=cache),
+    "fig2": lambda cache: fig2.run(workloads=("square", "hotspot3d"),
+                                   scale=TEST_SCALE, cache=cache),
+    "capacity": lambda cache: capacity.run(workload="hotspot3d",
+                                           factors=(1.0, 4.0),
+                                           scale=TEST_SCALE, cache=cache),
+}
+
+
+class TestHarnessesOnTheEngine:
+    @pytest.mark.parametrize("name", sorted(ENGINE_HARNESSES))
+    def test_second_run_is_served_from_the_cache(self, tmp_path, name):
+        cache = SharedResultCache(root=tmp_path / "c")
+        first = ENGINE_HARNESSES[name](cache)
+        stored = cache.stats.stores
+        second = ENGINE_HARNESSES[name](cache)
+        assert stored > 0
+        assert cache.stats.stores == stored
+        assert second == first
+
+    def test_they_share_fig8_cells(self, tmp_path):
+        """Table II's and Fig. 2's Baseline cells and capacity's 1.0x
+        cells are Fig. 8's 4-chiplet cells."""
+        cache = SharedResultCache(root=tmp_path / "c")
+        fig8.run(workloads=("square",), chiplet_counts=(4,),
+                 scale=TEST_SCALE, cache=cache)
+        hits = cache.stats.hits
+        reuse.run(workloads=("square",), scale=TEST_SCALE, cache=cache)
+        fig2.run(workloads=("square",), scale=TEST_SCALE, cache=cache)
+        capacity.run(workload="square", factors=(1.0,), scale=TEST_SCALE,
+                     cache=cache)
+        assert cache.stats.hits - hits == 1 + 1 + 2

@@ -18,7 +18,6 @@ import json
 
 from hypothesis import given, settings, strategies as st
 
-from repro.analysis.occupancy import TableOccupancyProfile
 from repro.gpu.config import GPUConfig
 from repro.gpu.sim import SimulationResult, Simulator
 from repro.interconnect.noc import FlitParams, TrafficMeter
@@ -91,14 +90,6 @@ run_metrics = st.builds(
     workload=names, protocol=names,
     num_chiplets=st.integers(min_value=1, max_value=64),
     kernels=st.lists(kernel_metrics, max_size=3))
-occupancy_profiles = st.builds(
-    TableOccupancyProfile,
-    workload=names, num_kernels=counters,
-    occupancy=st.lists(counters, max_size=8),
-    peak_entries=counters, capacity=counters,
-    overflow_evictions=counters,
-    acquires_issued=counters, releases_issued=counters,
-    acquires_elided=counters, releases_elided=counters)
 simulation_results = st.builds(
     SimulationResult,
     metrics=run_metrics,
@@ -133,11 +124,6 @@ class TestPropertyRoundTrips:
     def test_run_metrics(self, obj):
         assert roundtrip(obj) == obj
 
-    @settings(max_examples=50)
-    @given(occupancy_profiles)
-    def test_occupancy_profile(self, obj):
-        assert roundtrip(obj) == obj
-
     @settings(max_examples=25)
     @given(simulation_results)
     def test_simulation_result(self, obj):
@@ -157,11 +143,9 @@ class TestFieldCoverage:
     ``to_dict`` payload or on an explicit exclusion list."""
 
     def test_counter_dataclasses_serialize_every_field(self):
-        for cls in (AccessCounts, SyncCounts, TableOccupancyProfile):
+        for cls in (AccessCounts, SyncCounts):
             names_ = {f.name for f in dataclasses.fields(cls)}
-            assert set(cls().to_dict() if cls is not TableOccupancyProfile
-                       else cls(workload="w", num_kernels=0).to_dict()) \
-                == names_
+            assert set(cls().to_dict()) == names_
 
     def test_traffic_meter_payload_covers_state(self):
         payload = TrafficMeter().to_dict()
@@ -236,11 +220,3 @@ class TestRealRunRoundTrip:
         for rebuilt in (roundtrip(result), record_roundtrip(result)):
             assert rebuilt == result
             assert rebuilt.to_dict() == result.to_dict()
-
-    def test_occupancy_profile_from_real_run(self):
-        from repro.analysis.occupancy import profile_table_occupancy
-
-        config = GPUConfig(num_chiplets=4, scale=TEST_SCALE)
-        profile = profile_table_occupancy(
-            build_workload("square", config), config)
-        assert roundtrip(profile) == profile

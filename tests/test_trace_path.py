@@ -56,7 +56,7 @@ def test_api_exports_trace_path():
 
     assert api.TracePath is TracePath
     assert "TracePath" in api.__all__
-    assert api.__api_version__ == "8.0"
+    assert api.__api_version__ == "9.0"
 
 
 def test_simulator_accepts_enum_and_string():
