@@ -53,8 +53,9 @@ nothing).
 Protocol choices come from the coherence registry, so a newly registered
 protocol is immediately runnable here.
 
-A refused command (a :class:`~repro.errors.ConfigError`) prints
-``repro: error: <reason>`` on stderr and exits 2.
+A refused command (a :class:`~repro.errors.ConfigError` or
+:class:`~repro.errors.CacheError`) prints ``repro: error: <reason>`` on
+stderr and exits 2.
 
 Figures and tables have their own CLI: ``python -m repro.experiments``.
 """
@@ -67,7 +68,7 @@ from typing import List
 
 from repro.check.oracle import DEFAULT_PROTOCOLS, DEFAULT_TRACE_PATHS
 from repro.coherence.base import protocol_names
-from repro.errors import ConfigError
+from repro.errors import CacheError, ConfigError
 from repro.experiments import occupancy as occupancy_experiment
 from repro.gpu.config import GPUConfig
 from repro.gpu.trace_path import TracePath
@@ -607,9 +608,10 @@ def main(argv=None) -> int:
                         choices=("run", "scatter", "work", "gather"),
                         help="'run' executes locally with --workers "
                              "processes (default); 'scatter' writes the "
-                             "sweep into --work-dir as work units, "
-                             "'work' executes units from any host that "
-                             "sees --work-dir, 'gather' reassembles the "
+                             "sweep's manifest into --work-dir, 'work' "
+                             "derives its work units and runs the "
+                             "unclaimed ones from any host that sees "
+                             "--work-dir, 'gather' reassembles the "
                              "finished sweep")
     dist_p.add_argument("--workloads", nargs="+", default=None,
                         choices=WORKLOAD_NAMES + EXTRA_WORKLOADS,
@@ -623,8 +625,9 @@ def main(argv=None) -> int:
                              "for (default 2)")
     dist_p.add_argument("--work-dir", default=None,
                         help="filesystem work directory shared by "
-                             "scatter/work/gather (any host that mounts "
-                             "it can run 'work')")
+                             "scatter/work/gather: spec.json plus a "
+                             "cache/ of cells and unit results (any "
+                             "host that mounts it can run 'work')")
     dist_p.add_argument("--cache-dir", default=None,
                         help="shared result cache root for --mode run "
                              "(default: REPRO_CACHE_DIR or "
@@ -739,7 +742,7 @@ def main(argv=None) -> int:
                 "serve": cmd_serve, "check": cmd_check}
     try:
         return handlers[args.command](args)
-    except ConfigError as exc:
+    except (ConfigError, CacheError) as exc:
         # A refused request prints its reason alone, as argparse does;
         # a simulator bug (InvariantViolation, OracleDivergence) keeps
         # its traceback.

@@ -18,7 +18,9 @@ the HTTP server:
   :class:`~repro.engine.runner.SweepReport`. ``cache=None`` means no
   cache;
 * :mod:`repro.engine.dist` — scatter/work/gather of the same work units
-  across hosts through a shared work directory.
+  across hosts through a shared work directory: a ``spec.json`` manifest
+  the units are derived from, and a ``cache/`` in which each unit is
+  claimed, stored and read under its content key, like a cell.
 
 Typical use goes through the :mod:`repro.api` facade::
 

@@ -13,7 +13,9 @@ Entries are compact JSON documents holding the salt and the job's
 result payload (the engine stores ``SimulationResult.to_record()``
 records), so a cache hit reproduces the original result bit-for-bit.
 Entries written with a ``job`` member (the job's identity, which
-nothing reads) still load. Layout::
+nothing reads) still load. A :mod:`repro.engine.dist` work unit is
+stored, claimed and read the same way, under a digest of its cells'
+keys. Layout::
 
     <root>/<key[:2]>/<key>.json
 
@@ -31,9 +33,8 @@ import os
 import pathlib
 import socket
 from dataclasses import dataclass, fields
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Protocol, Tuple
 
-from repro.engine.spec import JobSpec
 from repro.errors import CacheError
 
 #: Environment variable overriding the default cache root.
@@ -98,6 +99,16 @@ def default_cache_dir() -> pathlib.Path:
     if override:
         return pathlib.Path(override)
     return pathlib.Path.home() / ".cache" / "repro-cpelide"
+
+
+class Keyed(Protocol):
+    """What the cache stores under a content key: a sweep cell's
+    :class:`~repro.engine.spec.JobSpec`, or a dist work directory's
+    :class:`~repro.engine.runner.WorkUnit`."""
+
+    @property
+    def key(self) -> str:
+        """Stable content hash, independent of root and salt."""
 
 
 @dataclass
@@ -243,10 +254,10 @@ class SharedResultCache:
     # ------------------------------------------------------------------
 
     @staticmethod
-    def key(job: JobSpec) -> str:
+    def key(job: Keyed) -> str:
         """Stable content hash identifying one job
         (:attr:`JobSpec.key <repro.engine.spec.JobSpec.key>`, computed
-        once per job); independent of root and salt."""
+        once per job) or work unit; independent of root and salt."""
         return job.key
 
     def _path(self, key: str) -> pathlib.Path:
@@ -254,35 +265,44 @@ class SharedResultCache:
 
     # ------------------------------------------------------------------
 
-    def load(self, job: JobSpec) -> Optional[Any]:
-        """Return the cached result payload for ``job``, or ``None``.
+    def load(self, job: Keyed) -> Optional[Any]:
+        """Return the cached result payload for ``job``, or ``None``;
+        counted as a hit or a miss.
 
-        A present entry whose salt does not match the current code
-        version is *invalidated*: counted, deleted, and reported as a
-        miss so the caller recomputes it.
+        A present entry that does not decode, or whose salt does not
+        match the current code version, is *invalidated* (see
+        :meth:`_peek`) and reported as a miss so the caller recomputes
+        it.
         """
+        payload = self._peek(job)
+        if payload is None:
+            self.stats.misses += 1
+        else:
+            self.stats.hits += 1
+        return payload
+
+    def _peek(self, job: Keyed) -> Optional[Any]:
+        """Like :meth:`load` but without touching the hit/miss counters
+        (the claim/wait paths do their own accounting). An unreadable
+        or stale entry is counted as an invalidation and deleted."""
         path = self._path(job.key)
         try:
             document = json.loads(path.read_bytes())
         except FileNotFoundError:
-            self.stats.misses += 1
             return None
         except (OSError, ValueError):
             # Unreadable/corrupt entry (not UTF-8, or not JSON): drop it
             # and recompute.
             self.stats.invalidations += 1
-            self.stats.misses += 1
             path.unlink(missing_ok=True)
             return None
         if document.get("salt") != self.salt:
             self.stats.invalidations += 1
-            self.stats.misses += 1
             path.unlink(missing_ok=True)
             return None
-        self.stats.hits += 1
         return document["result"]
 
-    def store(self, job: JobSpec, result: Any) -> None:
+    def store(self, job: Keyed, result: Any) -> None:
         """Persist one job's result payload as compact JSON.
 
         The document is written to a temporary name and renamed into
@@ -342,18 +362,6 @@ class SharedResultCache:
         except ValueError:
             return {}
         return claim if isinstance(claim, dict) else {}
-
-    def _peek(self, job: JobSpec) -> Optional[Any]:
-        """Like :meth:`load` but without touching the hit/miss counters
-        (the claim/wait paths do their own accounting)."""
-        path = self._path(job.key)
-        try:
-            document = json.loads(path.read_bytes())
-        except (OSError, ValueError):
-            return None
-        if document.get("salt") != self.salt:
-            return None
-        return document["result"]
 
     def _write_claim(self, path: pathlib.Path, token: str) -> bool:
         """Atomically create the claim file; False if it already exists.
@@ -448,7 +456,7 @@ class SharedResultCache:
 
     # ------------------------------------------------------------------
 
-    def try_claim(self, job: JobSpec) -> "Tuple[str, Any]":
+    def try_claim(self, job: Keyed) -> "Tuple[str, Any]":
         """One attempt to acquire ``job``'s cell.
 
         Returns one of:
@@ -460,8 +468,11 @@ class SharedResultCache:
         * ``(CLAIM_INFLIGHT, claim_dict)`` — another live worker holds
           the claim; :meth:`wait_for` the result.
         """
-        payload = self.load(job)  # counts hit or miss
+        # Only a hit counts: the runner's load already counted the miss
+        # of a cell it found pending.
+        payload = self._peek(job)
         if payload is not None:
+            self.stats.hits += 1
             return CLAIM_HIT, payload
         claim_path = self._claim_path(job.key)
         token = self._claim_token()
@@ -493,7 +504,7 @@ class SharedResultCache:
             return CLAIM_INFLIGHT, claim
         return CLAIM_INFLIGHT, {"token": None, "deadline": 0.0}
 
-    def acquire(self, job: JobSpec) -> "Tuple[str, Any]":
+    def acquire(self, job: Keyed) -> "Tuple[str, Any]":
         """Blocking front half of the dedupe protocol.
 
         Loops :meth:`try_claim`/:meth:`wait_for` until the caller either
@@ -510,7 +521,7 @@ class SharedResultCache:
                 return CLAIM_HIT, payload
             # The in-flight worker died without storing: loop and claim.
 
-    def wait_for(self, job: JobSpec,
+    def wait_for(self, job: Keyed,
                  timeout: Optional[float] = None) -> Optional[Any]:
         """Wait for another worker's in-flight computation of ``job``.
 
@@ -539,7 +550,7 @@ class SharedResultCache:
                 return None
             time.sleep(self.poll_seconds)
 
-    def store_and_release(self, job: JobSpec, result: Any,
+    def store_and_release(self, job: Keyed, result: Any,
                           token: str) -> None:
         """Publish a computed result, then drop the caller's claim.
 
@@ -554,12 +565,12 @@ class SharedResultCache:
         finally:
             self._release(job, token)
 
-    def abandon(self, job: JobSpec, token: str) -> None:
+    def abandon(self, job: Keyed, token: str) -> None:
         """Drop a claim without storing (the computation failed); a
         waiter or the next requester takes the cell over."""
         self._release(job, token)
 
-    def _release(self, job: JobSpec, token: str) -> None:
+    def _release(self, job: Keyed, token: str) -> None:
         claim_path = self._claim_path(job.key)
         claim = self._read_claim(claim_path)
         if claim is not None and claim.get("token") == token:

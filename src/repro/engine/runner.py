@@ -51,6 +51,8 @@ cached runs of the same spec are bit-identical. Every run produces a
 from __future__ import annotations
 
 import contextlib
+import functools
+import hashlib
 import os
 import signal
 import stat
@@ -162,7 +164,7 @@ def _fork_available() -> bool:
 @dataclass(frozen=True)
 class WorkUnit:
     """One shard of a sweep: a contiguous batch of (index, job) cells,
-    claimed and gathered by ``index``."""
+    the ``index``-th of its sweep."""
 
     index: int
     items: Tuple[Tuple[int, JobSpec], ...]
@@ -171,18 +173,13 @@ class WorkUnit:
     def cells(self) -> int:
         return len(self.items)
 
-    def to_payload(self) -> Dict[str, Any]:
-        """JSON round-trip payload (one scattered ``unit-*.json``)."""
-        return {
-            "index": self.index,
-            "items": [[i, job.to_payload()] for i, job in self.items],
-        }
-
-    @classmethod
-    def from_payload(cls, payload: Dict[str, Any]) -> "WorkUnit":
-        items = tuple((int(i), JobSpec.from_payload(jp))
-                      for i, jp in payload["items"])
-        return cls(index=int(payload["index"]), items=items)
+    @functools.cached_property
+    def key(self) -> str:
+        """Content hash of the unit's cells' job keys in order: a dist
+        work directory claims, stores and reads the unit under it, like
+        a cell."""
+        keys = " ".join(job.key for _, job in self.items)
+        return hashlib.blake2b(keys.encode(), digest_size=32).hexdigest()
 
 
 def shard_jobs(jobs: Sequence[JobSpec], pending: Sequence[int],
@@ -236,6 +233,15 @@ class UnitResult:
     def count(self, how: str) -> int:
         """Cells of this unit served ``how``."""
         return sum(1 for cell in self.cells if cell.how == how)
+
+    def trace_end(self, tracer: Tracer) -> None:
+        """Record the unit's shard-end event on ``tracer``."""
+        if tracer.enabled:
+            tracer.shard_event(
+                phase="end", shard=self.unit_index, worker=self.worker,
+                cells=len(self.cells), executed=self.count(HOW_RUN),
+                hits=self.count(HOW_HIT), deduped=self.count(HOW_DEDUP),
+                seconds=self.seconds)
 
 
 def run_job_shared(cache: Optional[SharedResultCache], job: JobSpec,
@@ -978,15 +984,9 @@ class SweepRunner:
 
     def _account(self, unit: UnitResult, tally: _Tally) -> None:
         """Fold one finished unit into the sweep's accounting."""
-        executed = unit.count(HOW_RUN)
         tally.worker_cells[unit.worker] = (
-            tally.worker_cells.get(unit.worker, 0) + executed)
-        if self.tracer.enabled:
-            self.tracer.shard_event(
-                phase="end", shard=unit.unit_index, worker=unit.worker,
-                cells=len(unit.cells), executed=executed,
-                hits=unit.count(HOW_HIT), deduped=unit.count(HOW_DEDUP),
-                seconds=unit.seconds)
+            tally.worker_cells.get(unit.worker, 0) + unit.count(HOW_RUN))
+        unit.trace_end(self.tracer)
         if self.cache is not None:
             # Fold the worker's cache accounting into ours so the
             # report's invalidation counter and the caller's stats see

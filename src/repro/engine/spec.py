@@ -161,27 +161,6 @@ class JobSpec:
         return hashlib.blake2b(_canonical_json(self).encode(),
                                digest_size=32).hexdigest()
 
-    def to_payload(self) -> Dict[str, Any]:
-        """Full JSON round-trip payload (identity plus execution-only
-        fields like ``trace_path``) — what the distributed engine
-        scatters into a work directory for other hosts to pick up."""
-        payload = self.key_payload()
-        payload["trace_path"] = self.trace_path
-        return payload
-
-    @classmethod
-    def from_payload(cls, payload: Dict[str, Any]) -> "JobSpec":
-        """Inverse of :meth:`to_payload` (lists re-tuple into workload
-        specs; the config dict rebuilds a :class:`GPUConfig`)."""
-        workload = payload["workload"]
-        if isinstance(workload, list):
-            workload = tuple(workload)
-        return cls(workload=workload,
-                   protocol=payload["protocol"],
-                   config=GPUConfig(**payload["config"]),
-                   scheduler=payload["scheduler"],
-                   trace_path=payload.get("trace_path"))
-
 
 @dataclass(frozen=True)
 class SweepSpec:

@@ -6,6 +6,10 @@ Examples:
     python -m repro.experiments fig8 --chiplets 4 --scale 0.03125
     python -m repro.experiments fig8 --jobs 4   # parallel; cached on re-run
     python -m repro.experiments all
+
+As in ``python -m repro``, a refused command (a
+:class:`~repro.errors.ConfigError` or :class:`~repro.errors.CacheError`)
+prints ``repro.experiments: error: <reason>`` on stderr and exits 2.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ import argparse
 import sys
 import time
 
+from repro.errors import CacheError, ConfigError
 from repro.experiments import (
     capacity,
     inference,
@@ -102,10 +107,16 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     selected = sorted(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
-    for name in selected:
-        start = time.time()
-        print(EXPERIMENTS[name](args))
-        print(f"[{name}: {time.time() - start:.1f}s]\n")
+    try:
+        for name in selected:
+            start = time.time()
+            print(EXPERIMENTS[name](args))
+            print(f"[{name}: {time.time() - start:.1f}s]\n")
+    except (ConfigError, CacheError) as exc:
+        # A refused request prints its reason alone; a simulator bug
+        # (InvariantViolation, OracleDivergence) keeps its traceback.
+        print(f"repro.experiments: error: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

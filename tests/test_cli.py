@@ -9,7 +9,7 @@ import pytest
 
 import repro.__main__
 from repro.__main__ import main as repro_main
-from repro.errors import InvariantViolation
+from repro.errors import CacheError, InvariantViolation
 from repro.experiments.__main__ import main as experiments_main
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -137,6 +137,35 @@ class TestDistCLI:
 
     def test_modes_require_work_dir(self):
         assert repro_main(["dist", "--mode", "work"]) == 2
+
+    def test_rescattered_spec_leaves_nothing_to_run(self, capsys, tmp_path):
+        """Units are content-keyed: the same spec scattered again into a
+        worked directory finds every unit finished."""
+        scatter = ["--scale", "0.00390625", "dist", "--mode", "scatter",
+                   "--work-dir", str(tmp_path / "wd"),
+                   "--workloads", "square", "--protocols", "cpelide"]
+        work = ["dist", "--mode", "work", "--work-dir", str(tmp_path / "wd")]
+        assert repro_main(scatter) == 0
+        assert repro_main(work) == 0
+        assert "executed 1 units" in capsys.readouterr().out
+        assert repro_main(scatter) == 0
+        assert repro_main(work) == 0
+        assert "executed 0 units" in capsys.readouterr().out
+
+    def test_unfinished_gather_is_refused_in_one_line(self, capsys,
+                                                      tmp_path):
+        work_dir = str(tmp_path / "wd")
+        assert repro_main(["--scale", "0.00390625", "dist", "--mode",
+                           "scatter", "--work-dir", work_dir,
+                           "--workloads", "square",
+                           "--protocols", "cpelide"]) == 0
+        capsys.readouterr()
+        assert repro_main(["dist", "--mode", "gather",
+                           "--work-dir", work_dir]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"repro: error: gather({work_dir}): 1 "
+                                f"unit(s) not finished yet: [0]\n")
 
 
 class TestExploreCLI:
@@ -369,6 +398,34 @@ class TestExperimentsCLI:
     def test_scale_flag_threads_through(self, capsys):
         assert experiments_main(["scheduler", "--scale", "0.015625"]) == 0
         assert "Scheduler ablation" in capsys.readouterr().out
+
+    def test_refusal_prints_its_reason_alone(self, capsys):
+        """A ConfigError ends ``python -m repro.experiments`` with one
+        stderr line and exit 2, as in ``python -m repro``."""
+        argv = ["capacity", "--scale", "0", "--no-cache"]
+        assert experiments_main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("repro.experiments: error: scale must be "
+                                "in (0, 1], got 0.0\n")
+
+    def test_cache_errors_refuse_and_simulator_bugs_raise(self, capsys,
+                                                          monkeypatch):
+        from repro.experiments import __main__ as experiments_cli
+
+        def refused(args):
+            raise CacheError("the cache refused")
+
+        def broken(args):
+            raise InvariantViolation("a coherence invariant failed")
+
+        monkeypatch.setitem(experiments_cli.EXPERIMENTS, "table1", refused)
+        assert experiments_main(["table1"]) == 2
+        assert capsys.readouterr().err == \
+            "repro.experiments: error: the cache refused\n"
+        monkeypatch.setitem(experiments_cli.EXPERIMENTS, "table1", broken)
+        with pytest.raises(InvariantViolation):
+            experiments_main(["table1"])
 
     def test_capacity_second_run_computes_nothing(self, capsys, tmp_path,
                                                  monkeypatch):

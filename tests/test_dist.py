@@ -22,7 +22,7 @@ from repro.engine.cache import (
     CLAIM_INFLIGHT,
     SharedResultCache,
 )
-from repro.engine.dist import gather, scatter, work
+from repro.engine.dist import gather, scatter, work, work_dir_cache
 from repro.engine.runner import SweepRunner, _fork_available, shard_jobs
 from repro.engine.spec import JobSpec, SweepSpec
 from repro.errors import CacheError
@@ -416,6 +416,20 @@ class TestDistRunner:
         serial = SweepRunner().run(spec)
         assert result.to_dicts() == serial.to_dicts()
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_each_cell_counts_one_miss_or_one_hit(self, tmp_path, workers):
+        """A computed cell's miss counts once: the runner's look finds
+        it pending, and the claim's own look does not count it again."""
+        spec = small_spec()
+        assert spec.num_jobs == 4
+        cold = shared(tmp_path)
+        SweepRunner(workers=workers, cache=cold).run(spec)
+        stats = cold.stats
+        assert (stats.misses, stats.hits, stats.claims) == (4, 0, 4)
+        warm = shared(tmp_path)
+        SweepRunner(workers=workers, cache=warm).run(spec)
+        assert (warm.stats.misses, warm.stats.hits) == (0, 4)
+
     def test_results_marked_from_cache_on_warm_pass(self, tmp_path):
         spec = small_spec(workloads=("square",))
         SweepRunner(workers=1, cache=shared(tmp_path)).run(spec)
@@ -510,16 +524,29 @@ class TestKilledWorker:
         assert victim in str(info.value)
 
 
+def _work_loop(work_dir, barrier, log):
+    """One of two racing ``work()`` loops: logs how many units it ran."""
+    barrier.wait(timeout=30)
+    _append_line(log, str(work(work_dir)))
+
+
 class TestScatterWorkGather:
+    """A work directory is ``spec.json`` plus ``cache/``: units are
+    derived from the spec and claimed, stored and read under their
+    content keys."""
+
     def test_round_trip_matches_serial(self, tmp_path):
         spec = small_spec()
         work_dir = tmp_path / "wd"
         units = scatter(spec, work_dir, workers=2)
-        assert (work_dir / "spec.json").exists()
-        assert len(list((work_dir / "units").glob("unit-*.json"))) == \
-            len(units)
+        assert [path.name for path in work_dir.iterdir()] == ["spec.json"]
         executed = work(work_dir)
         assert executed == len(units)
+        assert sorted(path.name for path in work_dir.iterdir()) == \
+            ["cache", "spec.json"]
+        cache = work_dir_cache(work_dir)
+        assert all(cache.load(unit) is not None for unit in units)
+        assert cache.claimed_keys() == []
         gathered = gather(work_dir)
         serial = SweepRunner().run(spec)
         assert gathered.to_dicts() == serial.to_dicts()
@@ -543,29 +570,37 @@ class TestScatterWorkGather:
     def test_work_dir_of_another_code_version_is_refused(self, tmp_path):
         """Cells and unit results in a work directory are records of the
         code version that scattered it; another version refuses the
-        directory instead of decoding them."""
+        directory instead of decoding them. A manifest that lists units
+        instead of giving their size is refused the same way."""
         spec = small_spec(workloads=("square",))
         work_dir = tmp_path / "wd"
         scatter(spec, work_dir, workers=2)
         manifest_path = work_dir / "spec.json"
         manifest = json.loads(manifest_path.read_text())
-        manifest["salt"] = "older-code-version"
-        manifest_path.write_text(json.dumps(manifest))
-        for step in (work, gather):
-            with pytest.raises(CacheError, match="another code version"):
-                step(work_dir)
+        unit_list = {name: value for name, value in manifest.items()
+                     if name != "batch_size"}
+        unit_list["units"] = 2
+        for stale in (dict(manifest, salt="older-code-version"),
+                      unit_list):
+            manifest_path.write_text(json.dumps(stale))
+            for step in (work, gather):
+                with pytest.raises(CacheError,
+                                   match="another code version"):
+                    step(work_dir)
 
     def test_corrupt_unit_claim_and_result_are_recovered(self, tmp_path):
         """A unit claim that does not decode is reclaimed by work(); a
-        unit result that does not decode is removed by gather(), which
+        unit result that does not decode is dropped by gather(), which
         names the unit as unfinished, and the next work() reruns it."""
         spec = small_spec(workloads=("square",))
         work_dir = tmp_path / "wd"
         units = scatter(spec, work_dir, workers=2)
-        claim = work_dir / "results" / "unit-0000.json.claim"
+        cache = work_dir_cache(work_dir)
+        claim = cache._claim_path(units[0].key)
+        claim.parent.mkdir(parents=True)
         claim.write_bytes(b'{"token": "\xff"}')
         assert work(work_dir) == len(units)
-        result = work_dir / "results" / "unit-0000.json"
+        result = cache._path(units[0].key)
         result.write_bytes(b'{"cells": "\xff"}')
         with pytest.raises(CacheError, match=r"\[0\]"):
             gather(work_dir)
@@ -583,24 +618,85 @@ class TestScatterWorkGather:
         assert work(work_dir) == len(units) - 1
 
     def test_workers_share_cells_through_cache(self, tmp_path):
-        # Two scattered sweeps over the same work dir: the second's
-        # cells are all served from the shared cache, not recomputed.
+        # The same cells scattered again in other units: the new units
+        # run, and every cell is served from the shared cache.
         spec = small_spec(workloads=("square",))
         work_dir = tmp_path / "wd"
         scatter(spec, work_dir, workers=1)
         work(work_dir)
-        result_files = sorted(
-            (work_dir / "results").glob("unit-*.json"))
-        first_docs = [json.loads(p.read_text()) for p in result_files]
-        assert any(cell["how"] == "run"
-                   for doc in first_docs for cell in doc["cells"])
-        for path in list((work_dir / "results").iterdir()):
-            path.unlink()
+        assert gather(work_dir).report.executed == spec.num_jobs
+        units = scatter(spec, work_dir, batch_size=spec.num_jobs)
+        assert work(work_dir) == len(units) == 1
+        report = gather(work_dir).report
+        assert (report.executed, report.cache_hits) == (0, spec.num_jobs)
+
+    def test_rescattering_another_spec_gathers_it(self, tmp_path):
+        """A used work directory takes a new spec: its units are new
+        keys, so work() runs them and gather() returns the new spec's
+        results, not the old one's."""
+        work_dir = tmp_path / "wd"
+        scatter(small_spec(workloads=("square",)), work_dir, workers=2)
         work(work_dir)
-        second_docs = [json.loads(p.read_text()) for p in sorted(
-            (work_dir / "results").glob("unit-*.json"))]
-        assert all(cell["how"] != "run"
-                   for doc in second_docs for cell in doc["cells"])
+        spec = small_spec(workloads=("bfs",))
+        units = scatter(spec, work_dir, workers=2)
+        assert work(work_dir) == len(units)
+        assert gather(work_dir).to_dicts() == \
+            SweepRunner().run(spec).to_dicts()
+
+    def test_a_unit_that_raises_leaves_no_claim(self, tmp_path,
+                                                monkeypatch):
+        from repro.engine import dist
+
+        spec = small_spec(workloads=("square",))
+        work_dir = tmp_path / "wd"
+        units = scatter(spec, work_dir, workers=2)
+        execute = dist._execute_unit
+
+        def failing(unit, cache):
+            raise RuntimeError(f"unit {unit.index} failed")
+
+        monkeypatch.setattr(dist, "_execute_unit", failing)
+        with pytest.raises(RuntimeError, match="unit 0 failed"):
+            work(work_dir)
+        assert work_dir_cache(work_dir).claimed_keys() == []
+        monkeypatch.setattr(dist, "_execute_unit", execute)
+        assert work(work_dir) == len(units)
+        assert gather(work_dir).to_dicts() == \
+            SweepRunner().run(spec).to_dicts()
+
+    @pytest.mark.skipif(not _fork_available(), reason="needs fork")
+    def test_two_work_processes_run_each_unit_once(self, tmp_path,
+                                                   monkeypatch):
+        from repro.engine import dist
+
+        spec = small_spec()
+        work_dir = tmp_path / "wd"
+        units = scatter(spec, work_dir, batch_size=1)
+        ran = tmp_path / "ran.log"
+        execute = dist._execute_unit
+
+        def logged(unit, cache):
+            _append_line(ran, unit.key)
+            return execute(unit, cache)
+
+        # The processes fork after this patch, so they run it.
+        monkeypatch.setattr(dist, "_execute_unit", logged)
+        ctx = multiprocessing.get_context("fork")
+        barrier = ctx.Barrier(2)
+        counts = tmp_path / "counts.log"
+        procs = [ctx.Process(target=_work_loop,
+                             args=(work_dir, barrier, str(counts)))
+                 for _ in range(2)]
+        for proc in procs:
+            proc.start()
+        for proc in procs:
+            proc.join(timeout=60)
+        assert [proc.exitcode for proc in procs] == [0, 0]
+        assert sorted(_lines(ran)) == sorted(unit.key for unit in units)
+        assert sum(map(int, _lines(counts))) == len(units)
+        gathered = gather(work_dir)
+        assert gathered.to_dicts() == SweepRunner().run(spec).to_dicts()
+        assert gathered.report.executed == spec.num_jobs
 
 
 class TestApiIntegration:

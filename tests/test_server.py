@@ -308,6 +308,9 @@ class TestServerEndToEnd:
                        jobs=1, cache=False)
         assert (json.dumps(served["results"], sort_keys=True)
                 == json.dumps(direct.to_dicts(), sort_keys=True))
+        # Each computed cell's cache miss counts once in the job's body.
+        assert (served["cache"]["misses"], served["cache"]["stores"]) == \
+            (2, 2)
 
     def test_over_quota_sheds_429_with_retry_after(self, tmp_path):
         async def scenario():
