@@ -31,8 +31,8 @@ invariants CPElide is built on, at cache-line granularity:
 * **Run-end flush completeness** — a whole-cache release executed at
   run end leaves its L2 with zero dirty lines.
 
-The sanitizer only *reads* simulator state (LRU orders, stats and
-placement decisions are never perturbed), so a checked run produces
+The sanitizer only *reads* simulator state (LRU orders and placement
+decisions are never perturbed), so a checked run produces
 bit-identical results to an unchecked one — the differential tests rely
 on this. Enable it per-config with ``GPUConfig.check_invariants=True``
 or globally with ``REPRO_CHECK=1``.

@@ -192,11 +192,13 @@ class CoherenceProtocol(abc.ABC):
     # ---- memoization support (src/repro/gpu/memo.py) -------------------
     #
     # The memo trace path keys kernel outcomes on pre-state digests and
-    # replays recorded deltas on a hit. A protocol exposes its *behavioral*
-    # state through `memo_digest`/`memo_snapshot`/`memo_restore` and its
-    # *cumulative diagnostic* counters through the counter hooks. The
-    # defaults model a stateless protocol (Baseline/NoSync/Monolithic keep
-    # everything in the device, which the memo layer handles itself).
+    # replays recorded transitions on a hit. A protocol exposes its
+    # *behavioral* state through `memo_digest`/`memo_snapshot`/
+    # `memo_restore`, and through the counter hooks the counters that
+    # state leaves out but something reads (CPElide's launch count and
+    # its table's peak occupancy and overflows). The defaults model a
+    # stateless protocol (Baseline/NoSync/Monolithic keep everything in
+    # the device, which the memo layer handles itself).
 
     def memo_key_flags(self) -> tuple:
         """Protocol-internal facts (beyond digested state) that change a
@@ -216,12 +218,12 @@ class CoherenceProtocol(abc.ABC):
         """Restore a :meth:`memo_snapshot` (no-op for stateless)."""
 
     def memo_counters_begin(self):
-        """Token capturing cumulative diagnostic counters before a
-        recorded kernel (paired with :meth:`memo_counters_end`)."""
+        """Token capturing the protocol's counters before a recorded
+        kernel (paired with :meth:`memo_counters_end`)."""
         return None
 
     def memo_counters_end(self, token):
-        """Delta of the diagnostic counters since ``token``."""
+        """The kernel's change to the counters since ``token``."""
         return None
 
     def memo_counters_apply(self, delta) -> None:

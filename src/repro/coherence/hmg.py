@@ -57,7 +57,6 @@ class L2Directory:
             raise ValueError(f"num_entries must be positive, got {num_entries}")
         self.num_entries = num_entries
         self._entries: "OrderedDict[int, DirectoryEntry]" = OrderedDict()
-        self.evictions = 0
 
     @staticmethod
     def region_of(line: int) -> int:
@@ -87,7 +86,6 @@ class L2Directory:
         if entry is None:
             if len(self._entries) >= self.num_entries:
                 evicted = self._entries.popitem(last=False)
-                self.evictions += 1
             entry = DirectoryEntry()
             self._entries[region] = entry
         else:
@@ -124,7 +122,7 @@ class L2Directory:
 
     def memo_restore(self, state: tuple) -> None:
         """Rebuild entries (fresh objects, preserved LRU order) from a
-        :meth:`memo_state`. The ``evictions`` counter is left alone."""
+        :meth:`memo_state`."""
         self._entries = OrderedDict(
             (region, DirectoryEntry(sharers=set(sharers), owner=owner))
             for region, sharers, owner in state)
@@ -183,17 +181,6 @@ class HMGProtocol(CoherenceProtocol):
     def memo_restore(self, snapshot) -> None:
         for directory, state in zip(self.directories, snapshot):
             directory.memo_restore(state)
-
-    def memo_counters_begin(self):
-        return tuple(d.evictions for d in self.directories)
-
-    def memo_counters_end(self, token):
-        return tuple(d.evictions - before
-                     for d, before in zip(self.directories, token))
-
-    def memo_counters_apply(self, delta) -> None:
-        for directory, diff in zip(self.directories, delta):
-            directory.evictions += diff
 
     # ---- demand access path ----------------------------------------------------
 

@@ -49,7 +49,6 @@ class SoftwareQueue:
     def __init__(self, stream_id: int) -> None:
         self.stream_id = stream_id
         self._ring: Deque[SoftwarePacket] = deque()
-        self.doorbell_rings = 0
 
     def push(self, packet: SoftwarePacket) -> None:
         """Write one packet into the ring."""
@@ -57,7 +56,6 @@ class SoftwareQueue:
 
     def ring_doorbell(self) -> List[SoftwarePacket]:
         """Signal the CP: hand over everything written so far."""
-        self.doorbell_rings += 1
         drained = list(self._ring)
         self._ring.clear()
         return drained
@@ -81,7 +79,7 @@ class GPUDriver:
     def __init__(self, config: "GPUConfig") -> None:
         self.config = config
         self._queues: Dict[int, SoftwareQueue] = {}
-        self._next_kernel_id = 0
+        #: Kernels enqueued so far, which is also the next one's id.
         self.kernels_enqueued = 0
 
     def queue_for_stream(self, stream_id: int) -> SoftwareQueue:
@@ -95,8 +93,7 @@ class GPUDriver:
     def enqueue_kernel(self, kernel: Kernel) -> KernelPacket:
         """Build the kernel's packet and enqueue it on its stream."""
         num_logical = self._expected_logical(kernel)
-        packet = kernel.packet(self._next_kernel_id, num_logical)
-        self._next_kernel_id += 1
+        packet = kernel.packet(self.kernels_enqueued, num_logical)
         self.kernels_enqueued += 1
         self.queue_for_stream(kernel.stream_id).push(
             SoftwarePacket(PacketKind.KERNEL_DISPATCH, kernel=packet))

@@ -77,7 +77,6 @@ class LocalCP:
     def __init__(self, chiplet_id: int, device: "Device") -> None:
         self.chiplet_id = chiplet_id
         self.device = device
-        self.ops_executed = 0
 
     def execute(self, op: SyncOp, boundary: str = "launch") -> SyncAck:
         """Execute ``op`` on this chiplet's L2 and return the ACK.
@@ -89,7 +88,6 @@ class LocalCP:
         if op.chiplet != self.chiplet_id:
             raise ValueError(
                 f"op for chiplet {op.chiplet} routed to local CP {self.chiplet_id}")
-        self.ops_executed += 1
         if op.kind is SyncOpKind.RELEASE:
             if op.ranges is not None:
                 flushed = self.device.flush_l2_ranges(self.chiplet_id, op.ranges)

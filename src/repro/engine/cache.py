@@ -269,10 +269,10 @@ class SharedResultCache:
         """Return the cached result payload for ``job``, or ``None``;
         counted as a hit or a miss.
 
-        A present entry that does not decode, or whose salt does not
-        match the current code version, is *invalidated* (see
-        :meth:`_peek`) and reported as a miss so the caller recomputes
-        it.
+        A present entry that does not decode to a stored document (a
+        JSON object with a ``result``), or whose salt does not match the
+        current code version, is *invalidated* (see :meth:`_peek`) and
+        reported as a miss so the caller recomputes it.
         """
         payload = self._peek(job)
         if payload is None:
@@ -283,8 +283,9 @@ class SharedResultCache:
 
     def _peek(self, job: Keyed) -> Optional[Any]:
         """Like :meth:`load` but without touching the hit/miss counters
-        (the claim/wait paths do their own accounting). An unreadable
-        or stale entry is counted as an invalidation and deleted."""
+        (the claim/wait paths do their own accounting). An unreadable,
+        malformed or stale entry is counted as an invalidation and
+        deleted."""
         path = self._path(job.key)
         try:
             document = json.loads(path.read_bytes())
@@ -296,7 +297,11 @@ class SharedResultCache:
             self.stats.invalidations += 1
             path.unlink(missing_ok=True)
             return None
-        if document.get("salt") != self.salt:
+        if (not isinstance(document, dict) or "result" not in document
+                or document.get("salt") != self.salt):
+            # Valid JSON but not a stored document (a list, a string, an
+            # object without a result), or written by another code
+            # version: drop it and recompute.
             self.stats.invalidations += 1
             path.unlink(missing_ok=True)
             return None

@@ -1,8 +1,12 @@
-"""One GPU chiplet: CUs, L1 filter, LDS, shared L2, local CP.
+"""One GPU chiplet: CUs and their shared L2.
 
 Each chiplet has dedicated CUs, each with a private L1 cache and LDS, plus
 an L2 shared across the chiplet's CUs (Sec. II-A, Fig. 3 breakout). The
-chiplet object groups the per-chiplet hardware the device instantiates.
+L2 is the chiplet's only simulated state: the device's L1 filter stands
+in for the L1s, an LDS access is counted per kernel
+(``AccessCounts.lds_accesses``) with the LDS size and latency taken from
+:class:`~repro.gpu.config.GPUConfig`, and the device holds each
+chiplet's local CP.
 """
 
 from __future__ import annotations
@@ -10,7 +14,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.memory.cache import SetAssocCache, WritePolicy
-from repro.memory.lds import LocalDataShare
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only imports
     from repro.gpu.config import GPUConfig
@@ -30,8 +33,6 @@ class Chiplet:
             policy=l2_policy,
             name=f"L2[{chiplet_id}]",
         )
-        self.lds = LocalDataShare(size_bytes=config.lds_size,
-                                  latency_cycles=config.lds_latency)
 
     @property
     def num_cus(self) -> int:

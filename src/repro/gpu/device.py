@@ -1,10 +1,13 @@
-"""The MCM-GPU device: chiplets, shared L3, DRAM, home map, meters.
+"""The MCM-GPU device: chiplets, shared L3, home map, meters.
 
 The device owns all hardware state and the per-kernel measurement context
 (one :class:`~repro.interconnect.noc.TrafficMeter` plus per-chiplet
 :class:`~repro.metrics.stats.AccessCounts`). Coherence protocols route
 accesses through the helpers here; the helpers do all traffic/energy-
-relevant accounting so protocols stay declarative.
+relevant accounting so protocols stay declarative. HBM holds no state
+of its own: each L3 miss, dirty L3 victim and write-through to memory
+is counted once, in the current kernel's ``dram_reads``/``dram_writes``
+of the chiplet it is charged to.
 """
 
 from __future__ import annotations
@@ -12,11 +15,9 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from repro.interconnect.crossbar import CPCrossbar
-from repro.interconnect.links import InterChipletLinks
 from repro.interconnect.noc import TrafficMeter
 from repro.memory.address import HomeMap
 from repro.memory.cache import BulkResult, SetAssocCache, WritePolicy
-from repro.memory.dram import DRAMModel
 from repro.memory.l1 import L1Filter
 from repro.memory.translation import AddressTranslator
 from repro.metrics.stats import AccessCounts
@@ -47,20 +48,11 @@ class Device:
             policy=WritePolicy.WRITE_BACK,
             name="L3",
         )
-        self.dram = DRAMModel(
-            num_stacks=config.num_chiplets,
-            latency_cycles=config.dram_latency,
-            bandwidth_bytes_per_sec=config.dram_bandwidth_per_stack,
-        )
         self.home_map = HomeMap(config.num_chiplets,
                                 lines_per_page=config.scaled_page_lines)
         self.l1_filter = L1Filter(config.l1_repeat_hit_rate)
         self.cp_xbar = CPCrossbar(config.cp_xbar_unicast_cycles,
                                   config.cp_xbar_broadcast_cycles)
-        self.links = InterChipletLinks(
-            total_bandwidth_bytes_per_sec=config.inter_chiplet_bandwidth,
-            extra_latency_cycles=config.l2_remote_latency - config.l2_local_latency,
-        )
         self.local_cps: List[LocalCP] = [
             LocalCP(i, self) for i in range(config.num_chiplets)
         ]
@@ -125,7 +117,6 @@ class Device:
         else:
             counts.l3_misses += 1
             counts.dram_reads += 1
-            self.dram.record_read(self._stack_of(line))
         self._absorb_l3_eviction(requester, evicted)
 
     def l3_write(self, requester: int, line: int,
@@ -140,7 +131,6 @@ class Device:
         _, evicted = self.l3.access(line, is_write=not through_to_dram)
         if through_to_dram:
             counts.dram_writes += 1
-            self.dram.record_write(self._stack_of(line))
         self._absorb_l3_eviction(requester, evicted)
 
     def writeback_line(self, chiplet: int, line: int) -> None:
@@ -152,11 +142,6 @@ class Device:
     def _absorb_l3_eviction(self, requester: int, evicted) -> None:
         if evicted is not None and evicted.dirty:
             self.counts[requester].dram_writes += 1
-            self.dram.record_write(self._stack_of(evicted.line))
-
-    def _stack_of(self, line: int) -> int:
-        home = self.home_map.peek_home_of_line(line)
-        return home if home is not None else 0
 
     # ------------------------------------------------------------------
     # Bulk (run) L3 / DRAM paths
@@ -188,19 +173,8 @@ class Device:
         counts.l3_hits += res.hits
         counts.l3_misses += len(missed)
         counts.dram_reads += len(missed)
-        if missed:
-            for stack, n in self.home_map.home_histogram(missed).items():
-                self.dram.record_read(stack, n)
-        if res.evictions:
-            access_devs = [ev.line for ev in res.evictions]
-            counts.dram_writes += len(access_devs)
-            for stack, n in self.home_map.home_histogram(access_devs).items():
-                self.dram.record_write(stack, n)
-        if res.fill_evictions:
-            fill_devs = [ev.line for ev in res.fill_evictions]
-            self.counts[wb_chiplet].dram_writes += len(fill_devs)
-            for stack, n in self.home_map.home_histogram(fill_devs).items():
-                self.dram.record_write(stack, n)
+        counts.dram_writes += len(res.evictions)
+        self.counts[wb_chiplet].dram_writes += len(res.fill_evictions)
         self.traffic.l2_request(len(events))
         self.traffic.l2_data(len(events) + res.writebacks)
 
@@ -211,7 +185,7 @@ class Device:
         Only valid when the caller knows every line in the run missed the
         L2 with no victim writebacks interleaved (a ``uniform_miss`` run
         result) — then the L3 sees the plain ascending run and can itself
-        be accessed in bulk; below the L3 only order-free DRAM counters
+        be accessed in bulk; below the L3 only order-free DRAM counts
         remain.
         """
         counts = self.counts[requester]
@@ -222,13 +196,7 @@ class Device:
         counts.l3_hits += res.hits
         counts.l3_misses += res.misses
         counts.dram_reads += res.misses
-        if res.uniform_miss:
-            self._record_dram_reads_run(start, count)
-        elif res.events:
-            hist = self.home_map.home_histogram(
-                line for line, _, _ in res.events)
-            for stack, n in hist.items():
-                self.dram.record_read(stack, n)
+        if res.events:
             self._absorb_l3_victims(requester, res.events)
 
     def l3_write_run(self, requester: int, start: int, count: int) -> None:
@@ -249,14 +217,13 @@ class Device:
         L2 (``loads`` is that L2's load+store result; ``None`` for a
         store-only segment), then an :meth:`l3_write` through to DRAM.
         Both are L3 reads and the second hits the line the first just
-        placed, so one ascending L3 read sweep leaves the same L3 state;
-        each fetched line's second access is added as a read hit. The
-        segment's lines share one home and so one DRAM stack.
+        placed, so one ascending L3 read sweep leaves the same L3 state,
+        and the per-kernel counts are those of the fetches plus one DRAM
+        write per line.
         """
         counts = self.counts[requester]
-        l3 = self.l3
-        res = l3.bulk_access(start=start, count=count, load=True,
-                             store=False)
+        res = self.l3.bulk_access(start=start, count=count, load=True,
+                                  store=False)
         if loads is None or not loads.misses:
             fetched = fetched_misses = 0
         elif loads.uniform_miss:
@@ -271,19 +238,13 @@ class Device:
                                      for line, _, _ in loads.events)
             else:
                 fetched_misses = 0
-        stack = self._stack_of(start)
         if fetched:
-            l3.stats.hits += fetched
-            l3.stats.read_hits += fetched
             counts.l3_hits += fetched - fetched_misses
             counts.l3_misses += fetched_misses
             counts.dram_reads += fetched_misses
-            if fetched_misses:
-                self.dram.record_read(stack, fetched_misses)
             self.traffic.l2_request(fetched)
         self.traffic.l2_data(fetched + count)
         counts.dram_writes += count
-        self.dram.record_write(stack, count)
         if res.events:
             self._absorb_l3_victims(requester, res.events)
 
@@ -294,20 +255,6 @@ class Device:
                    if victim_dirty]
         if victims:
             self.counts[requester].dram_writes += len(victims)
-            for stack, n in self.home_map.home_histogram(victims).items():
-                self.dram.record_write(stack, n)
-
-    def _record_dram_reads_run(self, start: int, count: int) -> None:
-        """Per-stack DRAM read accounting for a whole run (page-wise:
-        every line of a page shares its home stack)."""
-        lpp = self.home_map.lines_per_page
-        pos = start
-        end = start + count
-        record_read = self.dram.record_read
-        while pos < end:
-            page_end = min(end, (pos // lpp + 1) * lpp)
-            record_read(self._stack_of(pos), page_end - pos)
-            pos = page_end
 
     # ------------------------------------------------------------------
     # Whole-cache synchronization (implicit acquire / release)
@@ -338,9 +285,6 @@ class Device:
         dirty_victims = [ev.line for ev in fills.evictions if ev.dirty]
         if dirty_victims:
             self.counts[chiplet].dram_writes += len(dirty_victims)
-            for stack, n in self.home_map.home_histogram(
-                    dirty_victims).items():
-                self.dram.record_write(stack, n)
         self.traffic.l2_data(len(lines))
 
     def flush_l2_ranges(self, chiplet: int,

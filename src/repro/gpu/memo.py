@@ -4,9 +4,10 @@ Iterative workloads (BFS/SSSP frontier loops, RNN timesteps,
 hotspot/srad/pathfinder sweeps) dispatch the same kernel packet dozens of
 times, and sweep harnesses re-simulate each (workload, protocol) cell per
 repeat. Because the simulator is deterministic, a kernel's entire outcome
-— the caches', table's, directories' and home map's post-state, every
-cumulative counter, and the :class:`~repro.metrics.stats.KernelMetrics`
-it produced — is a pure function of:
+— the caches', table's, directories' and home map's post-state, the
+protocol's behavioral counters, and the
+:class:`~repro.metrics.stats.KernelMetrics` it produced — is a pure
+function of:
 
 * the kernel (its packet contents, minus the dynamic ``kernel_id``),
 * the pre-kernel *behavioral state* of every stateful component,
@@ -16,12 +17,15 @@ it produced — is a pure function of:
 
 This module records that transition once (a *miss*) and replays it on
 every later occurrence (a *hit*) instead of re-walking the trace. The
-replay is exact: component states are restored from snapshots, cumulative
-diagnostics are advanced by recorded deltas, queue/driver bookkeeping is
-executed live (so kernel ids and round-robin state stay real), and the
-metrics object is rebuilt from its lossless dict form with the current
-kernel id patched in. ``tests/test_batched_equivalence.py`` holds the
-memo path bit-identical to the ``run`` path.
+replay is exact: component states are restored from snapshots, the
+protocol's counters (CPElide's launch count and table occupancy) are
+advanced by a recorded delta, queue/driver bookkeeping is executed live
+(so kernel ids and round-robin state stay real), and the metrics object
+is rebuilt from its lossless dict form with the current kernel id
+patched in. Every other count a result reports is per kernel and lives
+in the metrics, so nothing else needs a delta.
+``tests/test_batched_equivalence.py`` holds the memo path bit-identical
+to the ``run`` path.
 
 Kernels whose trace depends on the dynamic kernel id — RANDOM/INDIRECT
 arguments with a nonzero *roam* share draw from an RNG seeded with the
@@ -41,7 +45,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.workloads.base import PatternKind
 
@@ -60,15 +64,13 @@ class MemoEntry:
     """One recorded kernel transition.
 
     Per-component snapshot slots are ``None`` when the component's
-    digest did not change across the kernel (nothing to restore);
-    counter-delta slots are ``None`` when the delta is all-zero.
+    digest did not change across the kernel (nothing to restore).
     """
 
     __slots__ = (
-        "post_digests", "cache_snapshots", "cache_stat_deltas",
-        "dram_delta", "home_journal", "lds_delta", "local_cp_delta",
-        "translations_delta", "proto_snapshot", "proto_counter_delta",
-        "sched_snapshot", "metrics", "trace_lines",
+        "post_digests", "cache_snapshots", "home_journal",
+        "proto_snapshot", "proto_counter_delta", "sched_snapshot",
+        "metrics", "trace_lines",
     )
 
     #: Component digests after the kernel, in the same order the key's
@@ -76,21 +78,11 @@ class MemoEntry:
     post_digests: Tuple[bytes, ...]
     #: Per cache (L2s then L3): immutable snapshot or ``None``.
     cache_snapshots: Tuple[Optional[tuple], ...]
-    #: Per cache: :class:`CacheStats` counter delta or ``None``.
-    cache_stat_deltas: Tuple[Optional[Tuple[int, ...]], ...]
-    #: ``(per-stack read deltas, per-stack write deltas)`` or ``None``.
-    dram_delta: Optional[Tuple[Tuple[int, ...], Tuple[int, ...]]]
     #: First-touch page assignments the kernel made, in order.
     home_journal: Tuple[Tuple[int, int], ...]
-    #: Per-chiplet LDS access-count deltas, or ``None``.
-    lds_delta: Optional[Tuple[int, ...]]
-    #: Per-chiplet local-CP ops-executed deltas, or ``None``.
-    local_cp_delta: Optional[Tuple[int, ...]]
-    #: Address-translator translation-count delta.
-    translations_delta: int
     #: Protocol behavioral snapshot (table rows, directories) or ``None``.
     proto_snapshot: Optional[object]
-    #: Protocol cumulative-counter delta (opaque to this layer).
+    #: Protocol counter delta (opaque to this layer).
     proto_counter_delta: Optional[object]
     #: Locality-scheduler affinity snapshot or ``None``.
     sched_snapshot: Optional[object]
@@ -102,14 +94,9 @@ class MemoEntry:
 
 @dataclass
 class _PreState:
-    """Counter baselines captured on a miss before the kernel runs."""
+    """What a miss captures before the kernel runs."""
 
     digests: Tuple[bytes, ...]
-    cache_stats: List[Tuple[int, ...]]
-    dram: Tuple[Tuple[int, ...], Tuple[int, ...]]
-    lds: Tuple[int, ...]
-    local_cp: Tuple[int, ...]
-    translations: int
     proto_token: object
 
 
@@ -282,26 +269,20 @@ class KernelMemoizer:
     # -- miss: capture --------------------------------------------------
 
     def begin_capture(self) -> _PreState:
-        """Snapshot counter baselines and arm journals, immediately
-        before the recorded kernel's first side effect. Brings the live
-        state current first — the kernel is about to really run."""
+        """Take the protocol's counter baseline and arm the home-map
+        journal, immediately before the recorded kernel's first side
+        effect. Brings the live state current first — the kernel is
+        about to really run."""
         self.flush_pending()
-        device = self.device
-        device.home_map.memo_begin_journal()
+        self.device.home_map.memo_begin_journal()
         return _PreState(
             digests=self._digests,
-            cache_stats=[c.stats.counter_tuple() for c in self.caches],
-            dram=(tuple(device.dram.reads), tuple(device.dram.writes)),
-            lds=tuple(ch.lds.accesses for ch in device.chiplets),
-            local_cp=tuple(cp.ops_executed for cp in device.local_cps),
-            translations=device.translator.translations,
             proto_token=self.protocol.memo_counters_begin(),
         )
 
     def end_capture(self, key: tuple, pre: _PreState, km,
                     trace_lines: int) -> None:
         """Record the completed kernel's transition under ``key``."""
-        device = self.device
         store = self.store
         post = self._compute_digests()
         ncaches = len(self.caches)
@@ -311,25 +292,6 @@ class KernelMemoizer:
             else store.intern_snapshot(i, post[i],
                                        self.caches[i].memo_snapshot)
             for i in range(ncaches))
-        cache_stat_deltas = tuple(
-            delta if any(delta) else None
-            for delta in (cache.stats.delta_since(before)
-                          for cache, before in zip(self.caches,
-                                                   pre.cache_stats)))
-
-        reads_before, writes_before = pre.dram
-        read_delta = tuple(now - then for now, then
-                           in zip(device.dram.reads, reads_before))
-        write_delta = tuple(now - then for now, then
-                            in zip(device.dram.writes, writes_before))
-        dram_delta = ((read_delta, write_delta)
-                      if any(read_delta) or any(write_delta) else None)
-
-        lds_delta = tuple(ch.lds.accesses - then
-                          for ch, then in zip(device.chiplets, pre.lds))
-        local_cp_delta = tuple(cp.ops_executed - then
-                               for cp, then in zip(device.local_cps,
-                                                   pre.local_cp))
 
         proto_idx = ncaches + 1
         proto_snapshot = (None if post[proto_idx] == pre.digests[proto_idx]
@@ -346,14 +308,7 @@ class KernelMemoizer:
         entry = MemoEntry(
             post_digests=post,
             cache_snapshots=cache_snapshots,
-            cache_stat_deltas=cache_stat_deltas,
-            dram_delta=dram_delta,
-            home_journal=device.home_map.memo_take_journal(),
-            lds_delta=lds_delta if any(lds_delta) else None,
-            local_cp_delta=(local_cp_delta if any(local_cp_delta)
-                            else None),
-            translations_delta=(device.translator.translations
-                                - pre.translations),
+            home_journal=self.device.home_map.memo_take_journal(),
             proto_snapshot=proto_snapshot,
             proto_counter_delta=self.protocol.memo_counters_end(
                 pre.proto_token),
@@ -378,7 +333,6 @@ class KernelMemoizer:
         """
         from repro.metrics.stats import KernelMetrics
 
-        device = self.device
         packet = self.driver.enqueue_kernel(kernel)
         self.driver.submit(self.global_cp)
         popped = self.global_cp.queue_scheduler.next_kernel()
@@ -388,26 +342,7 @@ class KernelMemoizer:
         for slot, snapshot in enumerate(entry.cache_snapshots):
             if snapshot is not None:
                 self._pending[slot] = snapshot
-        for cache, delta in zip(self.caches, entry.cache_stat_deltas):
-            if delta is not None:
-                cache.stats.apply_delta(delta)
-        if entry.dram_delta is not None:
-            read_delta, write_delta = entry.dram_delta
-            reads = device.dram.reads
-            writes = device.dram.writes
-            for stack, diff in enumerate(read_delta):
-                reads[stack] += diff
-            for stack, diff in enumerate(write_delta):
-                writes[stack] += diff
-        device.home_map.memo_apply_journal(entry.home_journal)
-        if entry.lds_delta is not None:
-            for chiplet, diff in zip(device.chiplets, entry.lds_delta):
-                chiplet.lds.accesses += diff
-        if entry.local_cp_delta is not None:
-            for local_cp, diff in zip(device.local_cps,
-                                      entry.local_cp_delta):
-                local_cp.ops_executed += diff
-        device.translator.translations += entry.translations_delta
+        self.device.home_map.memo_apply_journal(entry.home_journal)
 
         if entry.proto_snapshot is not None:
             self._pending[self._proto_slot] = entry.proto_snapshot

@@ -539,7 +539,6 @@ class Simulator:
                 amounts[i] += 1
         for chiplet, amount in zip(placement.chiplets, amounts):
             device.counts[chiplet].lds_accesses += amount
-            device.chiplets[chiplet].lds.record(amount)
 
     # ------------------------------------------------------------------
 

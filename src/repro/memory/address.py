@@ -266,26 +266,6 @@ class HomeMap:
             self._segments_cache[(start, end)] = segs
         return segs
 
-    def home_histogram(self, lines, default: int = 0) -> Dict[int, int]:
-        """Count an iterable of lines by home chiplet, without assigning
-        homes (unplaced pages count toward ``default``). Used to batch
-        per-stack DRAM accounting over bulk miss/victim streams."""
-        lpp = self.lines_per_page
-        get = self._homes.get
-        out: Dict[int, int] = {}
-        cur_page = -1
-        cur_home = default
-        for line in lines:
-            page = line // lpp
-            if page != cur_page:
-                # Miss/victim streams are page-local; reuse the last
-                # page's lookup instead of probing per line.
-                cur_page = page
-                home = get(page)
-                cur_home = default if home is None else home
-            out[cur_home] = out.get(cur_home, 0) + 1
-        return out
-
     # ------------------------------------------------------------------
     # Memoization support (incremental digest + assignment journal)
     # ------------------------------------------------------------------

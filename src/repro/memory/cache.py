@@ -26,7 +26,12 @@ inlines a read ``access`` plus the dirty victim's ``fill`` per event.
 ``bulk_flush`` and ``bulk_invalidate`` over a range stay loops over
 ``flush_line`` and ``invalidate_line``. Either way the behaviour a bulk
 op defines (residency, dirty flags, LRU order within a set, set-creation
-order, stats) is exactly that of the per-line calls.
+order, and what it returns) is exactly that of the per-line calls.
+
+A cache keeps no event counters of its own: what the timing, energy
+and traffic models read is counted per kernel by the device
+(:class:`~repro.metrics.stats.AccessCounts`) from what these methods
+return.
 """
 
 from __future__ import annotations
@@ -44,50 +49,6 @@ class WritePolicy(enum.Enum):
 
     WRITE_BACK = "write_back"
     WRITE_THROUGH = "write_through"
-
-
-@dataclass
-class CacheStats:
-    """Per-cache event counters."""
-
-    hits: int = 0
-    misses: int = 0
-    read_hits: int = 0
-    read_misses: int = 0
-    write_hits: int = 0
-    write_misses: int = 0
-    evictions: int = 0
-    dirty_evictions: int = 0
-    lines_flushed: int = 0
-    lines_invalidated: int = 0
-    flush_ops: int = 0
-    invalidate_ops: int = 0
-
-    def merge(self, other: "CacheStats") -> None:
-        """Accumulate ``other`` into ``self``."""
-        for name in self.__dataclass_fields__:
-            setattr(self, name, getattr(self, name) + getattr(other, name))
-
-    def counter_tuple(self) -> Tuple[int, ...]:
-        """The counters as a flat tuple, in field order.
-
-        The memoization layer records a kernel's contribution as the
-        difference of two of these tuples and replays it with
-        :meth:`apply_delta`.
-        """
-        return tuple(getattr(self, name) for name in self.__dataclass_fields__)
-
-    def delta_since(self, before: Tuple[int, ...]) -> Tuple[int, ...]:
-        """Per-field difference between the current counters and a
-        :meth:`counter_tuple` taken earlier."""
-        return tuple(now - then
-                     for now, then in zip(self.counter_tuple(), before))
-
-    def apply_delta(self, delta: Tuple[int, ...]) -> None:
-        """Add a :meth:`delta_since` tuple onto the counters."""
-        for name, diff in zip(self.__dataclass_fields__, delta):
-            if diff:
-                setattr(self, name, getattr(self, name) + diff)
 
 
 class Eviction(NamedTuple):
@@ -170,7 +131,6 @@ class SetAssocCache:
         self.line_size = line_size
         self.policy = policy
         self.name = name
-        self.stats = CacheStats()
         # set index -> OrderedDict mapping line -> dirty flag (LRU order:
         # least recently used first).
         self._sets: Dict[int, "OrderedDict[int, bool]"] = {}
@@ -197,7 +157,7 @@ class SetAssocCache:
     def run_fully_resident(self, start: int, count: int) -> bool:
         """Whether every line in ``[start, start + count)`` is resident.
 
-        A pure residency probe (no LRU refresh, no stats) the protocols
+        A pure residency probe (no LRU refresh) the protocols
         use to prove a :meth:`bulk_access` will be all-hit before
         committing to it.
         """
@@ -223,25 +183,10 @@ class SetAssocCache:
             if len(cset) >= self.assoc:
                 victim, victim_dirty = cset.popitem(last=False)
                 evicted = Eviction(victim, victim_dirty)
-                self.stats.evictions += 1
-                if victim_dirty:
-                    self.stats.dirty_evictions += 1
             new_dirty = is_write and self.policy is WritePolicy.WRITE_BACK
             if evicted is None:
                 self._resident += 1
         cset[line] = new_dirty
-        if hit:
-            self.stats.hits += 1
-            if is_write:
-                self.stats.write_hits += 1
-            else:
-                self.stats.read_hits += 1
-        else:
-            self.stats.misses += 1
-            if is_write:
-                self.stats.write_misses += 1
-            else:
-                self.stats.read_misses += 1
         return hit, evicted
 
     def fill(self, line: int, dirty: bool = False) -> Optional[Eviction]:
@@ -254,9 +199,6 @@ class SetAssocCache:
             if len(cset) >= self.assoc:
                 victim, victim_dirty = cset.popitem(last=False)
                 evicted = Eviction(victim, victim_dirty)
-                self.stats.evictions += 1
-                if victim_dirty:
-                    self.stats.dirty_evictions += 1
             else:
                 self._resident += 1
         cset[line] = dirty or bool(prev)
@@ -289,20 +231,20 @@ class SetAssocCache:
             return BulkResult(events=[])
         if not (load or store):
             raise ValueError("bulk_access requires load and/or store")
-        return self._access_run(start, count, load, store)
+        return self._access_run(start, count, store)
 
-    def _access_run(self, start: int, count: int, load: bool,
+    def _access_run(self, start: int, count: int,
                     store: bool) -> BulkResult:
         # `access` inlined: a hit re-inserts the line at the MRU end, a
         # miss pops the LRU victim of a full set first. Of a load+store
         # pair the store hits the line the load just placed, so the pair
-        # leaves the dirty flag a lone store would; only the stats tell
-        # the two apart, and they are added once for the whole run.
+        # leaves the dirty flag a lone store would, and the run's result
+        # is that of its first accesses.
         sets = self._sets
         num_sets = self.num_sets
         assoc = self.assoc
         store_dirty = store and self.policy is WritePolicy.WRITE_BACK
-        hits = evictions = dirty_evictions = 0
+        hits = evictions = 0
         events: List[Tuple[int, Optional[int], bool]] = []
         append = events.append
         for line in range(start, start + count):
@@ -317,28 +259,12 @@ class SetAssocCache:
             if len(cset) >= assoc:
                 victim, victim_dirty = cset.popitem(last=False)
                 evictions += 1
-                dirty_evictions += victim_dirty
                 append((line, victim, victim_dirty))
             else:
                 append((line, None, False))
             cset[line] = store_dirty
         misses = count - hits
-        stats = self.stats
-        stats.evictions += evictions
-        stats.dirty_evictions += dirty_evictions
         self._resident += misses - evictions
-        if load:
-            stats.hits += hits
-            stats.read_hits += hits
-            stats.read_misses += misses
-            if store:
-                stats.hits += count
-                stats.write_hits += count
-        else:
-            stats.hits += hits
-            stats.write_hits += hits
-            stats.write_misses += misses
-        stats.misses += misses
         if hits == 0 and evictions == 0:
             return BulkResult(misses=count, uniform_miss=True)
         return BulkResult(hits=hits, misses=misses, events=events)
@@ -361,7 +287,7 @@ class SetAssocCache:
         dirty = bool(dirty)
         evictions: List[Eviction] = []
         append = evictions.append
-        added = dirty_evictions = 0
+        added = 0
         for line in lines:
             cset = sets.get(line % num_sets)
             if cset is None:
@@ -373,13 +299,9 @@ class SetAssocCache:
             if len(cset) >= assoc:
                 victim, victim_dirty = cset.popitem(last=False)
                 append(Eviction(victim, victim_dirty))
-                dirty_evictions += victim_dirty
             else:
                 added += 1
             cset[line] = dirty
-        stats = self.stats
-        stats.evictions += len(evictions)
-        stats.dirty_evictions += dirty_evictions
         self._resident += added
         return evictions
 
@@ -418,7 +340,7 @@ class SetAssocCache:
         missed: List[int] = []
         access_devs: List[int] = []
         fill_devs: List[int] = []
-        evictions = writebacks = added = 0
+        writebacks = added = 0
         for line, victim, victim_dirty in events:
             cset = sets.get(line % num_sets)
             if cset is None:
@@ -430,7 +352,6 @@ class SetAssocCache:
                 missed.append(line)
                 if len(cset) >= assoc:
                     out, out_dirty = cset.popitem(last=False)
-                    evictions += 1
                     if out_dirty:
                         access_devs.append(out)
                 else:
@@ -444,21 +365,11 @@ class SetAssocCache:
                 if cset.pop(victim, None) is None:
                     if len(cset) >= assoc:
                         out, out_dirty = cset.popitem(last=False)
-                        evictions += 1
                         if out_dirty:
                             fill_devs.append(out)
                     else:
                         added += 1
                 cset[victim] = True
-        misses = len(missed)
-        hits = len(events) - misses
-        stats = self.stats
-        stats.hits += hits
-        stats.read_hits += hits
-        stats.misses += misses
-        stats.read_misses += misses
-        stats.evictions += evictions
-        stats.dirty_evictions += len(access_devs) + len(fill_devs)
         self._resident += added
         return missed, access_devs, fill_devs, writebacks
 
@@ -536,8 +447,6 @@ class SetAssocCache:
             for line in dirty_here:
                 cset[line] = False
             flushed.extend(dirty_here)
-        self.stats.flush_ops += 1
-        self.stats.lines_flushed += len(flushed)
         return flushed
 
     def invalidate_all(self) -> Tuple[int, List[int]]:
@@ -553,8 +462,6 @@ class SetAssocCache:
             dropped += len(cset)
             cset.clear()
         self._resident = 0
-        self.stats.invalidate_ops += 1
-        self.stats.lines_invalidated += dropped
         return dropped, dirty_lines
 
     def invalidate_line(self, line: int) -> Tuple[bool, bool]:
@@ -566,7 +473,6 @@ class SetAssocCache:
         if dirty is None:
             return False, False
         self._resident -= 1
-        self.stats.lines_invalidated += 1
         return True, dirty
 
     def flush_line(self, line: int) -> bool:
@@ -578,7 +484,6 @@ class SetAssocCache:
         if cset is None or not cset.get(line, False):
             return False
         cset[line] = False
-        self.stats.lines_flushed += 1
         return True
 
     # ------------------------------------------------------------------
@@ -604,7 +509,7 @@ class SetAssocCache:
     def iter_lines(self):
         """Yield every resident ``(line, dirty)`` pair.
 
-        A pure read (no LRU refresh, no stats) — the sanitizer walks the
+        A pure read (no LRU refresh) — the sanitizer walks the
         caches between kernels and must not perturb replacement state.
         Callers must not mutate the cache while iterating.
         """
@@ -623,11 +528,10 @@ class SetAssocCache:
     # The *behavioral* cache state: which sets exist (in creation order —
     # `flush_dirty`/`invalidate_all` iterate `_sets` in that order, which
     # fixes writeback order and hence L3 fill order), each set's lines in
-    # LRU order, and their dirty flags. `CacheStats` is cumulative
-    # diagnostics, not behavior, so the memo trace path
-    # (src/repro/gpu/memo.py) carries it as a counter delta instead of
-    # keying on it. The differential oracle compares this state across
-    # trace paths.
+    # LRU order, and their dirty flags. This is all the state a cache
+    # has: the memo trace path (src/repro/gpu/memo.py) keys on its digest
+    # and restores its snapshot, and the differential oracle compares it
+    # across trace paths.
 
     def memo_state(self) -> tuple:
         """The behavioral state as an immutable canonical structure."""
@@ -666,8 +570,7 @@ class SetAssocCache:
 
         Copies the set dictionaries (plain dict insertion order
         reproduces the recorded creation order; each ``OrderedDict``
-        copy reproduces the recorded LRU order), leaving :attr:`stats`
-        alone — counters are replayed separately as deltas.
+        copy reproduces the recorded LRU order).
         """
         sets_state, resident = snapshot
         self._sets = {idx: cset.copy() for idx, cset in sets_state.items()}

@@ -64,9 +64,8 @@ class NumpyCacheCore(SetAssocCache):
     Implements the same public protocol (unified ``bulk_*`` API,
     per-line primitives, sync ops, memo state, digest and
     snapshot/restore hooks) on numpy matrices. Every
-    observable — residency, LRU victim order, dirty flags,
-    :class:`~repro.memory.cache.CacheStats`, event streams, writeback
-    order — is bit-identical to the dict reference.
+    observable — residency, LRU victim order, dirty flags, event
+    streams, writeback order — is bit-identical to the dict reference.
     """
 
     def __init__(self, size_bytes: int, assoc: int, line_size: int = 64,
@@ -103,9 +102,6 @@ class NumpyCacheCore(SetAssocCache):
         """Pick and clear the LRU victim of a full set ``idx``."""
         v = int(self._stamp[idx].argmin())
         ev = Eviction(int(self._tags[idx, v]), bool(self._dirty[idx, v]))
-        self.stats.evictions += 1
-        if ev.dirty:
-            self.stats.dirty_evictions += 1
         return v, ev
 
     # ------------------------------------------------------------------
@@ -128,7 +124,6 @@ class NumpyCacheCore(SetAssocCache):
                ) -> Tuple[bool, Optional[Eviction]]:
         idx = line % self.num_sets
         self._ensure_created(idx)
-        stats = self.stats
         w = self._way_of(idx, line)
         evicted = None
         if w >= 0:
@@ -148,18 +143,6 @@ class NumpyCacheCore(SetAssocCache):
                                    and self.policy is WritePolicy.WRITE_BACK)
         self._stamp[idx, w] = self._tick
         self._tick += 1
-        if hit:
-            stats.hits += 1
-            if is_write:
-                stats.write_hits += 1
-            else:
-                stats.read_hits += 1
-        else:
-            stats.misses += 1
-            if is_write:
-                stats.write_misses += 1
-            else:
-                stats.read_misses += 1
         return hit, evicted
 
     def fill(self, line: int, dirty: bool = False) -> Optional[Eviction]:
@@ -190,7 +173,6 @@ class NumpyCacheCore(SetAssocCache):
             return False, False
         dirty = bool(self._dirty[idx, w])
         self._drop_way(idx, w)
-        self.stats.lines_invalidated += 1
         return True, dirty
 
     def _drop_way(self, idx: int, w: int) -> None:
@@ -206,7 +188,6 @@ class NumpyCacheCore(SetAssocCache):
         if w < 0 or not self._dirty[idx, w]:
             return False
         self._dirty[idx, w] = False
-        self.stats.lines_flushed += 1
         return True
 
     # ------------------------------------------------------------------
@@ -219,7 +200,7 @@ class NumpyCacheCore(SetAssocCache):
         Semantics per line: LRU refresh (plus ``dirty |= store_dirty``)
         on hit; insert with ``dirty = store_dirty`` on miss, evicting the
         set's LRU victim when full — i.e. exactly an ``access``/``fill``
-        walk in input order, minus the stats (callers account those).
+        walk in input order.
 
         Returns ``(hits, evictions, dirty_evictions, chunks)`` where each
         chunk is ``(pos, line, victim, victim_dirty)`` arrays describing
@@ -478,12 +459,12 @@ class NumpyCacheCore(SetAssocCache):
     # Bulk (run) operations
     # ------------------------------------------------------------------
 
-    def _access_run(self, start: int, count: int, do_load: bool,
-                    do_store: bool) -> BulkResult:
+    def _access_run(self, start: int, count: int,
+                    store: bool) -> BulkResult:
         ns = self.num_sets
         assoc = self.assoc
         end = start + count
-        store_dirty = do_store and self.policy is WritePolicy.WRITE_BACK
+        store_dirty = store and self.policy is WritePolicy.WRITE_BACK
         if (self._resident == 0 and count >= ns
                 and (count + ns - 1) // ns <= assoc):
             # Totally cold cache — whole-array fill, uniform miss by
@@ -509,15 +490,12 @@ class NumpyCacheCore(SetAssocCache):
                 self._created[new] = self._next_rank + _np.arange(new.size)
                 self._next_rank += int(new.size)
             self._resident = count
-            self._run_stats(0, count, 0, 0, do_load, do_store, count)
             return BulkResult(misses=count, uniform_miss=True)
         lines = _np.arange(start, end, dtype=_np.int64)
-        hits, evictions, dirty_evictions, chunks = self._demand_sweep(
+        hits, evictions, _, chunks = self._demand_sweep(
             lines, store_dirty)
         misses = count - hits
         self._resident += misses - evictions
-        self._run_stats(hits, misses, evictions, dirty_evictions,
-                        do_load, do_store, count)
         if hits == 0 and evictions == 0:
             return BulkResult(misses=misses, uniform_miss=True)
         events: List[Tuple[int, Optional[int], bool]] = []
@@ -526,27 +504,6 @@ class NumpyCacheCore(SetAssocCache):
             events = [(l, None if v < 0 else v, d) for l, v, d in
                       zip(ls.tolist(), vs.tolist(), ds.tolist())]
         return BulkResult(hits=hits, misses=misses, events=events)
-
-    def _run_stats(self, hits: int, misses: int, evictions: int,
-                   dirty_evictions: int, do_load: bool, do_store: bool,
-                   count: int) -> None:
-        """Fold one run's aggregate outcome into :attr:`stats`."""
-        stats = self.stats
-        if do_load:
-            stats.read_hits += hits
-            stats.read_misses += misses
-        else:
-            stats.write_hits += hits
-            stats.write_misses += misses
-        total_hits = hits
-        if do_load and do_store:
-            # The store after each load hits the just-filled line.
-            stats.write_hits += count
-            total_hits += count
-        stats.hits += total_hits
-        stats.misses += misses
-        stats.evictions += evictions
-        stats.dirty_evictions += dirty_evictions
 
     def _fill_many(self, lines, dirty: bool) -> List[Eviction]:
         arr = _np.fromiter(lines, dtype=_np.int64)
@@ -557,11 +514,9 @@ class NumpyCacheCore(SetAssocCache):
             # sweep classifies on pre-state only, so replay per line.
             return [ev for line in arr.tolist()
                     for ev in (self.fill(int(line), dirty),) if ev]
-        hits, evictions, dirty_evictions, chunks = self._demand_sweep(
+        hits, evictions, _, chunks = self._demand_sweep(
             arr, dirty)
         self._resident += (arr.size - hits) - evictions
-        self.stats.evictions += evictions
-        self.stats.dirty_evictions += dirty_evictions
         out: List[Eviction] = []
         if evictions and chunks:
             _, vs, ds = self._merge_chunks(chunks)
@@ -582,15 +537,7 @@ class NumpyCacheCore(SetAssocCache):
             return self._serve_events_scalar(events)
         hits, evictions, dirty_evictions, chunks = self._demand_sweep(
             arr, False)
-        n_miss = int(arr.size) - hits
-        self._resident += n_miss - evictions
-        stats = self.stats
-        stats.hits += hits
-        stats.read_hits += hits
-        stats.misses += n_miss
-        stats.read_misses += n_miss
-        stats.evictions += evictions
-        stats.dirty_evictions += dirty_evictions
+        self._resident += int(arr.size) - hits - evictions
         missed: List[int] = []
         access_devs: List[int] = []
         if chunks:
@@ -602,71 +549,24 @@ class NumpyCacheCore(SetAssocCache):
 
     def _serve_events_scalar(self, events) -> Tuple[List[int], List[int],
                                                     List[int], int]:
-        """Exact per-event replay of a miss/victim stream (per-line
-        semantics: read access, then a dirty fill of any dirty victim)."""
-        ns = self.num_sets
-        assoc = self.assoc
-        tags = self._tags
-        dirty = self._dirty
-        stamp = self._stamp
-        occ = self._occ
-        hits = 0
-        evictions = 0
-        dirty_evictions = 0
-        writebacks = 0
+        """Per-event replay of a miss/victim stream through the core's
+        own per-line calls: a read ``access``, then a dirty ``fill`` of
+        any dirty victim."""
         missed: List[int] = []
         access_devs: List[int] = []
         fill_devs: List[int] = []
+        writebacks = 0
         for line, victim, victim_dirty in events:
-            idx = line % ns
-            self._ensure_created(idx)
-            w = self._way_of(idx, line)
-            if w >= 0:
-                hits += 1
-            else:
+            hit, evicted = self.access(line, False)
+            if not hit:
                 missed.append(line)
-                if occ[idx] >= assoc:
-                    w = int(stamp[idx].argmin())
-                    if dirty[idx, w]:
-                        dirty_evictions += 1
-                        access_devs.append(int(tags[idx, w]))
-                    evictions += 1
-                else:
-                    w = int((tags[idx] == -1).argmax())
-                    occ[idx] += 1
-                    self._resident += 1
-                tags[idx, w] = line
-                dirty[idx, w] = False
-            stamp[idx, w] = self._tick
-            self._tick += 1
+                if evicted is not None and evicted.dirty:
+                    access_devs.append(evicted.line)
             if victim_dirty:
                 writebacks += 1
-                vidx = victim % ns
-                self._ensure_created(vidx)
-                vw = self._way_of(vidx, victim)
-                if vw < 0:
-                    if occ[vidx] >= assoc:
-                        vw = int(stamp[vidx].argmin())
-                        if dirty[vidx, vw]:
-                            dirty_evictions += 1
-                            fill_devs.append(int(tags[vidx, vw]))
-                        evictions += 1
-                    else:
-                        vw = int((tags[vidx] == -1).argmax())
-                        occ[vidx] += 1
-                        self._resident += 1
-                    tags[vidx, vw] = victim
-                dirty[vidx, vw] = True
-                stamp[vidx, vw] = self._tick
-                self._tick += 1
-        stats = self.stats
-        n_miss = len(missed)
-        stats.hits += hits
-        stats.read_hits += hits
-        stats.misses += n_miss
-        stats.read_misses += n_miss
-        stats.evictions += evictions
-        stats.dirty_evictions += dirty_evictions
+                evicted = self.fill(victim, dirty=True)
+                if evicted is not None and evicted.dirty:
+                    fill_devs.append(evicted.line)
         return missed, access_devs, fill_devs, writebacks
 
     def _flush_run(self, start: int, count: int) -> List[int]:
@@ -692,7 +592,6 @@ class NumpyCacheCore(SetAssocCache):
             r, w = _np.nonzero(m)
             flushed = _np.sort(self._tags[r, w]).tolist()
             self._dirty[r, w] = False
-        self.stats.lines_flushed += len(flushed)
         return flushed
 
     def _invalidate_run(self, start: int, count: int
@@ -710,7 +609,6 @@ class NumpyCacheCore(SetAssocCache):
         self._stamp[r, w] = _FREE
         _np.subtract.at(self._occ, r, 1)
         self._resident -= dropped
-        self.stats.lines_invalidated += dropped
         return dropped, dirty_lines
 
     # ------------------------------------------------------------------
@@ -729,8 +627,6 @@ class NumpyCacheCore(SetAssocCache):
             o = self._walk_order(r, w)
             flushed = self._tags[r, w][o].tolist()
             self._dirty[r, w] = False
-        self.stats.flush_ops += 1
-        self.stats.lines_flushed += len(flushed)
         return flushed
 
     def invalidate_all(self) -> Tuple[int, List[int]]:
@@ -745,8 +641,6 @@ class NumpyCacheCore(SetAssocCache):
         self._stamp.fill(_FREE)
         self._occ.fill(0)
         self._resident = 0
-        self.stats.invalidate_ops += 1
-        self.stats.lines_invalidated += dropped
         return dropped, dirty_lines
 
     # ------------------------------------------------------------------

@@ -8,9 +8,11 @@ page-wise requests, each translated into its physical page and then
 walked at the L2.
 
 The simulator's caches are indexed by the virtual line id (a flat UVM
-space with an identity mapping), so this module's job is the *mechanism
-and cost accounting*: chunking ranges into page requests, counting
-translations, and charging the page walks.
+space with an identity mapping), so this module's job is the
+*mechanism*: chunking ranges into page requests, one translated span
+per page. It charges no cost: the timing model adds nothing for the
+page walks, so the ``cpelide-range`` extension runs without translation
+cost, and its measured gain is an upper bound.
 """
 
 from __future__ import annotations
@@ -41,14 +43,9 @@ class AddressTranslator:
 
     Attributes:
         page_size: Translation granularity (4 KB, page-aligned arrays).
-        walk_latency_cycles: Cost of one translation (a TLB/page-table
-            walk issued through the core, Sec. VI).
-        translations: Page translations performed so far.
     """
 
     page_size: int = PAGE_SIZE
-    walk_latency_cycles: float = 120.0
-    translations: int = 0
 
     def translate_range(self, start: int, end: int) -> List[PageSpan]:
         """Break byte range ``[start, end)`` into translated page spans."""
@@ -58,7 +55,6 @@ class AddressTranslator:
         first_page = start // self.page_size
         last_page = (end - 1) // self.page_size
         for page in range(first_page, last_page + 1):
-            self.translations += 1
             page_start = max(start, page * self.page_size)
             page_end = min(end, (page + 1) * self.page_size)
             spans.append(PageSpan(
@@ -76,11 +72,3 @@ class AddressTranslator:
         for start, end in ranges:
             spans.extend(self.translate_range(start, end))
         return spans
-
-    def walk_cycles(self, num_spans: int) -> float:
-        """Serialized cost of translating ``num_spans`` pages."""
-        return num_spans * self.walk_latency_cycles
-
-    def reset(self) -> None:
-        """Clear the translation counter."""
-        self.translations = 0

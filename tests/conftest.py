@@ -12,6 +12,15 @@ from repro.workloads.base import AccessKind, Kernel, KernelArg, PatternKind, Wor
 #: Small scale used throughout the tests (fast, preserves ratios).
 TEST_SCALE = 1 / 64
 
+#: JSON values that decode but are not a stored result-cache document,
+#: by name; each takes the cache's salt (the last is an object with the
+#: current salt and no result).
+NOT_DOCUMENTS = {
+    "list": lambda salt: [1],
+    "string": lambda salt: "salt",
+    "no-result": lambda salt: {"salt": salt},
+}
+
 
 @pytest.fixture(autouse=True)
 def _isolated_result_cache(tmp_path, monkeypatch):

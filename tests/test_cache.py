@@ -17,17 +17,15 @@ class TestBasics:
         assert not hit
         hit, _ = cache.access(10, is_write=False)
         assert hit
-        assert cache.stats.hits == 1
-        assert cache.stats.misses == 1
 
     def test_read_write_stat_split(self):
+        """A store hits a line a load placed; a store to an absent line
+        misses, and neither evicts from a cache with room."""
         cache = make_cache()
-        cache.access(1, is_write=False)
-        cache.access(1, is_write=True)
-        cache.access(2, is_write=True)
-        assert cache.stats.read_misses == 1
-        assert cache.stats.write_hits == 1
-        assert cache.stats.write_misses == 1
+        assert cache.access(1, is_write=False) == (False, None)
+        assert cache.access(1, is_write=True) == (True, None)
+        assert cache.access(2, is_write=True) == (False, None)
+        assert cache.resident_lines == 2
 
     def test_capacity_and_sets(self):
         cache = make_cache(lines=16, assoc=4)
@@ -69,7 +67,7 @@ class TestLRU:
         cache.access(0, is_write=True)
         _, evicted = cache.access(1, is_write=False)
         assert evicted == Eviction(0, True)
-        assert cache.stats.dirty_evictions == 1
+        assert not cache.lookup(0)
 
 
 class TestWritePolicies:
@@ -94,10 +92,12 @@ class TestWritePolicies:
 
 class TestFill:
     def test_fill_does_not_count_demand(self):
+        """A fill inserts the line clean without a demand access; the
+        next demand access hits it."""
         cache = make_cache()
-        cache.fill(7, dirty=False)
-        assert cache.stats.hits == 0 and cache.stats.misses == 0
-        assert cache.lookup(7)
+        assert cache.fill(7, dirty=False) is None
+        assert cache.lookup(7) and not cache.is_dirty(7)
+        assert cache.access(7, is_write=False) == (True, None)
 
     def test_fill_preserves_existing_dirty(self):
         cache = make_cache()
@@ -123,8 +123,7 @@ class TestSyncOperations:
         assert sorted(flushed) == [1, 2]
         assert cache.resident_lines == 3
         assert cache.dirty_lines == 0
-        assert cache.stats.lines_flushed == 2
-        assert cache.stats.flush_ops == 1
+        assert cache.flush_dirty() == []
 
     def test_invalidate_all_reports_dirty(self):
         cache = make_cache()
@@ -134,7 +133,7 @@ class TestSyncOperations:
         assert dropped == 2
         assert dirty == [1]
         assert cache.resident_lines == 0
-        assert cache.stats.lines_invalidated == 2
+        assert cache.invalidate_all() == (0, [])
 
     def test_invalidate_line(self):
         cache = make_cache()

@@ -14,8 +14,8 @@ policies = st.sampled_from(list(WritePolicy))
 
 
 def run_trace(cache, trace):
-    for line, is_write in trace:
-        cache.access(line, is_write)
+    """Issue every access; returns the ``(hit, eviction)`` results."""
+    return [cache.access(line, is_write) for line, is_write in trace]
 
 
 @given(shapes, policies, accesses)
@@ -58,9 +58,9 @@ def test_write_through_never_holds_dirty(shape, trace):
     lines, assoc = shape
     cache = SetAssocCache(size_bytes=lines * 64, assoc=assoc,
                           policy=WritePolicy.WRITE_THROUGH)
-    run_trace(cache, trace)
+    results = run_trace(cache, trace)
     assert cache.dirty_lines == 0
-    assert cache.stats.dirty_evictions == 0
+    assert not any(evicted.dirty for _, evicted in results if evicted)
 
 
 @given(shapes, accesses)
@@ -68,8 +68,14 @@ def test_write_through_never_holds_dirty(shape, trace):
 def test_hits_plus_misses_equals_accesses(shape, trace):
     lines, assoc = shape
     cache = SetAssocCache(size_bytes=lines * 64, assoc=assoc)
-    run_trace(cache, trace)
-    assert cache.stats.hits + cache.stats.misses == len(trace)
+    results = run_trace(cache, trace)
+    hits = sum(hit for hit, _ in results)
+    misses = len(results) - hits
+    assert hits + misses == len(trace)
+    # Every miss inserts a line; every eviction makes room for one.
+    evictions = sum(evicted is not None for _, evicted in results)
+    assert all(not hit for hit, evicted in results if evicted)
+    assert misses - evictions == cache.resident_lines
 
 
 @given(shapes, accesses)
@@ -89,9 +95,8 @@ def test_deterministic_replay(shape, trace):
     lines, assoc = shape
     a = SetAssocCache(size_bytes=lines * 64, assoc=assoc)
     b = SetAssocCache(size_bytes=lines * 64, assoc=assoc)
-    run_trace(a, trace)
-    run_trace(b, trace)
-    assert a.stats == b.stats
+    assert run_trace(a, trace) == run_trace(b, trace)
+    assert a.memo_state() == b.memo_state()
     assert a.resident_lines == b.resident_lines
 
 

@@ -4,8 +4,8 @@
 equivalence with issuing the per-line calls in ascending line order,
 `bulk_fill` with per-line `fill` calls, and `bulk_serve` with a read
 `access` plus, for a dirty victim, a `fill` per event: identical
-residency, set-creation order, LRU order, dirty flags, `CacheStats`,
-and identical returned lines, evictions and event streams. The
+residency, set-creation order, LRU order and dirty flags, and identical
+returned hits, misses, lines, evictions and event streams. The
 differential tests drive each core's bulk ops — the dict
 `SetAssocCache` (whose `bulk_access`, `bulk_fill` and `bulk_serve`
 inline the per-line calls into one loop) and the vectorized
@@ -33,8 +33,8 @@ def make_cache(num_lines, assoc, policy=WritePolicy.WRITE_BACK,
 
 def snapshot(cache):
     """Full observable state: the sets in creation order, each set's
-    (line, dirty) pairs in LRU order, plus the stats."""
-    return cache.memo_state(), vars(cache.stats).copy()
+    (line, dirty) pairs in LRU order, and the resident-line count."""
+    return cache.memo_state()
 
 
 def assert_same_flush(bulk, ref):
@@ -249,7 +249,7 @@ def test_access_run_uniform_miss_on_cold_cache():
     cache = make_cache(64, 4)
     res = cache.bulk_access(start=0, count=16, load=True, store=False)
     assert res.uniform_miss and res.misses == 16 and res.events is None
-    assert cache.stats.read_misses == 16
+    assert cache.resident_lines == 16
 
 
 def test_access_run_all_hit_refreshes_lru():
@@ -257,7 +257,7 @@ def test_access_run_all_hit_refreshes_lru():
     cache.bulk_access(start=0, count=16, load=True, store=False)
     res = cache.bulk_access(start=0, count=16, load=True, store=False)
     assert res.all_hit and res.hits == 16 and res.events == []
-    assert cache.stats.read_hits == 16
+    assert cache.resident_lines == 16
 
 
 def test_access_run_rejects_no_op_kind():

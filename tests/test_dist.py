@@ -28,7 +28,7 @@ from repro.engine.spec import JobSpec, SweepSpec
 from repro.errors import CacheError
 from repro.gpu.config import GPUConfig
 
-from tests.conftest import TEST_SCALE
+from tests.conftest import NOT_DOCUMENTS, TEST_SCALE
 
 WORKLOADS = ("square", "bfs")
 PROTOCOLS = ("baseline", "cpelide")
@@ -605,6 +605,26 @@ class TestScatterWorkGather:
         with pytest.raises(CacheError, match=r"\[0\]"):
             gather(work_dir)
         assert not result.exists()
+        assert work(work_dir) == 1
+        assert gather(work_dir).to_dicts() == \
+            SweepRunner().run(spec).to_dicts()
+
+    @pytest.mark.parametrize("name", sorted(NOT_DOCUMENTS))
+    def test_unit_record_that_is_not_a_document_counts_as_missing(
+            self, tmp_path, name):
+        """A unit record overwritten with JSON that decodes but is not a
+        stored document is dropped by gather(), which names the unit as
+        unfinished, and the next work() reruns it."""
+        spec = small_spec(workloads=("square",))
+        work_dir = tmp_path / "wd"
+        units = scatter(spec, work_dir, workers=2)
+        assert work(work_dir) == len(units)
+        cache = work_dir_cache(work_dir)
+        record = cache._path(units[0].key)
+        record.write_text(json.dumps(NOT_DOCUMENTS[name](cache.salt)))
+        with pytest.raises(CacheError, match=r"\[0\]"):
+            gather(work_dir)
+        assert not record.exists()
         assert work(work_dir) == 1
         assert gather(work_dir).to_dicts() == \
             SweepRunner().run(spec).to_dicts()

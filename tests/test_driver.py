@@ -34,7 +34,7 @@ class TestSoftwareQueue:
         drained = queue.ring_doorbell()
         assert len(drained) == 2
         assert len(queue) == 0
-        assert queue.doorbell_rings == 1
+        assert queue.ring_doorbell() == []
 
     def test_dispatch_requires_kernel(self):
         with pytest.raises(ValueError):

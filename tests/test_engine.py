@@ -41,7 +41,7 @@ from repro.metrics.stats import (
 )
 from repro.workloads.suite import build_workload
 
-from tests.conftest import TEST_SCALE
+from tests.conftest import NOT_DOCUMENTS, TEST_SCALE
 
 WORKLOADS = ("square", "babelstream", "bfs")
 PROTOCOLS = ("baseline", "cpelide")
@@ -240,6 +240,24 @@ class TestCache:
             result = SweepRunner(cache=cache).run(spec)
             assert result.report.cache_invalidations == 1
             assert result.report.executed == 1
+
+    @pytest.mark.parametrize("name", sorted(NOT_DOCUMENTS))
+    def test_entry_that_is_not_a_document_is_recomputed(self, tmp_path,
+                                                        name):
+        """An entry overwritten with JSON that decodes but is not a
+        stored document is invalidated like undecodable bytes: the sweep
+        recomputes the cell to the serial uncached result, and the next
+        sweep hits."""
+        spec = small_spec(workloads=("square",), protocols=("cpelide",))
+        cache = SharedResultCache(root=tmp_path / "c")
+        SweepRunner(cache=cache).run(spec)
+        [path] = list((tmp_path / "c").rglob("*.json"))
+        path.write_text(json.dumps(NOT_DOCUMENTS[name](cache.salt)))
+        result = SweepRunner(cache=cache).run(spec)
+        assert result.report.cache_invalidations == 1
+        assert result.report.executed == 1
+        assert result.to_dicts() == SweepRunner().run(spec).to_dicts()
+        assert SweepRunner(cache=cache).run(spec).report.cache_hits == 1
 
     def test_cache_stats_accounting(self, tmp_path):
         cache = ResultCache(root=tmp_path / "c")

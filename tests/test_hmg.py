@@ -30,7 +30,7 @@ class TestL2Directory:
         _, evicted = directory.get_or_insert(2)
         assert evicted is not None
         assert evicted[0] == 1
-        assert directory.evictions == 1
+        assert len(directory) == 2 and directory.peek(1) is None
 
     def test_drop(self):
         directory = L2Directory(num_entries=4)

@@ -1,10 +1,9 @@
-"""Unit tests for the L1 filter, LDS, and DRAM models."""
+"""Unit tests for the L1 filter model and the LDS parameters."""
 
 import pytest
 
-from repro.memory.dram import DRAMModel
+from repro.gpu.config import GPUConfig
 from repro.memory.l1 import L1Filter
-from repro.memory.lds import LocalDataShare
 
 
 class TestL1Filter:
@@ -49,46 +48,9 @@ class TestL1Filter:
 
 
 class TestLDS:
-    def test_record_accumulates(self):
-        lds = LocalDataShare()
-        lds.record(100)
-        lds.record(50)
-        assert lds.accesses == 150
-
-    def test_reset(self):
-        lds = LocalDataShare()
-        lds.record(10)
-        lds.reset()
-        assert lds.accesses == 0
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            LocalDataShare().record(-1)
-
     def test_table1_defaults(self):
-        lds = LocalDataShare()
-        assert lds.size_bytes == 64 * 1024
-        assert lds.latency_cycles == 65
-
-
-class TestDRAM:
-    def test_per_stack_accounting(self):
-        dram = DRAMModel(num_stacks=4)
-        dram.record_read(0, 5)
-        dram.record_write(3, 2)
-        assert dram.reads == [5, 0, 0, 0]
-        assert dram.writes == [0, 0, 0, 2]
-        assert dram.total_reads == 5
-        assert dram.total_writes == 2
-        assert dram.total_accesses == 7
-
-    def test_reset(self):
-        dram = DRAMModel(num_stacks=2)
-        dram.record_read(1)
-        dram.reset()
-        assert dram.total_accesses == 0
-        assert len(dram.reads) == 2
-
-    def test_invalid_stacks(self):
-        with pytest.raises(ValueError):
-            DRAMModel(num_stacks=0)
+        """The LDS keeps no state of its own: Table I's size and latency
+        are the config fields the dispatcher and timing model read."""
+        config = GPUConfig()
+        assert config.lds_size == 64 * 1024
+        assert config.lds_latency == 65

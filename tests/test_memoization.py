@@ -168,17 +168,6 @@ def test_dict_cache_memo_hooks(before, after):
         assert _rebuilt(cache, reordered).memo_digest() != digest
 
 
-def test_cache_stats_delta_round_trip():
-    cache = _touched_cache()
-    before = cache.stats.counter_tuple()
-    cache.bulk_access(start=300, count=80, load=True, store=True)
-    delta = cache.stats.delta_since(before)
-    assert any(delta)
-    fresh = _touched_cache()
-    fresh.stats.apply_delta(delta)
-    assert fresh.stats.counter_tuple() == cache.stats.counter_tuple()
-
-
 # ---------------------------------------------------------------------------
 # Protocol state round trips (CPElide table, HMG directories)
 
@@ -316,9 +305,7 @@ def test_store_lru_evicts_oldest_entry():
 
     def entry():
         return MemoEntry(
-            post_digests=(), cache_snapshots=(), cache_stat_deltas=(),
-            dram_delta=None, home_journal=(), lds_delta=None,
-            local_cp_delta=None, translations_delta=0,
+            post_digests=(), cache_snapshots=(), home_journal=(),
             proto_snapshot=None, proto_counter_delta=None,
             sched_snapshot=None, metrics={}, trace_lines=0)
 
@@ -328,6 +315,16 @@ def test_store_lru_evicts_oldest_entry():
     store.put("c", entry())  # evicts "b", the least recently used
     assert store.get("b") is None
     assert store.get("a") is not None and store.get("c") is not None
+
+
+def test_memo_entry_records_no_hardware_tallies():
+    """An entry holds what a replay must restore or report: component
+    post-states, the home map's journal, the protocol's counter delta,
+    the kernel's metrics and its swept line count."""
+    assert MemoEntry.__slots__ == (
+        "post_digests", "cache_snapshots", "home_journal",
+        "proto_snapshot", "proto_counter_delta", "sched_snapshot",
+        "metrics", "trace_lines")
 
 
 def test_snapshot_pool_dedups_by_digest():

@@ -1,9 +1,8 @@
-"""Unit tests for interconnect accounting: meters, crossbar, links."""
+"""Unit tests for interconnect accounting: meters and crossbar."""
 
 import pytest
 
 from repro.interconnect.crossbar import CPCrossbar
-from repro.interconnect.links import InterChipletLinks
 from repro.interconnect.noc import FlitParams, TrafficMeter
 
 
@@ -79,18 +78,3 @@ class TestCPCrossbar:
     def test_negative_targets_rejected(self):
         with pytest.raises(ValueError):
             CPCrossbar().unicast(-1)
-
-
-class TestInterChipletLinks:
-    def test_table1_bandwidth(self):
-        links = InterChipletLinks()
-        assert links.total_bandwidth_bytes_per_sec == 768e9
-
-    def test_transfer_time(self):
-        links = InterChipletLinks(total_bandwidth_bytes_per_sec=1e9)
-        assert links.transfer_seconds(1e9) == pytest.approx(1.0)
-        assert links.transfer_seconds(0) == 0.0
-
-    def test_negative_bytes_rejected(self):
-        with pytest.raises(ValueError):
-            InterChipletLinks().transfer_seconds(-1)

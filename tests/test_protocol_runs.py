@@ -61,11 +61,8 @@ def _machine(device: Device, protocol) -> dict:
         "counts": [astuple(c) for c in device.counts],
         "traffic": (device.traffic.l1_l2, device.traffic.l2_l3,
                     device.traffic.remote),
-        "dram": (list(device.dram.reads), list(device.dram.writes)),
         "l2s": [l2.memo_state() for l2 in device.l2s],
         "l3": device.l3.memo_state(),
-        "cache_stats": [astuple(cache.stats)
-                        for cache in (*device.l2s, device.l3)],
         "page_homes": device.home_map.page_homes(),
         "protocol": protocol.memo_snapshot(),
         "sync": astuple(protocol.drain_sync_counts()),
