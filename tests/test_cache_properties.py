@@ -69,12 +69,12 @@ def test_hits_plus_misses_equals_accesses(shape, trace):
     lines, assoc = shape
     cache = SetAssocCache(size_bytes=lines * 64, assoc=assoc)
     results = run_trace(cache, trace)
-    hits = sum(hit for hit, _ in results)
-    misses = len(results) - hits
-    assert hits + misses == len(trace)
-    # Every miss inserts a line; every eviction makes room for one.
-    evictions = sum(evicted is not None for _, evicted in results)
+    assert len(results) == len(trace)
+    # A hit never evicts; every miss inserts a line and every eviction
+    # makes room for one.
     assert all(not hit for hit, evicted in results if evicted)
+    misses = sum(not hit for hit, _ in results)
+    evictions = sum(evicted is not None for _, evicted in results)
     assert misses - evictions == cache.resident_lines
 
 

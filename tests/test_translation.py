@@ -1,9 +1,7 @@
 """Unit tests for the address-translation layer (Sec. VI range flush)."""
 
-import pytest
-
 from repro.memory.address import LINE_SIZE, PAGE_SIZE
-from repro.memory.translation import AddressTranslator, PageSpan
+from repro.memory.translation import AddressTranslator
 
 
 class TestTranslateRange:
